@@ -223,7 +223,10 @@ class SparsePoly:
         if len(parts) == 4:
             if parts[2] != "mod":
                 raise ParseError("expected 'mod <p>'", lineno)
-            modulus = int(parts[3])
+            try:
+                modulus = int(parts[3])
+            except ValueError:
+                raise ParseError("bad modulus", lineno) from None
         coeffs = {}
         for lineno, ln in rows[1:]:
             toks = ln.split()

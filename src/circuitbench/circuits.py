@@ -181,20 +181,17 @@ def parse_circuit(text):
         if idx != len(nodes) + 1:
             raise ParseError(f"gate names must be consecutive; expected g{len(nodes) + 1}", lineno)
         kind, args = toks[2], toks[3:]
-        if kind == "in":
+        if kind in ("in", "param"):
             if len(args) != 1:
-                raise ParseError("expected 'in <j>'", lineno)
-            j = int(args[0])
-            if not 1 <= j <= num_vars:
-                raise ParseError(f"input index {j} outside 1..{num_vars}", lineno)
-            nodes.append(InputVar(j))
-        elif kind == "param":
-            if len(args) != 1:
-                raise ParseError("expected 'param <j>'", lineno)
-            j = int(args[0])
-            if not 1 <= j <= num_params:
-                raise ParseError(f"param index {j} outside 1..{num_params}", lineno)
-            nodes.append(Param(j))
+                raise ParseError(f"expected '{kind} <j>'", lineno)
+            try:
+                j = int(args[0])
+            except ValueError:
+                raise ParseError(f"bad index {args[0]!r}", lineno) from None
+            label, limit = ("input", num_vars) if kind == "in" else ("param", num_params)
+            if not 1 <= j <= limit:
+                raise ParseError(f"{label} index {j} outside 1..{limit}", lineno)
+            nodes.append(InputVar(j) if kind == "in" else Param(j))
         elif kind == "const":
             if len(args) != 1:
                 raise ParseError("expected 'const <signed decimal>'", lineno)
@@ -214,6 +211,21 @@ def parse_circuit(text):
         raise ParseError("missing output line", rows[-1][0])
 
     return Circuit(tuple(nodes), output, num_vars, num_params)
+
+
+def parse_circuits(lines):
+    """Parse the circuits in `lines` separated by '---' lines; sections with
+    no text are skipped."""
+    chunks = []
+    current = []
+    for raw in lines:
+        if raw.split("#", 1)[0].strip() == "---":
+            chunks.append("\n".join(current))
+            current = []
+        else:
+            current.append(raw)
+    chunks.append("\n".join(current))
+    return [parse_circuit(chunk) for chunk in chunks if chunk.strip()]
 
 
 def serialize_circuit(circuit):
@@ -353,23 +365,14 @@ def simplify_constants(circuit):
     are both constants.  The computed polynomial is unchanged; the formal
     degree can only drop.
     """
-    # value per old position: ("const", v) or ("node", new_index)
-    nodes = []
-    memo = {}
-
-    def intern(node):
-        if node in memo:
-            return memo[node]
-        nodes.append(node)
-        memo[node] = len(nodes) - 1
-        return memo[node]
-
+    builder = CircuitBuilder(circuit.num_vars, circuit.num_params)
+    # per old position: ("const", v) or ("node", builder position)
     desc = []
     for node in circuit.nodes:
         if isinstance(node, Const):
             desc.append(("const", node.value))
         elif isinstance(node, (InputVar, Param)):
-            desc.append(("node", intern(node)))
+            desc.append(("node", builder._emit(node)))
         else:
             lk, lv = desc[node.left]
             rk, rv = desc[node.right]
@@ -387,33 +390,14 @@ def simplify_constants(circuit):
             elif not is_add and rk == "const" and rv == 1:
                 desc.append(("node", lv))
             else:
-                a = lv if lk == "node" else intern(Const(lv))
-                b = rv if rk == "node" else intern(Const(rv))
-                if a > b:
-                    a, b = b, a
-                new = Add(a, b) if is_add else Mul(a, b)
-                desc.append(("node", intern(new)))
+                a = lv if lk == "node" else builder.const(lv)
+                b = rv if rk == "node" else builder.const(rv)
+                desc.append(("node", builder.add(a, b) if is_add else builder.mul(a, b)))
 
     kind, val = desc[circuit.output]
-    if kind == "const":
-        nodes = [Const(val)]
-        out = 0
-    else:
-        out = val
-        nodes = nodes[: out + 1]
-    # drop nodes not reachable from the output
-    keep = Circuit(tuple(nodes), out, circuit.num_vars, circuit.num_params)
-    reach = keep.reachable()
-    remap = {old: new for new, old in enumerate(reach)}
-    packed = []
-    for old in reach:
-        node = keep.nodes[old]
-        if isinstance(node, _GATES):
-            cls = Add if isinstance(node, Add) else Mul
-            packed.append(cls(remap[node.left], remap[node.right]))
-        else:
-            packed.append(node)
-    return Circuit(tuple(packed), remap[out], circuit.num_vars, circuit.num_params)
+    out = builder.const(val) if kind == "const" else val
+    packed = CircuitBuilder(circuit.num_vars, circuit.num_params)
+    return packed.finish(packed.inline(builder.finish(out)))
 
 
 class CircuitBuilder:
@@ -448,10 +432,10 @@ class CircuitBuilder:
         return self._emit(Param(index))
 
     def add(self, a, b):
-        return self._emit(Add(min(a, b), max(a, b)))
+        return self._emit(Add(a, b) if a <= b else Add(b, a))
 
     def mul(self, a, b):
-        return self._emit(Mul(min(a, b), max(a, b)))
+        return self._emit(Mul(a, b) if a <= b else Mul(b, a))
 
     def inline(self, circuit, input_map=None, param_map=None):
         """Copy another circuit's reachable nodes in, returning its output
@@ -461,20 +445,16 @@ class CircuitBuilder:
         placed = {}
         for pos in circuit.reachable():
             node = circuit.nodes[pos]
-            if isinstance(node, InputVar):
-                if input_map is not None and node.index in input_map:
-                    placed[pos] = input_map[node.index]
-                else:
-                    placed[pos] = self.input(node.index)
-            elif isinstance(node, Param):
-                idx = param_map[node.index] if param_map else node.index
-                placed[pos] = self.param(idx)
-            elif isinstance(node, Const):
-                placed[pos] = self.const(node.value)
-            elif isinstance(node, Add):
+            if isinstance(node, Add):
                 placed[pos] = self.add(placed[node.left], placed[node.right])
-            else:
+            elif isinstance(node, Mul):
                 placed[pos] = self.mul(placed[node.left], placed[node.right])
+            elif input_map is not None and isinstance(node, InputVar) and node.index in input_map:
+                placed[pos] = input_map[node.index]
+            elif param_map and isinstance(node, Param):
+                placed[pos] = self.param(param_map[node.index])
+            else:
+                placed[pos] = self._emit(node)
         return placed[circuit.output]
 
     def finish(self, output):

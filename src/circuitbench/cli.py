@@ -20,6 +20,7 @@ from .circuits import (
     is_constant_free,
     metrics,
     parse_circuit,
+    parse_circuits,
     weight_report,
 )
 from .errors import BudgetError
@@ -225,11 +226,10 @@ def _cmd_embed(args):
 
 def _cmd_forge(args):
     result = forge.find_hard_vector(args.s, args.d, args.p, solve_budget=args.eval_budget)
-    sweep = forge.realizable_vectors(args.s, args.d, args.p, oracle="parameter-sweep")
     enum = forge.realizable_vectors(
         args.s, args.d, args.p, oracle="circuit-enumeration", enum_size=args.enum_size
     )
-    sweep_first = forge.lex_first_missing(sweep.vectors, args.d)
+    sweep_first = forge.lex_first_missing(result.realized, args.d)
     enum_first = forge.lex_first_missing(enum.vectors, args.d)
     lines = [
         "oracles=system-solve,parameter-sweep,circuit-enumeration",
@@ -237,7 +237,7 @@ def _cmd_forge(args):
         f"gamma={'none' if result.gamma is None else _bits(result.gamma)}",
         f"gamma_sweep={'none' if sweep_first is None else _bits(sweep_first)}",
         f"gamma_enum={'none' if enum_first is None else _bits(enum_first)}",
-        f"realized_sweep={len(sweep.vectors)}",
+        f"realized_sweep={len(result.realized)}",
         f"realized_enum={len(enum.vectors)}",
         f"systems_checked={result.systems_checked}",
         f"oracles_agree={'true' if enum_first == result.gamma else 'false'}",
@@ -248,7 +248,7 @@ def _cmd_forge(args):
         "gamma": None if result.gamma is None else _bits(result.gamma),
         "gamma_sweep": None if sweep_first is None else _bits(sweep_first),
         "gamma_enum": None if enum_first is None else _bits(enum_first),
-        "realized_sweep": len(sweep.vectors),
+        "realized_sweep": len(result.realized),
         "realized_enum": len(enum.vectors),
         "systems_checked": result.systems_checked,
         "oracles_agree": enum_first == result.gamma,
@@ -333,17 +333,7 @@ def _cmd_gs_sim(args):
 
 
 def _cmd_per_verify(args):
-    text = _read(args.chain)
-    chunks = []
-    current = []
-    for raw in text.splitlines():
-        if raw.split("#", 1)[0].strip() == "---":
-            chunks.append("\n".join(current))
-            current = []
-        else:
-            current.append(raw)
-    chunks.append("\n".join(current))
-    chain = [parse_circuit(chunk) for chunk in chunks if chunk.strip()]
+    chain = parse_circuits(_read(args.chain).splitlines())
     report = protocols.permanent_verify(chain, args.p, args.trials, args.seed)
     lines = [
         f"accepted={'true' if report.accepted else 'false'}",

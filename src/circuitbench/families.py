@@ -138,7 +138,10 @@ class TruthTable:
             if len(bits) != n or any(c not in "01" for c in bits):
                 raise ParseError(f"bad bit string {bits!r}", lineno)
             mask = sum(1 << i for i, c in enumerate(bits) if c == "1")
-            entries[mask] = int(value)
+            try:
+                entries[mask] = int(value)
+            except ValueError:
+                raise ParseError(f"bad value {value!r}", lineno) from None
         if n is None:
             raise ParseError("empty truth table")
         if len(entries) != 1 << n:

@@ -23,7 +23,6 @@ from .circuits import enumerate_circuits, expand_circuit, is_constant_free
 from .errors import BudgetError
 from .primes import is_prime
 from .systems import DEFAULT_SOLVE_BUDGET, build_hardness_system, solve_bruteforce
-from .universal import _series_mul
 
 DEFAULT_SWEEP_BUDGET = 10**7
 DEFAULT_ENUM_ORACLE_BUDGET = 2_000_000
@@ -36,6 +35,19 @@ def lex_first_missing(vectors, d):
         if cand not in vectors:
             return cand
     return None
+
+
+def _series_mul(u, v, cap, p):
+    """Product of two dense coefficient lists over F_p, truncated at cap."""
+    out = [0] * (cap + 1)
+    for i, a in enumerate(u):
+        if not a:
+            continue
+        top = cap - i
+        for j, b in enumerate(v[: top + 1]):
+            if b:
+                out[i + j] = (out[i + j] + a * b) % p
+    return out
 
 
 @dataclass(frozen=True)
@@ -168,6 +180,7 @@ class HardVectorSearch:
     gamma: tuple | None  # lex-first hard vector, None when saturated
     saturated: bool
     systems_checked: int
+    realized: frozenset  # 0/1 vectors in the parameter-sweep image
 
 
 def find_hard_vector(s, d, p, solve_budget=DEFAULT_SOLVE_BUDGET, sweep_budget=None):
@@ -183,7 +196,7 @@ def find_hard_vector(s, d, p, solve_budget=DEFAULT_SOLVE_BUDGET, sweep_budget=No
     if p <= d:
         raise ValueError(f"need p > d for {d + 1} distinct interpolation points, got p={p}")
     sweep = _sweep_image(s, d, p, sweep_budget or DEFAULT_SWEEP_BUDGET)
-    zero_one = {v for v in sweep if all(x in (0, 1) for x in v)}
+    zero_one = frozenset(v for v in sweep if all(x in (0, 1) for x in v))
     expected = lex_first_missing(zero_one, d)
     checked = 0
     for gamma in product((0, 1), repeat=d + 1):
@@ -195,12 +208,12 @@ def find_hard_vector(s, d, p, solve_budget=DEFAULT_SOLVE_BUDGET, sweep_budget=No
                     f"solver found hard vector {gamma} but the sweep predicts "
                     f"{expected}; truncated evaluation paths disagree"
                 )
-            return HardVectorSearch(s, d, p, gamma, False, checked)
+            return HardVectorSearch(s, d, p, gamma, False, checked, zero_one)
     if expected is not None:
         raise RuntimeError(
             f"solver saturated but the sweep predicts {expected} is unrealizable"
         )
-    return HardVectorSearch(s, d, p, None, True, checked)
+    return HardVectorSearch(s, d, p, None, True, checked, zero_one)
 
 
 def hardness_certificate(s, d, p, gamma, enum_size=None, budget=None):

@@ -15,6 +15,7 @@ Three layers, each usable on its own:
 import math
 import random
 from dataclasses import dataclass
+from itertools import product
 
 from .circuits import (
     Circuit,
@@ -24,8 +25,10 @@ from .circuits import (
     compile_mod_evaluator,
     serialize_circuit,
 )
+from .families import permanent
 from .pit import pit_equal
 from .primes import is_prime, next_prime_at_least, sieve
+from .systems import PolySystem
 
 
 # ---------------------------------------------------------------------------
@@ -194,11 +197,6 @@ def permanent_agreement_system(chain, grid_bound=2):
     that set explicit; for a constant-free honest chain it is every prime,
     for the determinant chain it is exactly {2}.
     """
-    from itertools import product as _product
-
-    from .families import permanent
-    from .systems import PolySystem
-
     num_params = {c.num_params for c in chain}
     if len(num_params) != 1:
         raise ValueError("chain circuits must share one parameter-slot count")
@@ -207,7 +205,7 @@ def permanent_agreement_system(chain, grid_bound=2):
     for k, skeleton in enumerate(chain, start=1):
         if skeleton.num_vars != k * k:
             raise ValueError(f"chain circuit {k} must have {k * k} variables")
-        for point in _product(range(grid_bound + 1), repeat=k * k):
+        for point in product(range(grid_bound + 1), repeat=k * k):
             matrix = [list(point[r * k : (r + 1) * k]) for r in range(k)]
             target = permanent(matrix)
             builder = CircuitBuilder(num_params=unknowns)
@@ -301,13 +299,11 @@ class ProverMessage:
         )
 
 
-class HonestProver:
-    """Sends the true minor-expansion chain and genuinely colliding primes."""
-
-    mode = "honest"
+class _ChainProver:
+    """Sends the chain from `build_chain` and genuinely colliding primes."""
 
     def message(self, t, n, max_value, matrices, cols):
-        chain = tuple(build_permanent_chain(t))
+        chain = tuple(self.build_chain(t))
         picks = find_collision_primes(matrices, cols)
         if picks is None:
             return None
@@ -316,21 +312,21 @@ class HonestProver:
         return ProverMessage(chain, picks, empty, big, ())
 
 
-class CheatingProver:
+class HonestProver(_ChainProver):
+    """Sends the true minor-expansion chain and genuinely colliding primes."""
+
+    mode = "honest"
+    build_chain = staticmethod(build_permanent_chain)
+
+
+class CheatingProver(_ChainProver):
     """Same envelope, but the chain computes determinants."""
+
+    build_chain = staticmethod(build_determinant_chain)
 
     def __init__(self, variant="determinant-skeleton"):
         self.variant = variant
         self.mode = f"cheating({variant})"
-
-    def message(self, t, n, max_value, matrices, cols):
-        chain = tuple(build_determinant_chain(t))
-        picks = find_collision_primes(matrices, cols)
-        if picks is None:
-            return None
-        big = next_prime_at_least(max(2, math.factorial(n) * max(1, max_value) ** n))
-        empty = tuple(() for _ in picks)
-        return ProverMessage(chain, picks, empty, big, ())
 
 
 def find_collision_primes(matrices, cols):

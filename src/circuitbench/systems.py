@@ -13,12 +13,12 @@ from itertools import product
 from .circuits import (
     CircuitBuilder,
     compile_mod_evaluator,
-    parse_circuit,
+    parse_circuits,
     serialize_circuit,
 )
 from .errors import BudgetError, ParseError
 from .primes import is_prime, sieve
-from .universal import build_universal
+from .universal import build_universal, template_series
 
 DEFAULT_SOLVE_BUDGET = 10**8
 
@@ -37,32 +37,13 @@ class PolySystem:
                 raise ValueError("equation references an unknown beyond the declared count")
 
 
-def _series_scale_add(builder, acc, sel, series):
-    for deg, node in series.items():
-        term = builder.mul(sel, node)
-        acc[deg] = builder.add(acc[deg], term) if deg in acc else term
-    return acc
-
-
-def _series_mul(builder, u, v, cap):
-    out = {}
-    for i, a in u.items():
-        for j, b in v.items():
-            if i + j > cap:
-                continue
-            term = builder.mul(a, b)
-            k = i + j
-            out[k] = builder.add(out[k], term) if k in out else term
-    return out
-
-
 def build_hardness_system(s, d, gamma):
     """One equation per point m in {0..d}: the degree-d truncation of the
     s-level universal template, evaluated at x=m, must equal
     sum_i gamma_i m^i.  Unknowns are the s(s+1) template parameters.
 
     The truncation is compiled into genuine circuits by running the template
-    recursion over circuit-node-valued coefficient series, so the system can
+    recursion (template_series) over CircuitBuilder nodes, so the system can
     be evaluated over any prime field.
     """
     gamma = tuple(int(g) for g in gamma)
@@ -75,29 +56,13 @@ def build_hardness_system(s, d, gamma):
     equations = []
     for m in range(d + 1):
         builder = CircuitBuilder(num_vars=0, num_params=unknowns)
-        series = []
-        for j in range(1, s + 1):
-            a_slots, b_slots = template.level_params[j - 1]
-            if j == 1:
-                first = {0: builder.param(a_slots[0])}
-                if d >= 1:
-                    first[1] = builder.param(b_slots[0])
-                series.append(first)
-                continue
-            sides = []
-            for slots in (a_slots, b_slots):
-                acc = {0: builder.param(slots[0])}
-                for i in range(1, j):
-                    sel = builder.param(slots[i])
-                    _series_scale_add(builder, acc, sel, series[i - 1])
-                sides.append(acc)
-            series.append(_series_mul(builder, sides[0], sides[1], d))
+        series = template_series(template, d, builder, builder.param)
         # Horner evaluation of the truncated series at x=m
         value = None
         for deg in range(d, -1, -1):
             if value is not None:
                 value = builder.mul(value, builder.const(m))
-            coeff = series[-1].get(deg)
+            coeff = series.get(deg)
             if coeff is not None:
                 value = builder.add(value, coeff) if value is not None else coeff
         if value is None:
@@ -236,33 +201,20 @@ def density_probe(system, limit, solve_budget=DEFAULT_SOLVE_BUDGET):
 def parse_system(text):
     lines = text.splitlines()
     header = None
-    body_start = 0
-    for idx, raw in enumerate(lines):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        header = stripped
-        body_start = idx + 1
-        break
-    if header is None:
+    for lineno, raw in enumerate(lines, start=1):
+        header = raw.split("#", 1)[0].strip()
+        if header:
+            break
+    if not header:
         raise ParseError("empty system text")
     parts = header.split()
     if len(parts) != 2 or parts[0] != "unknowns":
-        raise ParseError("expected header 'unknowns <u>'")
-    unknowns = int(parts[1])
-    chunks = []
-    current = []
-    for raw in lines[body_start:]:
-        if raw.split("#", 1)[0].strip() == "---":
-            chunks.append("\n".join(current))
-            current = []
-        else:
-            current.append(raw)
-    chunks.append("\n".join(current))
-    equations = []
-    for chunk in chunks:
-        if chunk.strip():
-            equations.append(parse_circuit(chunk))
+        raise ParseError("expected header 'unknowns <u>'", lineno)
+    try:
+        unknowns = int(parts[1])
+    except ValueError:
+        raise ParseError("bad unknowns count", lineno) from None
+    equations = parse_circuits(lines[lineno:])
     if not equations:
         raise ParseError("system has no equations")
     return PolySystem(unknowns, tuple(equations), "file")

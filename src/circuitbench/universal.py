@@ -118,64 +118,54 @@ class CoefficientVector:
         return (i + 1) * (1 << (2 * self.levels))
 
 
-def _series_scale_add(acc, scale, series, p):
-    if scale:
-        for idx, v in enumerate(series):
-            if v:
-                acc[idx] = (acc[idx] + scale * v) % p
-    return acc
+def template_series(template, d, ring, param):
+    """Degree-d truncation of the template as a {degree: element} dict.
 
-
-def _series_mul(u, v, cap, p):
-    out = [0] * (cap + 1)
-    for i, a in enumerate(u):
-        if not a:
-            continue
-        top = cap - i
-        for j, b in enumerate(v[: top + 1]):
-            if b:
-                out[i + j] = (out[i + j] + a * b) % p
-    return out
-
-
-def level_series(template, d, p, params):
-    """Truncated coefficient lists of every level, cheapest path.
-
-    Walks the level structure directly instead of the expanded circuit; the
-    generic circuit evaluation in a truncated polynomial ring is kept as an
-    independent reference (see truncated_coefficient_map_reference).
+    The one recursion over template levels: level j is built from the
+    series of levels 1..j-1 with `ring.add` and `ring.mul`, and `param(slot)`
+    supplies the element for each parameter slot, in slot-use order.  Over
+    PrimeField it gives the truncated coefficient map; over a CircuitBuilder
+    it gives circuit nodes for the hardness systems.
     """
-    if len(params) != template.param_count():
-        raise ValueError(f"expected {template.param_count()} parameter values")
+    add, mul = ring.add, ring.mul
     series = []
     for j in range(1, template.levels + 1):
         a_slots, b_slots = template.level_params[j - 1]
         if j == 1:
-            vec = [0] * (d + 1)
-            vec[0] = params[a_slots[0] - 1] % p
+            first = {0: param(a_slots[0])}
             if d >= 1:
-                vec[1] = params[b_slots[0] - 1] % p
-            series.append(vec)
+                first[1] = param(b_slots[0])
+            series.append(first)
             continue
         sides = []
         for slots in (a_slots, b_slots):
-            acc = [0] * (d + 1)
-            acc[0] = params[slots[0] - 1] % p
+            acc = {0: param(slots[0])}
             for i in range(1, j):
-                _series_scale_add(acc, params[slots[i] - 1] % p, series[i - 1], p)
+                sel = param(slots[i])
+                for deg, node in series[i - 1].items():
+                    term = mul(sel, node)
+                    acc[deg] = add(acc[deg], term) if deg in acc else term
             sides.append(acc)
-        series.append(_series_mul(sides[0], sides[1], d, p))
-    return series
+        prod = {}
+        for i, a in sides[0].items():
+            for k, b in sides[1].items():
+                if i + k <= d:
+                    term = mul(a, b)
+                    prod[i + k] = add(prod[i + k], term) if i + k in prod else term
+        series.append(prod)
+    return series[-1]
 
 
 def truncated_coefficient_map(template, d, p, params):
     """Coefficients 0..d of the specialized template over F_p."""
     if d < 0:
         raise ValueError("degree cap must be >= 0")
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
-    series = level_series(template, d, p, params)
-    return CoefficientVector(tuple(series[-1]), template.levels, d, p)
+    field = PrimeField(p)
+    if len(params) != template.param_count():
+        raise ValueError(f"expected {template.param_count()} parameter values")
+    series = template_series(template, d, field, lambda k: params[k - 1] % p)
+    entries = tuple(series.get(i, 0) for i in range(d + 1))
+    return CoefficientVector(entries, template.levels, d, p)
 
 
 def truncated_coefficient_map_reference(template, d, p, params):

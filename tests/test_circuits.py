@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from circuitbench.algebra import SparsePoly
 from circuitbench.circuits import (
     Add,
     Circuit,
@@ -23,7 +24,9 @@ from circuitbench.circuits import (
     weight_report,
 )
 from circuitbench.errors import BudgetError, ParseError
+from circuitbench.families import TruthTable
 from circuitbench.rings import IntegerRing, PrimeField, TruncatedPolyRing
+from circuitbench.systems import parse_system
 
 SQUARE_TEXT = "nvars 1\ng1 = in 1\ng2 = const -1\ng3 = add g1 g2\ng4 = mul g3 g3\nout g4\n"
 
@@ -58,6 +61,24 @@ def test_parse_missing_output():
 def test_parse_nonconsecutive_names():
     with pytest.raises(ParseError, match="consecutive"):
         parse_circuit("nvars 1\ng2 = in 1\nout g2\n")
+
+
+@pytest.mark.parametrize(
+    "parse, text, line",
+    [
+        (parse_circuit, "nvars 1\ng1 = in x\nout g1\n", 2),
+        (parse_circuit, "nvars 0\nnparams 1\n\ng1 = param y\nout g1\n", 4),
+        (parse_system, "# header\nunknowns x\n---\nnvars 0\ng1 = const 0\nout g1\n", 2),
+        (parse_system, "\nnonsense 3\n", 2),
+        (SparsePoly.from_text, "npoly-vars 1 mod x\n1 0\n", 1),
+        (TruthTable.from_text, "0 1\n1 z\n", 2),
+    ],
+)
+def test_malformed_text_names_the_line(parse, text, line):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert info.value.line == line
+    assert str(info.value).startswith(f"line {line}: ")
 
 
 def test_parse_comments_and_blanks():

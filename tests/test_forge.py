@@ -54,6 +54,7 @@ def test_find_hard_vector_pinned():
     result = find_hard_vector(1, 2, 5)
     assert result.gamma == (0, 0, 1)
     assert not result.saturated
+    assert result.realized == realizable_vectors(1, 2, 5).vectors
 
 
 def test_find_hard_vector_requires_enough_points():

@@ -217,10 +217,12 @@ def test_equations_must_be_closed():
 
 
 def test_hardness_equations_match_coefficient_map():
-    # the builder-ring circuits and the fast truncated map are independent
-    # computation paths for the same values
+    # the builder-ring equations and the fast truncated map share one
+    # recursion (template_series), so check the equations against the
+    # reference map, which evaluates the template circuit in a truncated
+    # polynomial ring instead
     rng = random.Random(211)
-    from circuitbench.universal import build_universal, truncated_coefficient_map
+    from circuitbench.universal import build_universal, truncated_coefficient_map_reference
 
     for s, d, p in ((1, 3, 7), (2, 2, 5), (2, 4, 11), (3, 2, 5)):
         template = build_universal(s)
@@ -229,7 +231,7 @@ def test_hardness_equations_match_coefficient_map():
         runs = [compile_mod_evaluator(eq, p) for eq in system.equations]
         for _ in range(20):
             params = [rng.randrange(p) for _ in range(template.param_count())]
-            vec = truncated_coefficient_map(template, d, p, params).entries
+            vec = truncated_coefficient_map_reference(template, d, p, params).entries
             for m, run in enumerate(runs):
                 truncated_at_m = sum(v * m**i for i, v in enumerate(vec)) % p
                 target = sum(g * m**i for i, g in enumerate(gamma)) % p
