@@ -99,16 +99,17 @@ class Circuit:
 # Text format
 
 
-def parse_circuit(text):
+def parse_circuit(text, first_line=1):
     """Parse the line-oriented circuit format.
 
     Layout: "nvars <k>", optional "nparams <k>", gate definitions
     "g<i> = in|param|const|add|mul ...", and a final "out g<i>".  '#' starts
     a comment; blank lines are ignored.  Gates must be named consecutively
-    g1, g2, ... and may only reference earlier gates.
+    g1, g2, ... and may only reference earlier gates.  Errors name the line
+    counting the text's first line as `first_line`.
     """
     rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=first_line):
         stripped = raw.split("#", 1)[0].strip()
         if stripped:
             rows.append((lineno, stripped))
@@ -213,19 +214,22 @@ def parse_circuit(text):
     return Circuit(tuple(nodes), output, num_vars, num_params)
 
 
-def parse_circuits(lines):
+def parse_circuits(lines, first_line=1):
     """Parse the circuits in `lines` separated by '---' lines; sections with
-    no text are skipped."""
+    no text are skipped.  `lines[0]` is line `first_line` of its file, so
+    errors name the file line."""
     chunks = []
+    start = first_line
     current = []
-    for raw in lines:
+    for lineno, raw in enumerate(lines, start=first_line):
         if raw.split("#", 1)[0].strip() == "---":
-            chunks.append("\n".join(current))
+            chunks.append((start, "\n".join(current)))
+            start = lineno + 1
             current = []
         else:
             current.append(raw)
-    chunks.append("\n".join(current))
-    return [parse_circuit(chunk) for chunk in chunks if chunk.strip()]
+    chunks.append((start, "\n".join(current)))
+    return [parse_circuit(chunk, start) for start, chunk in chunks if chunk.strip()]
 
 
 def serialize_circuit(circuit):
@@ -358,19 +362,28 @@ def bind_params(circuit, values):
     return Circuit(nodes, circuit.output, circuit.num_vars, 0)
 
 
-def simplify_constants(circuit):
+def simplify_constants(circuit, params=None):
     """Fold constant subexpressions and drop unreachable nodes.
 
     Rewrites 0+f -> f, 0*f -> 0, 1*f -> f and evaluates gates whose children
     are both constants.  The computed polynomial is unchanged; the formal
-    degree can only drop.
+    degree can only drop.  With `params`, every parameter slot is bound to
+    its integer value and folds in the same pass, giving exactly
+    `simplify_constants(bind_params(circuit, params))`.
     """
-    builder = CircuitBuilder(circuit.num_vars, circuit.num_params)
+    num_params = circuit.num_params
+    if params is not None:
+        if len(params) != num_params:
+            raise ValueError(f"expected {num_params} parameter values")
+        num_params = 0
+    builder = CircuitBuilder(circuit.num_vars, num_params)
     # per old position: ("const", v) or ("node", builder position)
     desc = []
     for node in circuit.nodes:
         if isinstance(node, Const):
             desc.append(("const", node.value))
+        elif params is not None and isinstance(node, Param):
+            desc.append(("const", int(params[node.index - 1])))
         elif isinstance(node, (InputVar, Param)):
             desc.append(("node", builder._emit(node)))
         else:
@@ -396,7 +409,7 @@ def simplify_constants(circuit):
 
     kind, val = desc[circuit.output]
     out = builder.const(val) if kind == "const" else val
-    packed = CircuitBuilder(circuit.num_vars, circuit.num_params)
+    packed = CircuitBuilder(circuit.num_vars, num_params)
     return packed.finish(packed.inline(builder.finish(out)))
 
 

@@ -23,7 +23,7 @@ from .circuits import (
     parse_circuits,
     weight_report,
 )
-from .errors import BudgetError
+from .errors import BudgetError, ParseError
 from .rings import IntegerRing, PrimeField
 from .universal import embed
 
@@ -52,10 +52,13 @@ def _ints(text):
 
 def _read_matrix(path):
     rows = []
-    for raw in _read(path).splitlines():
+    for lineno, raw in enumerate(_read(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            rows.append([int(v) for v in line.split()])
+            try:
+                rows.append([int(v) for v in line.split()])
+            except ValueError:
+                raise ParseError(f"bad matrix row {line!r}", lineno) from None
     return rows
 
 

@@ -6,6 +6,8 @@ manufactures (the largest are the protocol primes p >= n! * M^n at desk
 scale).
 """
 
+import functools
+
 from .errors import BudgetError
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -14,8 +16,10 @@ _MR_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+@functools.lru_cache
 def is_prime(n):
-    """Deterministic primality test for n < 3.3e24."""
+    """Deterministic primality test for n < 3.3e24.  Recent answers are
+    cached; a refusal past the deterministic range is raised every time."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:

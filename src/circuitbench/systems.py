@@ -214,7 +214,7 @@ def parse_system(text):
         unknowns = int(parts[1])
     except ValueError:
         raise ParseError("bad unknowns count", lineno) from None
-    equations = parse_circuits(lines[lineno:])
+    equations = parse_circuits(lines[lineno:], first_line=lineno + 1)
     if not equations:
         raise ParseError("system has no equations")
     return PolySystem(unknowns, tuple(equations), "file")

@@ -10,6 +10,7 @@ suitable assignment specializes it to any polynomial a small circuit can
 compute: one level per gate plus the base level for x.
 """
 
+import functools
 from dataclasses import dataclass
 
 from .circuits import (
@@ -19,7 +20,6 @@ from .circuits import (
     InputVar,
     Mul,
     Param,
-    bind_params,
     compile_mod_evaluator,
     evaluate,
     expand_circuit,
@@ -66,9 +66,11 @@ class UniversalTemplate:
         return "\n".join(lines) + "\n" + serialize_circuit(self.circuit)
 
 
+@functools.cache
 def build_universal(s):
     """Construct the s-level template.  Parameter slots are numbered level by
-    level, a-side coefficients before b-side."""
+    level, a-side coefficients before b-side.  Templates are immutable, so
+    each level count is built once and the same object is shared."""
     if s < 1:
         raise ValueError("level count must be >= 1")
     nodes = [InputVar(1)]
@@ -307,7 +309,7 @@ def embed(circuit, p=None, trials=None, seed=0):
                 desc[pos] = ("level", j)
 
     params = tuple(params)
-    bound = simplify_constants(bind_params(template.circuit, params))
+    bound = simplify_constants(template.circuit, params)
     target = circuit
     if target.num_vars == 0:
         target = Circuit(target.nodes, target.output, 1, 0)

@@ -18,6 +18,7 @@ from circuitbench.circuits import (
     is_constant_free,
     metrics,
     parse_circuit,
+    parse_circuits,
     random_circuit,
     serialize_circuit,
     simplify_constants,
@@ -63,6 +64,11 @@ def test_parse_nonconsecutive_names():
         parse_circuit("nvars 1\ng2 = in 1\nout g2\n")
 
 
+def parse_chain(text):
+    """The `per-verify --chain` reader: circuits separated by '---'."""
+    return parse_circuits(text.splitlines())
+
+
 @pytest.mark.parametrize(
     "parse, text, line",
     [
@@ -70,6 +76,10 @@ def test_parse_nonconsecutive_names():
         (parse_circuit, "nvars 0\nnparams 1\n\ng1 = param y\nout g1\n", 4),
         (parse_system, "# header\nunknowns x\n---\nnvars 0\ng1 = const 0\nout g1\n", 2),
         (parse_system, "\nnonsense 3\n", 2),
+        (parse_system, "unknowns 1\n---\nnvars 0\nnparams 1\ng1 = param z\nout g1\n", 5),
+        (parse_system, "unknowns 1\nnvars 0\ng1 = const 2\nout g1\n---\nnvars 0\nbogus\n", 7),
+        (parse_chain, "nvars 1\ng1 = in 1\nout g1\n---\nnvars 1\ng1 = in 1\ng2 = mul g1 g9\nout g2\n", 7),
+        (parse_chain, "\n\n---\nnvars 1\n\ng1 = in 1\nout g2\n", 7),
         (SparsePoly.from_text, "npoly-vars 1 mod x\n1 0\n", 1),
         (TruthTable.from_text, "0 1\n1 z\n", 2),
     ],

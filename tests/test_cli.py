@@ -163,6 +163,15 @@ def test_domain_error_exits_1(capsys, tmp_path):
     assert "error=" in out
 
 
+@pytest.mark.parametrize("command", ["per", "hc"])
+def test_malformed_matrix_names_the_line(capsys, tmp_path, command):
+    path = tmp_path / "bad.mat"
+    path.write_text("1 2\n3 x\n")
+    code, out = run(capsys, [command, "--matrix", str(path)])
+    assert code == 1
+    assert out.startswith("error=line 2: ")
+
+
 def test_budget_error_exits_2(capsys, system_file):
     code, out = run(
         capsys, ["solve", "--system", system_file, "--p", "101", "--eval-budget", "3"]

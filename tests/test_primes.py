@@ -1,6 +1,12 @@
 import pytest
 
-from circuitbench.primes import is_prime, next_prime_at_least, prime_count, sieve
+from circuitbench.primes import (
+    _MR_DETERMINISTIC_LIMIT,
+    is_prime,
+    next_prime_at_least,
+    prime_count,
+    sieve,
+)
 
 
 def test_small_primes():
@@ -42,5 +48,18 @@ def test_next_prime_at_least():
 
 
 def test_deterministic_range_guard():
-    with pytest.raises(ValueError):
-        is_prime(10**25 + 13)
+    # values past the limit with no factor among the trial-division primes;
+    # the refusal is raised on every call, never cached
+    for n in (_MR_DETERMINISTIC_LIMIT, _MR_DETERMINISTIC_LIMIT + 6, 10**25 + 13):
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                is_prime(n)
+
+
+def test_cached_answers_match_uncached_test():
+    uncached = is_prime.__wrapped__
+    ranges = [range(50), range(501), (561, 1105, 1729, 2465, 2821, 6601, 2**61 - 1, 2**61 + 1)]
+    for _ in range(2):
+        for numbers in ranges:
+            for n in numbers:
+                assert is_prime(n) == uncached(n)

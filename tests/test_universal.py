@@ -10,6 +10,9 @@ from circuitbench.circuits import (
     expand_circuit,
     formal_degree,
     parse_circuit,
+    random_circuit,
+    serialize_circuit,
+    simplify_constants,
 )
 from circuitbench.rings import IntegerRing, PrimeField
 from circuitbench.universal import (
@@ -215,3 +218,47 @@ def test_embed_rejects_params():
     c = parse_circuit("nvars 1\nnparams 1\ng1 = param 1\nout g1\n")
     with pytest.raises(ValueError):
         embed(c, 101)
+
+
+def _random_param_cases():
+    rng = random.Random(83)
+    for _ in range(400):
+        num_params = rng.randint(1, 3)
+        c = random_circuit(rng, rng.randint(1, 14), rng.randint(0, 2), num_params=num_params)
+        yield c, tuple(rng.randint(-2, 3) for _ in range(num_params))
+
+
+def _embedding_cases(p):
+    for c in enumerate_circuits(6, 1, (-1, 0, 1, 2), max_gates=3):
+        emb = embed(c, p)
+        yield emb.template.circuit, emb.params
+
+
+@pytest.mark.parametrize(
+    "cases",
+    [_random_param_cases, lambda: _embedding_cases(101), lambda: _embedding_cases(None)],
+    ids=["random", "embed-p101", "embed-z"],
+)
+def test_simplify_with_params_matches_bind_then_simplify(cases):
+    count = 0
+    for c, params in cases():
+        fused = serialize_circuit(simplify_constants(c, params))
+        assert fused == serialize_circuit(simplify_constants(bind_params(c, params)))
+        count += 1
+    assert count >= 400
+
+
+def test_simplify_with_params_rejects_wrong_length():
+    t = build_universal(2)
+    with pytest.raises(ValueError):
+        simplify_constants(t.circuit, (0,) * (t.param_count() - 1))
+    with pytest.raises(ValueError):
+        simplify_constants(t.circuit, (0,) * (t.param_count() + 1))
+
+
+def test_templates_are_shared():
+    for s in range(1, 5):
+        assert build_universal(s) is build_universal(s)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            build_universal(0)
