@@ -216,20 +216,19 @@ def parse_circuit(text, first_line=1):
 
 def parse_circuits(lines, first_line=1):
     """Parse the circuits in `lines` separated by '---' lines; sections with
-    no text are skipped.  `lines[0]` is line `first_line` of its file, so
-    errors name the file line."""
-    chunks = []
-    start = first_line
-    current = []
+    no text outside comments are skipped.  `lines[0]` is line `first_line`
+    of its file, so errors name the file line."""
+    sections = [(first_line, [])]
     for lineno, raw in enumerate(lines, start=first_line):
         if raw.split("#", 1)[0].strip() == "---":
-            chunks.append((start, "\n".join(current)))
-            start = lineno + 1
-            current = []
+            sections.append((lineno + 1, []))
         else:
-            current.append(raw)
-    chunks.append((start, "\n".join(current)))
-    return [parse_circuit(chunk, start) for start, chunk in chunks if chunk.strip()]
+            sections[-1][1].append(raw)
+    return [
+        parse_circuit("\n".join(rows), start)
+        for start, rows in sections
+        if any(raw.split("#", 1)[0].strip() for raw in rows)
+    ]
 
 
 def serialize_circuit(circuit):

@@ -7,11 +7,15 @@ coefficient-hardness systems tied to the universal template, and the
 language systems that force a circuit skeleton to decide a finite language.
 """
 
+import functools
 from dataclasses import dataclass
 from itertools import product
 
 from .circuits import (
+    Add,
     CircuitBuilder,
+    Const,
+    Param,
     compile_mod_evaluator,
     parse_circuits,
     serialize_circuit,
@@ -30,6 +34,8 @@ class PolySystem:
     provenance: str = ""
 
     def __post_init__(self):
+        if self.unknown_count < 0:
+            raise ValueError("unknown_count must be >= 0")
         for eq in self.equations:
             if eq.num_vars != 0:
                 raise ValueError("system equations must not have free input variables")
@@ -118,27 +124,95 @@ def build_language_system(n, accepted, skeleton, budget=12):
     return PolySystem(unknowns, tuple(equations), tag)
 
 
+# CPython refuses more than 20 statically nested blocks in one function;
+# slots beyond this many nested loops are drawn from one outer product loop.
+_NESTED_SLOTS = 15
+
+
+@functools.lru_cache(maxsize=64)
+def _solver_kernel(system):
+    """Compile the system once into `kernel(p)`, which returns the
+    lexicographically first zero of every equation over F_p, or None.
+
+    The equations are merged into one builder, so shared subterms are
+    computed once.  Each node sits at the loop of the last unknown it
+    depends on and is computed there, and each equation is tested as soon
+    as its loop is reached: a prefix that fails it is skipped with all of
+    its completions, which all fail it too, so the first zero is unchanged.
+    """
+    u = system.unknown_count
+    builder = CircuitBuilder(0, u)
+    outputs = [builder.inline(eq) for eq in system.equations]
+    nodes = builder.finish(outputs[0]).nodes if outputs else ()
+    prefix = max(0, u - _NESTED_SLOTS)
+    # slots bound by each loop level; level 0 is outside every loop
+    groups = [()] + ([tuple(range(1, prefix + 1))] if prefix else [])
+    groups += [(k,) for k in range(prefix + 1, u + 1)]
+    level_of_slot = {k: level for level, slots in enumerate(groups) for k in slots}
+
+    consts = []
+    names = []
+    levels = []
+    body = [[] for _ in groups]  # straight-line statements per level
+    untested = set(outputs)
+    for pos, node in enumerate(nodes):
+        if isinstance(node, Param):
+            slot = int(node.index)
+            names.append(f"a{slot}")
+            levels.append(level_of_slot[slot])
+        elif isinstance(node, Const):
+            names.append(f"v{pos}")
+            levels.append(0)
+            body[0].append(f"v{pos} = C[{len(consts)}] % p")
+            consts.append(int(node.value))
+        else:
+            a, b = names[node.left], names[node.right]
+            names.append(f"v{pos}")
+            levels.append(max(levels[node.left], levels[node.right]))
+            expr = f"({a} + {b}) % p" if isinstance(node, Add) else f"{a} * {b} % p"
+            body[levels[pos]].append(f"v{pos} = {expr}")
+        if pos in untested:
+            untested.remove(pos)
+            fail = "continue" if levels[pos] else "return None"
+            body[levels[pos]].append(f"if {names[pos]}: {fail}")
+
+    lines = ["def kernel(p):"]
+    for level, slots in enumerate(groups):
+        indent = "    " * level
+        if len(slots) > 1:
+            targets = "".join(f"a{k}, " for k in slots)
+            lines.append(f"{indent}for {targets}in product(range(p), repeat={len(slots)}):")
+        elif slots:
+            lines.append(f"{indent}for a{slots[0]} in range(p):")
+        lines += [f"{indent}    {stmt}" for stmt in body[level]]
+    witness = "".join(f"a{k}, " for k in range(1, u + 1))
+    lines.append(f"{'    ' * len(groups)}return ({witness})")
+    if u:
+        lines.append("    return None")
+    namespace = {"C": tuple(consts), "product": product}
+    exec(compile("\n".join(lines) + "\n", "<solver kernel>", "exec"), namespace)
+    return namespace["kernel"]
+
+
 def solve_bruteforce(system, p, budget=DEFAULT_SOLVE_BUDGET):
     """Lexicographically first satisfying assignment over F_p, or None.
 
     Unknowns vary in slot order with residues 0..p-1, the last slot fastest.
-    Any returned assignment is re-checked against every equation.
+    The search runs in a loop nest compiled once per system; any returned
+    assignment is re-checked against every equation by the independent
+    `compile_mod_evaluator` path.
     """
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
     u = system.unknown_count
     if p**u > budget:
         raise BudgetError(f"{p}^{u} assignments exceed budget {budget}", reached=p**u)
-    runs = [compile_mod_evaluator(eq, p) for eq in system.equations]
-    for assign in product(range(p), repeat=u):
-        for run in runs:
-            if run((), assign):
-                break
-        else:
-            if any(run((), assign) for run in runs):
-                raise RuntimeError("solver re-check failed; evaluation is inconsistent")
-            return assign
-    return None
+    witness = _solver_kernel(system)(p)
+    if witness is not None:
+        runs = [compile_mod_evaluator(eq, p) for eq in system.equations]
+        if any(run((), witness) for run in runs):
+            raise RuntimeError("solver re-check failed; evaluation is inconsistent")
+    return witness
 
 
 @dataclass(frozen=True)
@@ -165,7 +239,6 @@ def density_probe(system, limit, solve_budget=DEFAULT_SOLVE_BUDGET):
     primes = sieve(limit)
     good = []
     witnesses = {}
-    decided = 0
     complete = True
     high_water = 0
     for p in primes:
@@ -174,7 +247,6 @@ def density_probe(system, limit, solve_budget=DEFAULT_SOLVE_BUDGET):
         except BudgetError:
             complete = False
             break
-        decided += 1
         high_water = p
         if witness is not None:
             good.append(p)
@@ -214,6 +286,8 @@ def parse_system(text):
         unknowns = int(parts[1])
     except ValueError:
         raise ParseError("bad unknowns count", lineno) from None
+    if unknowns < 0:
+        raise ParseError("unknowns must be >= 0", lineno)
     equations = parse_circuits(lines[lineno:], first_line=lineno + 1)
     if not equations:
         raise ParseError("system has no equations")

@@ -76,6 +76,7 @@ def parse_chain(text):
         (parse_circuit, "nvars 0\nnparams 1\n\ng1 = param y\nout g1\n", 4),
         (parse_system, "# header\nunknowns x\n---\nnvars 0\ng1 = const 0\nout g1\n", 2),
         (parse_system, "\nnonsense 3\n", 2),
+        (parse_system, "unknowns -1\n---\nnvars 0\ng1 = const 0\nout g1\n", 1),
         (parse_system, "unknowns 1\n---\nnvars 0\nnparams 1\ng1 = param z\nout g1\n", 5),
         (parse_system, "unknowns 1\nnvars 0\ng1 = const 2\nout g1\n---\nnvars 0\nbogus\n", 7),
         (parse_chain, "nvars 1\ng1 = in 1\nout g1\n---\nnvars 1\ng1 = in 1\ng2 = mul g1 g9\nout g2\n", 7),
@@ -89,6 +90,13 @@ def test_malformed_text_names_the_line(parse, text, line):
         parse(text)
     assert info.value.line == line
     assert str(info.value).startswith(f"line {line}: ")
+
+
+def test_comment_only_sections_are_skipped():
+    system = parse_system("unknowns 1\n# equation 1\n---\nnvars 0\nnparams 1\ng1 = param 1\nout g1\n")
+    assert system.equations == (parse_circuit("nvars 0\nnparams 1\ng1 = param 1\nout g1\n"),)
+    chain = parse_chain("# a chain of one circuit\n---\nnvars 1\ng1 = in 1\nout g1\n")
+    assert chain == [parse_circuit("nvars 1\ng1 = in 1\nout g1\n")]
 
 
 def test_parse_comments_and_blanks():

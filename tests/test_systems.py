@@ -42,24 +42,81 @@ def test_solve_budget():
         solve_bruteforce(system, 101, budget=50)
 
 
+def oracle_solve(system, p):
+    """The reference solver: every assignment in lexicographic order, each
+    equation run through the interpreted `compile_mod_evaluator`."""
+    runs = [compile_mod_evaluator(eq, p) for eq in system.equations]
+    for assign in product(range(p), repeat=system.unknown_count):
+        if all(run((), assign) == 0 for run in runs):
+            return assign
+    return None
+
+
+def test_solve_matches_oracle_on_hardness_systems():
+    for s in (1, 2):
+        for d in range(4):
+            for gamma in product((0, 1), repeat=d + 1):
+                system = build_hardness_system(s, d, gamma)
+                for p in (2, 3, 5, 7):
+                    if p**system.unknown_count <= 10**6:
+                        assert solve_bruteforce(system, p) == oracle_solve(system, p), (s, gamma, p)
+
+
 def test_solve_lex_first_and_complete_vs_direct_substitution():
     rng = random.Random(83)
-    for _ in range(40):
-        u = rng.randint(1, 2)
-        p = rng.choice([2, 3, 5, 7])
+    for _ in range(300):
+        u = rng.randint(1, 4)
+        p = rng.choice([p for p in (2, 3, 5, 7) if p**u <= 2401])
+        # equations may use fewer parameter slots than the system has unknowns
         eqs = tuple(
-            random_circuit(rng, rng.randint(1, 6), num_vars=0, num_params=u)
+            random_circuit(rng, rng.randint(1, 8), num_vars=0, num_params=rng.randint(0, u))
             for _ in range(rng.randint(1, 3))
         )
         system = PolySystem(u, eqs, "random")
-        got = solve_bruteforce(system, p)
-        runs = [compile_mod_evaluator(eq, p) for eq in eqs]
-        oracle = None
-        for assign in product(range(p), repeat=u):
-            if all(run((), assign) == 0 for run in runs):
-                oracle = assign
-                break
-        assert got == oracle
+        assert solve_bruteforce(system, p) == oracle_solve(system, p)
+
+
+def test_solve_without_unknowns():
+    zero = single_equation("nvars 0\ng1 = const 5\ng2 = const -5\ng3 = add g1 g2\nout g3\n")
+    nonzero = single_equation("nvars 0\ng1 = const 3\nout g1\n")
+    for p in (2, 3, 5, 7):
+        assert solve_bruteforce(zero, p) == () == oracle_solve(zero, p)
+        assert solve_bruteforce(nonzero, p) == oracle_solve(nonzero, p)
+        assert (solve_bruteforce(nonzero, p) is None) == (p != 3)
+
+
+def test_solve_matches_oracle_beyond_the_nested_loops():
+    # more unknowns than nested loops: the leading slots come from one
+    # product loop, and equations on them are tested in it
+    rng = random.Random(307)
+    u = 17
+    b = CircuitBuilder(num_params=u)
+    # x^2 + x + 1 has no root mod 2
+    no_root = b.finish(b.add(b.mul(b.param(u), b.param(u)), b.add(b.param(u), b.const(1))))
+    systems = [PolySystem(u, (no_root,), "no root")]
+    for _ in range(4):
+        eqs = tuple(
+            random_circuit(rng, rng.randint(4, 12), num_vars=0, num_params=u)
+            for _ in range(rng.randint(1, 3))
+        )
+        systems.append(PolySystem(u, eqs, "random"))
+    b = CircuitBuilder(num_params=u)
+    late = b.finish(b.add(b.mul(b.param(1), b.param(2)), b.const(-1)))
+    systems.append(PolySystem(u, (late,), "late witness"))
+    for system in systems:
+        assert solve_bruteforce(system, 2) == oracle_solve(system, 2)
+    assert solve_bruteforce(systems[-1], 2) == (1, 1) + (0,) * (u - 2)
+
+
+def test_solve_rechecks_witness_independently(monkeypatch):
+    import circuitbench.systems as systems_module
+
+    system = y_squared_plus_one()
+    monkeypatch.setattr(
+        systems_module, "compile_mod_evaluator", lambda circuit, p: lambda inputs, params: 1
+    )
+    with pytest.raises(RuntimeError, match="re-check"):
+        solve_bruteforce(system, 5)
 
 
 def test_hardness_system_linear_example():
@@ -214,6 +271,11 @@ def test_system_text_roundtrip():
 def test_equations_must_be_closed():
     with pytest.raises(ValueError):
         PolySystem(1, (parse_circuit("nvars 1\ng1 = in 1\nout g1\n"),), "bad")
+
+
+def test_negative_unknown_count_rejected():
+    with pytest.raises(ValueError, match="unknown_count must be >= 0"):
+        PolySystem(-1, (parse_circuit("nvars 0\ng1 = const 0\nout g1\n"),), "bad")
 
 
 def test_hardness_equations_match_coefficient_map():
