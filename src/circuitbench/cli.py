@@ -439,6 +439,9 @@ def main(argv=None):
     except BudgetError as exc:
         print(f"error=budget: {exc}")
         return 2
+    except MemoryError as exc:
+        print(f"error=out of memory: {exc}" if str(exc) else "error=out of memory")
+        return 2
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error={exc}")
         return 1

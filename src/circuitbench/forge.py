@@ -9,6 +9,12 @@ of something a small device can compute?  Two oracles answer that question:
     canonical circuit of bounded size with constants in F_p, computed by
     exact expansion (an independent path).
 
+The sweep never walks parameter assignments or tuples of level values.  Level
+j of the template multiplies two elements of V_j = span{1, L_1, ..., L_{j-1}},
+so it goes level by level over the distinct subspaces V_j, each in reduced
+row-echelon form and visited once per level.  Its budget counts the products
+it forms.
+
 The searches return the lexicographically first vector outside the realized
 set, or report saturation when every vector is realized.  Sign-condition
 search does the analogous thing for the signs of integer coefficients of
@@ -38,16 +44,47 @@ def lex_first_missing(vectors, d):
 
 
 def _series_mul(u, v, cap, p):
-    """Product of two dense coefficient lists over F_p, truncated at cap."""
+    """Product of two coefficient tuples over F_p, truncated at cap."""
     out = [0] * (cap + 1)
     for i, a in enumerate(u):
-        if not a:
-            continue
-        top = cap - i
-        for j, b in enumerate(v[: top + 1]):
-            if b:
-                out[i + j] = (out[i + j] + a * b) % p
-    return out
+        if a:
+            for j, b in enumerate(v[: cap + 1 - i]):
+                if b:
+                    out[i + j] += a * b
+    return tuple(x % p for x in out)
+
+
+def _span_elements(basis, p):
+    """Every vector of span_Fp(basis); distinct when the basis is independent."""
+    elems = [(0,) * len(basis[0])]
+    for row in basis:
+        elems = [
+            tuple((x + c * y) % p for x, y in zip(vec, row))
+            for vec in elems
+            for c in range(p)
+        ]
+    return elems
+
+
+def _span_with(basis, vec, p):
+    """Reduced row-echelon basis of span(basis) + vec over F_p.  `basis` is
+    reduced row-echelon with rows in pivot order, so equal spans get equal
+    bases."""
+    for row in basis:
+        c = vec[row.index(1)]  # a reduced row's first nonzero entry is 1
+        if c:
+            vec = tuple((x - c * y) % p for x, y in zip(vec, row))
+    lead = next((i for i, x in enumerate(vec) if x), None)
+    if lead is None:
+        return basis
+    inv = pow(vec[lead], -1, p)
+    vec = tuple(x * inv % p for x in vec)
+    rows = [
+        tuple((x - row[lead] * y) % p for x, y in zip(row, vec)) if row[lead] else row
+        for row in basis
+    ]
+    # rows with an earlier pivot compare larger: the later rows are 0 there
+    return tuple(sorted(rows + [vec], reverse=True))
 
 
 @dataclass(frozen=True)
@@ -62,76 +99,54 @@ class RealizableSet:
 def _sweep_image(s, d, p, budget):
     """All truncated coefficient vectors of the s-level template over F_p.
 
-    Walks level values rather than raw assignments: the value of level j
-    depends only on the values of earlier levels and its own coefficients,
-    so identical level-value prefixes are explored once.  Products of the
-    same pair of side-vectors are cached globally.
+    Level 1 takes every value of span{1, x}.  Level j >= 2 takes the values
+    q*r, truncated at degree d, for q and r in V_j = span{1, L_1, ...,
+    L_{j-1}}, so the options of every later level depend only on the
+    subspace V_j, not on the level values that span it.  The sweep goes
+    level by level over the distinct subspaces V_j, each in reduced
+    row-echelon form and visited once per level: at j = s the products join
+    the image, otherwise each product L leads on to V_j + L at level j + 1.
+    Level 1 leaves only span{1} and span{1, x} (span{1} alone at d = 0).
+
+    `budget` bounds the sweep work: each visited (V_j, j) forms
+    |V_j|(|V_j| + 1)/2 products, and at s = 1 the |span{1, x}| level-1
+    values count instead; all are counted before they are formed.
     """
-    if p ** (s * (s + 1)) > budget:
-        raise BudgetError(
-            f"{p}^{s * (s + 1)} sweep assignments exceed budget {budget}",
-            reached=p ** (s * (s + 1)),
-        )
+    if s < 1:
+        raise ValueError("level count must be >= 1")
+    if d < 0:
+        raise ValueError("d must be >= 0")
+    work = 0
+
+    def charge(count):
+        nonlocal work
+        work += count
+        if work > budget:
+            raise BudgetError(
+                f"{work} sweep products exceed the sweep-work budget {budget}",
+                reached=work,
+            )
+
+    one = (1,) + (0,) * d
+    spans = [(one,)] + ([(one, (0, 1) + (0,) * (d - 1))] if d else [])
+    if s == 1:
+        charge(p ** len(spans[-1]))
+        return set(_span_elements(spans[-1], p))
     image = set()
-    pair_cache = {}
-
-    def products(span):
-        out = set()
-        ordered = sorted(span)
-        for qi, q in enumerate(ordered):
-            for r in ordered[qi:]:
-                key = (q, r)
-                val = pair_cache.get(key)
-                if val is None:
-                    val = tuple(_series_mul(list(q), list(r), d, p))
-                    pair_cache[key] = val
-                out.add(val)
-        return out
-
-    def combos(state, j):
-        """All vectors a_0 * 1 + sum_i a_i * level_i over a in F_p^j."""
-        spans = {(0,) * (d + 1)}
-        for i in range(j - 1, 0, -1):  # levels j-1 .. 1
-            base = state[i - 1]
-            new = set()
-            for vec in spans:
-                for a in range(p):
-                    new.add(
-                        tuple((x + a * y) % p for x, y in zip(vec, base))
-                        if a
-                        else vec
-                    )
-            spans = new
-        out = set()
-        for vec in spans:
-            for a0 in range(p):
-                if a0:
-                    first = (vec[0] + a0) % p
-                    out.add((first,) + vec[1:])
-                else:
-                    out.add(vec)
-        return out
-
-    def rec(state, j):
-        if j > s:
-            image.add(state[-1])
-            return
-        if j == 1:
-            for a0 in range(p):
-                for b0 in range(p):
-                    vec = [0] * (d + 1)
-                    vec[0] = a0
-                    if d >= 1:
-                        vec[1] = b0
-                    rec(state + (tuple(vec),), j + 1)
-                    if d == 0:
-                        break  # b0 is invisible at cap 0
-            return
-        span = combos(state, j)
-        for value in sorted(products(span)):
-            rec(state + (value,), j + 1)
-
-    rec((), 1)
+    for j in range(2, s + 1):
+        following = set()
+        for basis in sorted(spans):
+            size = p ** len(basis)
+            charge(size * (size + 1) // 2)
+            elems = _span_elements(basis, p)
+            values = {
+                _series_mul(q, r, d, p) for i, q in enumerate(elems) for r in elems[i:]
+            }
+            if j == s:
+                image.update(values)
+            else:
+                following.update(_span_with(basis, v, p) for v in values)
+        spans = following
     return image
 
 
@@ -190,19 +205,29 @@ def find_hard_vector(s, d, p, solve_budget=DEFAULT_SOLVE_BUDGET, sweep_budget=No
     Requires p > d: identifying two degree-<=d polynomials from their values
     on 0..d needs d+1 distinct points mod p.  The answer is cross-checked
     against the parameter-sweep image, to which it provably must be equal.
+    The sweep runs after the first solve: every system has the same s(s+1)
+    unknowns, so a solver budget that cannot be met is refused before any
+    sweep work.
     """
+    if s < 1:
+        raise ValueError("level count must be >= 1")
+    if d < 0:
+        raise ValueError("d must be >= 0")
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
     if p <= d:
         raise ValueError(f"need p > d for {d + 1} distinct interpolation points, got p={p}")
-    sweep = _sweep_image(s, d, p, sweep_budget or DEFAULT_SWEEP_BUDGET)
-    zero_one = frozenset(v for v in sweep if all(x in (0, 1) for x in v))
-    expected = lex_first_missing(zero_one, d)
+    zero_one = None
     checked = 0
     for gamma in product((0, 1), repeat=d + 1):
         system = build_hardness_system(s, d, gamma)
         checked += 1
-        if solve_bruteforce(system, p, budget=solve_budget) is None:
+        hard = solve_bruteforce(system, p, budget=solve_budget) is None
+        if zero_one is None:
+            sweep = _sweep_image(s, d, p, sweep_budget or DEFAULT_SWEEP_BUDGET)
+            zero_one = frozenset(v for v in sweep if all(x in (0, 1) for x in v))
+            expected = lex_first_missing(zero_one, d)
+        if hard:
             if gamma != expected:
                 raise RuntimeError(
                     f"solver found hard vector {gamma} but the sweep predicts "

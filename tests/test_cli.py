@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from circuitbench import cli
 from circuitbench.cli import main
 
 SQUARE = "nvars 1\ng1 = in 1\ng2 = const -1\ng3 = add g1 g2\ng4 = mul g3 g3\nout g4\n"
@@ -170,6 +171,41 @@ def test_malformed_matrix_names_the_line(capsys, tmp_path, command):
     code, out = run(capsys, [command, "--matrix", str(path)])
     assert code == 1
     assert out.startswith("error=line 2: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--s", "0", "--d", "2", "--p", "5"], ["--s", "-1", "--d", "2", "--p", "5"],
+     ["--s", "2", "--d", "-1", "--p", "5"]],
+)
+def test_forge_bad_level_count_or_degree_exits_1(capsys, argv):
+    code, out = run(capsys, ["forge", *argv])
+    assert code == 1
+    assert out.startswith("error=") and out.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "exc, code", [(MemoryError, 2), (RecursionError("maximum recursion depth exceeded"), 1)]
+)
+def test_resource_exhaustion_exits_without_traceback(capsys, monkeypatch, square_file, exc, code):
+    def handler(args):
+        raise exc
+
+    monkeypatch.setitem(cli._HANDLERS, "degree", handler)
+    assert main(["degree", "--circuit", square_file]) == code
+    captured = capsys.readouterr()
+    assert captured.out.startswith("error=") and captured.out.count("\n") == 1
+    assert captured.err == ""
+
+
+def test_forge_refuses_solver_budget_before_sweeping(capsys, monkeypatch):
+    def sweep(*args):
+        raise AssertionError("the sweep ran before the solver budget check")
+
+    monkeypatch.setattr(cli.forge, "_sweep_image", sweep)
+    code, out = run(capsys, ["forge", "--s", "3", "--d", "4", "--p", "11"])
+    assert code == 2
+    assert out.startswith("error=budget: ")
 
 
 def test_budget_error_exits_2(capsys, system_file):

@@ -3,6 +3,8 @@ import pytest
 from circuitbench.circuits import enumerate_circuits, expand_circuit, parse_circuit
 from circuitbench.errors import BudgetError
 from circuitbench.forge import (
+    DEFAULT_SWEEP_BUDGET,
+    _sweep_image,
     find_hard_vector,
     hardness_certificate,
     lex_first_missing,
@@ -40,14 +42,90 @@ def test_sweep_matches_raw_parameter_enumeration():
         assert realizable_vectors(s, d, p).vectors == raw
 
 
+def _level_tuple_walk(s, d, p):
+    """Reference sweep: every tuple of level values, each level formed from
+    the span of the earlier ones (the walk the subspace sweep replaced)."""
+    image = set()
+    pair_cache = {}
+
+    def series_mul(u, v):
+        out = [0] * (d + 1)
+        for i, a in enumerate(u):
+            for j, b in enumerate(v[: d + 1 - i]):
+                out[i + j] = (out[i + j] + a * b) % p
+        return tuple(out)
+
+    def products(span):
+        out = set()
+        ordered = sorted(span)
+        for qi, q in enumerate(ordered):
+            for r in ordered[qi:]:
+                if (q, r) not in pair_cache:
+                    pair_cache[q, r] = series_mul(q, r)
+                out.add(pair_cache[q, r])
+        return out
+
+    def combos(state):
+        """All vectors a_0 * 1 + sum_i a_i * level_i over F_p."""
+        spans = {(0,) * (d + 1)}
+        for base in state:
+            spans = {
+                tuple((x + a * y) % p for x, y in zip(vec, base))
+                for vec in spans
+                for a in range(p)
+            }
+        return {((vec[0] + a0) % p,) + vec[1:] for vec in spans for a0 in range(p)}
+
+    def rec(state, j):
+        if j > s:
+            image.add(state[-1])
+            return
+        if j == 1:
+            for a0 in range(p):
+                for b0 in range(p if d else 1):  # b0 is invisible at cap 0
+                    rec(((a0, b0)[: d + 1] + (0,) * (d - 1),), 2)
+            return
+        for value in sorted(products(combos(state))):
+            rec(state + (value,), j + 1)
+
+    rec((), 1)
+    return image
+
+
+def test_sweep_matches_level_tuple_walk():
+    cells = [(s, d, p) for s in (1, 2) for d in range(5) for p in (2, 3, 5, 7)]
+    cells += [(3, d, p) for d in range(5) for p in (2, 3)]
+    for s, d, p in cells:
+        assert _sweep_image(s, d, p, DEFAULT_SWEEP_BUDGET) == _level_tuple_walk(s, d, p)
+    # full-image sizes the walk gave; it takes seconds per cell here
+    assert len(_sweep_image(3, 3, 5, DEFAULT_SWEEP_BUDGET)) == 625
+    assert len(_sweep_image(3, 4, 5, DEFAULT_SWEEP_BUDGET)) == 1565
+
+
 def test_sweep_budget():
-    with pytest.raises(BudgetError):
-        realizable_vectors(3, 2, 5)  # 5^12 assignments
+    # the budget counts products formed, |V|(|V|+1)/2 per visited subspace
+    with pytest.raises(BudgetError, match="sweep-work budget") as info:
+        realizable_vectors(3, 4, 11, budget=10**5)
+    assert info.value.reached > 10**5
+    assert realizable_vectors(3, 2, 5).vectors  # 8,555 products
+    # s = 1 forms no products, but its 10007^2 level-1 values count too
+    with pytest.raises(BudgetError, match="sweep-work budget") as info:
+        realizable_vectors(1, 2, 10007)
+    assert info.value.reached == 10007**2
+
+
+@pytest.mark.parametrize("s, d", [(0, 2), (-1, 2), (2, -1)])
+def test_forge_rejects_bad_level_count_and_degree(s, d):
+    with pytest.raises(ValueError):
+        find_hard_vector(s, d, 5)
+    with pytest.raises(ValueError):
+        realizable_vectors(s, d, 5)
 
 
 def test_enumeration_oracle_small():
     got = realizable_vectors(1, 2, 5, oracle="circuit-enumeration").vectors
     assert got == {(0, 0, 0), (1, 0, 0), (0, 1, 0)}
+    assert realizable_vectors(0, 2, 5, oracle="circuit-enumeration").vectors == set()
 
 
 def test_find_hard_vector_pinned():
