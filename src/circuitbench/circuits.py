@@ -283,46 +283,16 @@ def evaluate(circuit, ring, inputs=(), params=()):
     return values[circuit.output]
 
 
-_OP_ADD, _OP_MUL, _OP_IN, _OP_PARAM, _OP_CONST = range(5)
-
-
-def compile_instructions(circuit):
-    """Flatten into (op, a, b) triples for fast repeated evaluation."""
-    prog = []
-    for node in circuit.nodes:
-        if isinstance(node, Add):
-            prog.append((_OP_ADD, node.left, node.right))
-        elif isinstance(node, Mul):
-            prog.append((_OP_MUL, node.left, node.right))
-        elif isinstance(node, InputVar):
-            prog.append((_OP_IN, node.index - 1, 0))
-        elif isinstance(node, Param):
-            prog.append((_OP_PARAM, node.index - 1, 0))
-        else:
-            prog.append((_OP_CONST, node.value, 0))
-    return prog
-
-
 def compile_mod_evaluator(circuit, p):
-    """A closure computing the circuit mod p on (inputs, params) tuples."""
-    prog = compile_instructions(circuit)
-    out = circuit.output
+    """`evaluate` over F_p bound to `circuit`: run(inputs, params) -> int.
+
+    Only the first `circuit.num_params` params are read, because a system
+    passes one unknown vector, which can be longer than an equation's slots.
+    """
+    field = PrimeField(p)
 
     def run(inputs=(), params=()):
-        values = []
-        append = values.append
-        for op, a, b in prog:
-            if op == _OP_ADD:
-                append((values[a] + values[b]) % p)
-            elif op == _OP_MUL:
-                append(values[a] * values[b] % p)
-            elif op == _OP_IN:
-                append(inputs[a] % p)
-            elif op == _OP_PARAM:
-                append(params[a] % p)
-            else:
-                append(a % p)
-        return values[out]
+        return evaluate(circuit, field, inputs, params[: circuit.num_params])
 
     return run
 

@@ -150,6 +150,14 @@ def _sweep_image(s, d, p, budget):
     return image
 
 
+def _vertex_bound(s, enum_size):
+    """The enumeration oracles' vertex-count bound: `enum_size`, default s."""
+    size = s if enum_size is None else enum_size
+    if size < 0:
+        raise ValueError(f"vertex bound must be >= 0, got {size}")
+    return size
+
+
 def realizable_vectors(
     s,
     d,
@@ -174,7 +182,7 @@ def realizable_vectors(
         zero_one = frozenset(v for v in image if all(x in (0, 1) for x in v))
         return RealizableSet(s, d, p, zero_one, "parameter-sweep")
     if oracle == "circuit-enumeration":
-        size = enum_size if enum_size is not None else s
+        size = _vertex_bound(s, enum_size)
         found = set()
         for circuit in enumerate_circuits(
             size, 1, range(p), budget=budget or DEFAULT_ENUM_ORACLE_BUDGET
@@ -247,10 +255,10 @@ def hardness_certificate(s, d, p, gamma, enum_size=None, budget=None):
 
     Returns (True, None) or (False, offending circuit).
     """
+    size = _vertex_bound(s, enum_size)
     target = SparsePoly(
         {(i,): g for i, g in enumerate(gamma) if g}, 1, modulus=p
     )
-    size = enum_size if enum_size is not None else s
     for circuit in enumerate_circuits(
         size, 1, range(p), budget=budget or DEFAULT_ENUM_ORACLE_BUDGET
     ):

@@ -120,6 +120,8 @@ def gs_estimate(elements, m, trials, seed, cols=12, tolerance=0.05):
     at most 1/2, while size at least m 2^m forces it always; the verdict
     reflects which side the measured rate lands on.
     """
+    if trials < 0 or m < 0:
+        raise ValueError(f"trials and m must be >= 0, got trials={trials}, m={m}")
     elements = sorted(set(elements))
     for e in elements:
         if e < 0 or e >> cols:
@@ -238,6 +240,8 @@ def permanent_verify(chain, p, trials, seed):
     """
     if not chain:
         raise ValueError("empty chain")
+    if trials < 0:
+        raise ValueError("trials must be >= 0")
     for k, c in enumerate(chain, start=1):
         if c.num_vars != k * k:
             raise ValueError(f"chain circuit {k} must have {k * k} variables")
@@ -421,6 +425,8 @@ def ama_simulate(
         raise ValueError("claimed bit must be 0 or 1")
     if i < 0:
         raise ValueError("bit position must be >= 0")
+    if verify_trials < 0:
+        raise ValueError("verify trials must be >= 0")
     rng = random.Random(seed)
     rounds = []
 

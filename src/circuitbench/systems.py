@@ -199,8 +199,8 @@ def solve_bruteforce(system, p, budget=DEFAULT_SOLVE_BUDGET):
 
     Unknowns vary in slot order with residues 0..p-1, the last slot fastest.
     The search runs in a loop nest compiled once per system; any returned
-    assignment is re-checked against every equation by the independent
-    `compile_mod_evaluator` path.
+    assignment is re-checked against every original equation by
+    `compile_mod_evaluator`, independently of the loop nest.
     """
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")

@@ -11,6 +11,7 @@ from circuitbench.circuits import (
     Mul,
     Param,
     bind_params,
+    compile_mod_evaluator,
     enumerate_circuits,
     evaluate,
     expand_circuit,
@@ -125,6 +126,16 @@ def test_evaluate_missing_assignment():
     c = parse_circuit(SQUARE_TEXT)
     with pytest.raises(ValueError):
         evaluate(c, IntegerRing(), [])
+    # the F_p closure checks its inputs as `evaluate` does, and reads only
+    # the circuit's own parameter slots from a longer shared vector
+    run = compile_mod_evaluator(
+        parse_circuit("nvars 1\nnparams 2\ng1 = in 1\ng2 = param 2\ng3 = mul g1 g2\nout g3\n"), 7
+    )
+    assert run((3,), (1, 5, 6)) == 1
+    with pytest.raises(ValueError):
+        run((), (1, 5))
+    with pytest.raises(ValueError):
+        run((3,), (1,))
 
 
 def test_prime_field_rejects_composite():

@@ -130,14 +130,18 @@ def test_gs_sim(capsys):
     assert "verdict=large" in out
 
 
-def test_per_verify(capsys, tmp_path):
+@pytest.fixture
+def chain_file(tmp_path):
     from circuitbench.circuits import serialize_circuit
     from circuitbench.protocols import build_permanent_chain
 
-    chain = build_permanent_chain(2)
     path = tmp_path / "chain.circs"
-    path.write_text("---\n".join(serialize_circuit(c) for c in chain))
-    code, out = run(capsys, ["per-verify", "--chain", str(path), "--p", "101"])
+    path.write_text("---\n".join(serialize_circuit(c) for c in build_permanent_chain(2)))
+    return str(path)
+
+
+def test_per_verify(capsys, chain_file):
+    code, out = run(capsys, ["per-verify", "--chain", chain_file, "--p", "101"])
     assert code == 0
     assert "accepted=true" in out
 
@@ -182,6 +186,27 @@ def test_forge_bad_level_count_or_degree_exits_1(capsys, argv):
     code, out = run(capsys, ["forge", *argv])
     assert code == 1
     assert out.startswith("error=") and out.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["forge", "--s", "1", "--d", "2", "--p", "5", "--enum-size", "-1"],
+        ["gs-sim", "--size", "8", "--trials", "-5"],
+        ["gs-sim", "--size", "8", "--m", "-2"],
+        ["ama-sim", "--x", "2,3,1,4,1,1,1,1", "--i", "0", "--b", "0", "--trials", "-1"],
+    ],
+)
+def test_negative_count_exits_1(capsys, argv):
+    code, out = run(capsys, argv)
+    assert code == 1
+    assert out.startswith("error=") and out.count("\n") == 1
+
+
+def test_per_verify_negative_trials_exits_1(capsys, chain_file):
+    code, out = run(capsys, ["per-verify", "--chain", chain_file, "--p", "101", "--trials", "-3"])
+    assert code == 1
+    assert out == "error=trials must be >= 0\n"
 
 
 @pytest.mark.parametrize(

@@ -128,6 +128,14 @@ def test_enumeration_oracle_small():
     assert realizable_vectors(0, 2, 5, oracle="circuit-enumeration").vectors == set()
 
 
+@pytest.mark.parametrize("s, enum_size", [(1, -1), (-1, None)])
+def test_enumeration_oracles_refuse_negative_vertex_bound(s, enum_size):
+    with pytest.raises(ValueError, match="vertex bound"):
+        realizable_vectors(s, 2, 5, oracle="circuit-enumeration", enum_size=enum_size)
+    with pytest.raises(ValueError, match="vertex bound"):
+        hardness_certificate(s, 2, 5, (0, 0, 1), enum_size=enum_size)
+
+
 def test_find_hard_vector_pinned():
     result = find_hard_vector(1, 2, 5)
     assert result.gamma == (0, 0, 1)

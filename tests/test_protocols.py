@@ -90,6 +90,12 @@ def test_gs_large_set_exact_one():
     assert report.verdict == "large"
 
 
+@pytest.mark.parametrize("m, trials", [(4, -5), (-2, 10)])
+def test_gs_refuses_negative_counts(m, trials):
+    with pytest.raises(ValueError, match="must be >= 0"):
+        gs_estimate([1, 2, 3], m=m, trials=trials, seed=0)
+
+
 def test_permanent_chain_circuits_compute_permanents():
     rng = random.Random(107)
     chain = build_permanent_chain(4)
@@ -106,6 +112,11 @@ def test_honest_chain_always_accepted():
     for seed in range(40):
         report = permanent_verify(chain, 101, trials=2, seed=seed)
         assert report.accepted
+
+
+def test_permanent_verify_refuses_negative_trials():
+    with pytest.raises(ValueError, match="trials"):
+        permanent_verify(build_permanent_chain(2), 101, trials=-3, seed=0)
 
 
 def test_wrong_base_rejected():
@@ -264,3 +275,9 @@ def test_ama_input_validation():
         ama_simulate([1, -2], 0, 0, HonestProver(), seed=0)
     with pytest.raises(ValueError):
         ama_simulate([1, 2], 0, 2, HonestProver(), seed=0)
+
+
+def test_ama_refuses_negative_verify_trials():
+    # refused up front, not reported as an unverifiable chain
+    with pytest.raises(ValueError, match="verify trials"):
+        ama_simulate([2, 3, 1, 4, 1, 1, 1, 1], 0, 0, HonestProver(), seed=0, verify_trials=-1)

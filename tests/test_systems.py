@@ -44,7 +44,8 @@ def test_solve_budget():
 
 def oracle_solve(system, p):
     """The reference solver: every assignment in lexicographic order, each
-    equation run through the interpreted `compile_mod_evaluator`."""
+    equation evaluated over F_p by `compile_mod_evaluator`, not by the
+    solver's generated loop nest."""
     runs = [compile_mod_evaluator(eq, p) for eq in system.equations]
     for assign in product(range(p), repeat=system.unknown_count):
         if all(run((), assign) == 0 for run in runs):
