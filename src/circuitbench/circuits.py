@@ -550,38 +550,9 @@ def random_circuit(rng, size, num_vars, const_lo=-5, const_hi=5, num_params=0, g
 DEFAULT_ENUM_BUDGET = 5_000_000
 
 
-def _node_key(node, keys):
-    if isinstance(node, InputVar):
-        return (0, node.index)
-    if isinstance(node, Const):
-        return (1, node.value)
-    if isinstance(node, Add):
-        return (2, keys[node.left], keys[node.right])
-    return (3, keys[node.left], keys[node.right])
-
-
-def _keymin_order_ok(nodes, keys, leaf_count):
-    """True iff the gate subsequence is the min-key topological order."""
-    n = len(nodes)
-    placed = [False] * n
-    for i in range(leaf_count):
-        placed[i] = True
-    for pos in range(leaf_count, n):
-        best = None
-        for q in range(leaf_count, n):
-            if placed[q]:
-                continue
-            g = nodes[q]
-            if placed[g.left] and placed[g.right]:
-                if best is None or keys[q] < keys[best]:
-                    best = q
-        if best != pos:
-            return False
-        placed[pos] = True
-    return True
-
-
-def enumerate_circuits(max_size, num_vars, constant_pool, max_gates=None, budget=None):
+def enumerate_circuits(
+    max_size, num_vars, constant_pool, max_gates=None, budget=None, ring=None
+):
     """Yield every canonical circuit with at most `max_size` vertices.
 
     Leaves are drawn from the declared variables and the constant pool.  The
@@ -595,84 +566,103 @@ def enumerate_circuits(max_size, num_vars, constant_pool, max_gates=None, budget
         constants by value), and gates appear in min-key topological order,
         which fixes a unique node ordering per DAG.
 
+    The order is checked when a gate is added: a gate with children a <= b
+    was available at every gate position after max(b, last leaf), so each
+    gate placed there must have a smaller key, or no extension is canonical.
+
     `max_gates` additionally bounds the gate count.  The stream is
     deterministic; exceeding `budget` yielded circuits raises BudgetError.
+
+    With a `ring` (e.g. a TruncatedPolyRing in `num_vars` variables), it
+    yields (circuit, value) pairs, value being `evaluate` at the ring's
+    generators.  Each node's value is computed when the node is pushed, so a
+    ring's own budget applies before `budget` counts the circuit.  For the
+    forge's one-variable rings the monomial budget cannot come first: n
+    vertices give at most 2**(n - 1) + 1 monomials, so it needs 21, and the
+    depth-first walk spends the enumeration budget on low-degree prefixes.
     """
     if budget is None:
         budget = DEFAULT_ENUM_BUDGET
     pool = sorted({int(v) for v in constant_pool})
-    leaf_candidates = [InputVar(i) for i in range(1, num_vars + 1)]
-    leaf_candidates += [Const(v) for v in pool]
+    # (node, key, value) in key order: variables by index, then constants by
+    # value; a gate's key is (2 or 3, left key, right key), above every leaf.
+    leaves = [
+        (InputVar(i), (0, i), ring.gen(i) if ring else None) for i in range(1, num_vars + 1)
+    ]
+    leaves += [(Const(v), (1, v), ring.from_int(v) if ring else None) for v in pool]
+    add, mul = (ring.add, ring.mul) if ring else (None, None)
 
     nodes = []
     keys = []
+    values = []
     refcount = []
-    present = set()
+    unused = 0  # nodes no gate reads yet; the last node is always one
     yielded = 0
 
-    def emit_ok():
-        return all(refcount[i] > 0 for i in range(len(nodes) - 1))
-
     def rec(gates, leaf_count):
-        nonlocal yielded
-        if nodes and emit_ok() and _keymin_order_ok(nodes, keys, leaf_count):
+        nonlocal unused, yielded
+        if unused == 1:
             yielded += 1
             if yielded > budget:
                 raise BudgetError(
                     f"circuit enumeration budget {budget} exceeded", reached=yielded
                 )
-            yield Circuit(tuple(nodes), len(nodes) - 1, num_vars, 0)
-        if len(nodes) == max_size:
+            circuit = Circuit(tuple(nodes), len(nodes) - 1, num_vars, 0)
+            yield circuit if ring is None else (circuit, values[-1])
+        n = len(nodes)
+        if n == max_size:
             return
-        gate_room = max_size - len(nodes)
+        gate_room = max_size - n
         if max_gates is not None:
             gate_room = min(gate_room, max_gates - gates)
-        unused = sum(1 for c in refcount if c == 0)
-        if gates == 0:
-            for leaf in leaf_candidates:
-                k = _node_key(leaf, keys)
-                if keys and k <= keys[-1]:
-                    continue
-                # each future gate retires at most one unused node net
-                room = max_size - len(nodes) - 1
-                if max_gates is not None:
-                    room = min(room, max_gates)
-                if unused > room:
+        # a leaf adds an unused node; each later gate retires at most one net
+        room = max_size - n - 1
+        if max_gates is not None:
+            room = min(room, max_gates)
+        if gates == 0 and unused <= room:
+            for leaf, key, value in leaves:
+                if keys and key <= keys[-1]:
                     continue
                 nodes.append(leaf)
-                keys.append(k)
+                keys.append(key)
+                values.append(value)
                 refcount.append(0)
-                present.add(leaf)
+                unused += 1
                 yield from rec(0, leaf_count + 1)
-                present.discard(leaf)
+                unused -= 1
                 refcount.pop()
+                values.pop()
                 keys.pop()
                 nodes.pop()
-        if gate_room >= 1 and nodes:
-            n = len(nodes)
-            for cls in (Add, Mul):
-                for a in range(n):
-                    for b in range(a, n):
-                        g = cls(a, b)
-                        if g in present:
-                            continue
-                        delta = (refcount[a] == 0) + (b != a and refcount[b] == 0)
-                        # each later gate can retire at most one unused node net
-                        if (unused - delta + 1) - 1 > (gate_room - 1):
-                            continue
-                        nodes.append(g)
-                        keys.append(_node_key(g, keys))
-                        refcount.append(0)
-                        refcount[a] += 1
-                        refcount[b] += 1
-                        present.add(g)
-                        yield from rec(gates + 1, leaf_count)
-                        present.discard(g)
-                        refcount[b] -= 1
-                        refcount[a] -= 1
-                        refcount.pop()
-                        keys.pop()
-                        nodes.pop()
+        if gate_room < 1:
+            return
+        for tag, cls, op in ((2, Add, add), (3, Mul, mul)):
+            for a in range(n):
+                for b in range(a, n):
+                    delta = (refcount[a] == 0) + (b != a and refcount[b] == 0)
+                    # each later gate can retire at most one unused node net
+                    if unused - delta > gate_room - 1:
+                        continue
+                    key = (tag, keys[a], keys[b])
+                    # min-key order; an equal key is this gate, already placed
+                    start = max(b + 1, leaf_count)
+                    if start < n and max(keys[start:n]) >= key:
+                        continue
+                    nodes.append(cls(a, b))
+                    keys.append(key)
+                    values.append(op(values[a], values[b]) if op else None)
+                    refcount.append(0)
+                    refcount[a] += 1
+                    refcount[b] += 1
+                    unused += 1 - delta
+                    yield from rec(gates + 1, leaf_count)
+                    unused -= 1 - delta
+                    refcount[b] -= 1
+                    refcount[a] -= 1
+                    refcount.pop()
+                    values.pop()
+                    keys.pop()
+                    nodes.pop()
 
     if max_size >= 1:
         yield from rec(0, 0)

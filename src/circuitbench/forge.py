@@ -7,7 +7,7 @@ of something a small device can compute?  Two oracles answer that question:
     coefficient map over all parameter assignments in F_p;
   * circuit enumeration: the truncated coefficient vectors of every
     canonical circuit of bounded size with constants in F_p, computed by
-    exact expansion (an independent path).
+    exact arithmetic carried down the enumeration (an independent path).
 
 The sweep never walks parameter assignments or tuples of level values.  Level
 j of the template multiplies two elements of V_j = span{1, L_1, ..., L_{j-1}},
@@ -28,6 +28,7 @@ from .algebra import SparsePoly
 from .circuits import enumerate_circuits, expand_circuit, is_constant_free
 from .errors import BudgetError
 from .primes import is_prime
+from .rings import IntegerRing, PrimeField, TruncatedPolyRing
 from .systems import DEFAULT_SOLVE_BUDGET, build_hardness_system, solve_bruteforce
 
 DEFAULT_SWEEP_BUDGET = 10**7
@@ -184,10 +185,10 @@ def realizable_vectors(
     if oracle == "circuit-enumeration":
         size = _vertex_bound(s, enum_size)
         found = set()
-        for circuit in enumerate_circuits(
-            size, 1, range(p), budget=budget or DEFAULT_ENUM_ORACLE_BUDGET
+        ring = TruncatedPolyRing(PrimeField(p), 1, d)
+        for _, poly in enumerate_circuits(
+            size, 1, range(p), budget=budget or DEFAULT_ENUM_ORACLE_BUDGET, ring=ring
         ):
-            poly = expand_circuit(circuit, cap=d, modulus=p)
             vec = tuple(poly.coefficient((i,)) for i in range(d + 1))
             if all(x in (0, 1) for x in vec):
                 found.add(vec)
@@ -259,10 +260,11 @@ def hardness_certificate(s, d, p, gamma, enum_size=None, budget=None):
     target = SparsePoly(
         {(i,): g for i, g in enumerate(gamma) if g}, 1, modulus=p
     )
-    for circuit in enumerate_circuits(
-        size, 1, range(p), budget=budget or DEFAULT_ENUM_ORACLE_BUDGET
+    ring = TruncatedPolyRing(PrimeField(p), 1, None)
+    for circuit, poly in enumerate_circuits(
+        size, 1, range(p), budget=budget or DEFAULT_ENUM_ORACLE_BUDGET, ring=ring
     ):
-        if expand_circuit(circuit, modulus=p) == target:
+        if poly == target:
             return False, circuit
     return True, None
 
@@ -303,15 +305,17 @@ def sign_condition_search(s, cap, budget=None):
 
     Circuits of larger formal degree still participate; only coefficients
     0..cap are inspected.  An empty circuit set (s=0) realizes nothing, so
-    the answer is the all-zero condition.
+    the answer is the all-zero condition; a negative s or cap is refused.
     """
+    if s < 0 or cap < 0:
+        raise ValueError(f"s and cap must be >= 0, got s={s}, cap={cap}")
     realized = set()
     count = 0
-    for circuit in enumerate_circuits(
-        s, 1, (-1,), budget=budget or DEFAULT_ENUM_ORACLE_BUDGET
+    ring = TruncatedPolyRing(IntegerRing(), 1, cap)
+    for _, poly in enumerate_circuits(
+        s, 1, (-1,), budget=budget or DEFAULT_ENUM_ORACLE_BUDGET, ring=ring
     ):
         count += 1
-        poly = expand_circuit(circuit, cap=cap)
         bits = tuple(
             1 if poly.coefficient((i,)) > 0 else 0 for i in range(cap + 1)
         )

@@ -427,6 +427,8 @@ def ama_simulate(
         raise ValueError("bit position must be >= 0")
     if verify_trials < 0:
         raise ValueError("verify trials must be >= 0")
+    if m < 0 or k < 0:
+        raise ValueError(f"m and k must be >= 0, got m={m}, k={k}")
     rng = random.Random(seed)
     rounds = []
 

@@ -7,6 +7,7 @@ from circuitbench.circuits import (
     Add,
     Circuit,
     CircuitBuilder,
+    Const,
     InputVar,
     Mul,
     Param,
@@ -259,6 +260,132 @@ def test_enumerate_budget():
 def test_enumerate_max_gates():
     for c in enumerate_circuits(9, 1, (-1,), max_gates=2):
         assert c.gate_count() <= 2
+
+
+def _yield_time_enumeration(max_size, num_vars, constant_pool, max_gates=None):
+    """Reference enumerator: grows the same prefixes, but tests liveness and
+    min-key topological order only on each finished circuit."""
+    leaves = [InputVar(i) for i in range(1, num_vars + 1)]
+    leaves += [Const(v) for v in sorted({int(v) for v in constant_pool})]
+    nodes, keys, refcount, present = [], [], [], set()
+
+    def node_key(node):
+        if isinstance(node, InputVar):
+            return (0, node.index)
+        if isinstance(node, Const):
+            return (1, node.value)
+        return (2 if isinstance(node, Add) else 3, keys[node.left], keys[node.right])
+
+    def keymin_order_ok(leaf_count):
+        n = len(nodes)
+        placed = [True] * leaf_count + [False] * (n - leaf_count)
+        for pos in range(leaf_count, n):
+            best = None
+            for q in range(leaf_count, n):
+                g = nodes[q]
+                if not placed[q] and placed[g.left] and placed[g.right]:
+                    if best is None or keys[q] < keys[best]:
+                        best = q
+            if best != pos:
+                return False
+            placed[pos] = True
+        return True
+
+    def push(node, *children):
+        nodes.append(node)
+        keys.append(node_key(node))
+        refcount.append(0)
+        for c in children:
+            refcount[c] += 1
+        present.add(node)
+
+    def pop(*children):
+        present.discard(nodes.pop())
+        keys.pop()
+        refcount.pop()
+        for c in children:
+            refcount[c] -= 1
+
+    def rec(gates, leaf_count):
+        live = all(refcount[i] > 0 for i in range(len(nodes) - 1))
+        if nodes and live and keymin_order_ok(leaf_count):
+            yield Circuit(tuple(nodes), len(nodes) - 1, num_vars, 0)
+        if len(nodes) == max_size:
+            return
+        gate_room = max_size - len(nodes)
+        if max_gates is not None:
+            gate_room = min(gate_room, max_gates - gates)
+        unused = sum(1 for c in refcount if c == 0)
+        if gates == 0:
+            room = max_size - len(nodes) - 1
+            if max_gates is not None:
+                room = min(room, max_gates)
+            for leaf in leaves:
+                if (keys and node_key(leaf) <= keys[-1]) or unused > room:
+                    continue
+                push(leaf)
+                yield from rec(0, leaf_count + 1)
+                pop()
+        if gate_room < 1:
+            return
+        n = len(nodes)
+        for cls in (Add, Mul):
+            for a in range(n):
+                for b in range(a, n):
+                    g = cls(a, b)
+                    delta = (refcount[a] == 0) + (b != a and refcount[b] == 0)
+                    if g in present or unused - delta > gate_room - 1:
+                        continue
+                    push(g, a, b)
+                    yield from rec(gates + 1, leaf_count)
+                    pop(a, b)
+
+    if max_size >= 1:
+        yield from rec(0, 0)
+
+
+@pytest.mark.parametrize(
+    "args, max_gates",
+    [
+        ((5, 1, range(5)), None),
+        ((6, 1, (-1,)), None),
+        ((6, 1, (-1, 2)), None),
+        ((9, 1, (-2, -1, 0, 1, 2)), 3),
+        ((4, 2, (-1, 1)), None),
+        ((5, 0, (-1, 0, 2)), None),
+        ((0, 1, (-1, 2)), None),
+        ((1, 2, (-1, 2)), None),
+    ],
+)
+def test_enumerate_matches_yield_time_order_check(args, max_gates):
+    want = list(_yield_time_enumeration(*args, max_gates=max_gates))
+    assert list(enumerate_circuits(*args, max_gates=max_gates)) == want
+
+
+@pytest.mark.parametrize(
+    "size, pool, cap, base",
+    [
+        (5, range(5), 3, PrimeField(5)),
+        (5, range(5), None, PrimeField(5)),
+        (6, (-1,), 6, IntegerRing()),
+    ],
+)
+def test_enumerate_carries_expansions(size, pool, cap, base):
+    ring = TruncatedPolyRing(base, 1, cap)
+    pairs = list(enumerate_circuits(size, 1, pool, ring=ring))
+    assert [c for c, _ in pairs] == list(enumerate_circuits(size, 1, pool))
+    for c, value in pairs:
+        assert value == expand_circuit(c, cap=cap, modulus=base.modulus)
+
+
+@pytest.mark.parametrize("ring", [None, TruncatedPolyRing(IntegerRing(), 1, None)])
+def test_enumerate_budget_counts_yields_with_or_without_ring(ring):
+    seen = 0
+    with pytest.raises(BudgetError) as info:
+        for _ in enumerate_circuits(5, 1, (-1, 0, 1), budget=50, ring=ring):
+            seen += 1
+    assert seen == 50
+    assert info.value.reached == 51
 
 
 # --- semantics properties --------------------------------------------------

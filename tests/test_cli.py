@@ -195,6 +195,10 @@ def test_forge_bad_level_count_or_degree_exits_1(capsys, argv):
         ["gs-sim", "--size", "8", "--trials", "-5"],
         ["gs-sim", "--size", "8", "--m", "-2"],
         ["ama-sim", "--x", "2,3,1,4,1,1,1,1", "--i", "0", "--b", "0", "--trials", "-1"],
+        ["ama-sim", "--x", "2,3,1,4,1,1,1,1", "--i", "0", "--b", "0", "--m", "-1"],
+        ["ama-sim", "--x", "2,3,1,4,1,1,1,1", "--i", "0", "--b", "0", "--k", "-1"],
+        ["signcond", "--s", "-1", "--D", "3"],
+        ["signcond", "--s", "0", "--D", "-1"],
     ],
 )
 def test_negative_count_exits_1(capsys, argv):

@@ -1,5 +1,6 @@
 import pytest
 
+from circuitbench.algebra import SparsePoly
 from circuitbench.circuits import enumerate_circuits, expand_circuit, parse_circuit
 from circuitbench.errors import BudgetError
 from circuitbench.forge import (
@@ -136,6 +137,33 @@ def test_enumeration_oracles_refuse_negative_vertex_bound(s, enum_size):
         hardness_certificate(s, 2, 5, (0, 0, 1), enum_size=enum_size)
 
 
+def _enumerate_then_expand(size, pool, cap=None, modulus=None):
+    """The oracles' reference path: expand each enumerated circuit alone."""
+    for c in enumerate_circuits(size, 1, pool):
+        yield c, expand_circuit(c, cap=cap, modulus=modulus)
+
+
+def _certificate_reference(s, p, gamma):
+    target = SparsePoly({(i,): g for i, g in enumerate(gamma) if g}, 1, modulus=p)
+    for c, poly in _enumerate_then_expand(s, range(p), modulus=p):
+        if poly == target:
+            return False, c
+    return True, None
+
+
+def test_enumeration_oracle_matches_per_circuit_expansion():
+    # truncating at 5 keeps every coefficient at or below each d exact
+    expanded = [poly for _, poly in _enumerate_then_expand(5, range(5), cap=5, modulus=5)]
+    for d in (2, 3, 4, 5):
+        want = set()
+        for poly in expanded:
+            vec = tuple(poly.coefficient((i,)) for i in range(d + 1))
+            if all(x in (0, 1) for x in vec):
+                want.add(vec)
+        got = realizable_vectors(2, d, 5, oracle="circuit-enumeration", enum_size=5)
+        assert got.vectors == want
+
+
 def test_find_hard_vector_pinned():
     result = find_hard_vector(1, 2, 5)
     assert result.gamma == (0, 0, 1)
@@ -193,6 +221,14 @@ def test_hardness_certificate_for_solver_answers():
         result = find_hard_vector(s, d, p)
         ok, witness = hardness_certificate(s, d, p, result.gamma)
         assert ok, f"gamma {result.gamma} computed by {witness}"
+        assert _certificate_reference(s, p, result.gamma) == (True, None)
+
+
+def test_hardness_certificate_witness_matches_per_circuit_expansion():
+    for s, d, p, gamma in ((1, 2, 5, (0, 1, 0)), (3, 2, 5, (1, 1, 0)), (3, 2, 7, (0, 0, 1))):
+        ok, witness = hardness_certificate(s, d, p, gamma)
+        assert not ok
+        assert (ok, witness) == _certificate_reference(s, p, gamma)
 
 
 def test_lex_first_missing():
@@ -238,6 +274,27 @@ def test_sign_condition_empty_enumeration():
     result = sign_condition_search(0, 3)
     assert result.bits == (0, 0, 0, 0)
     assert result.circuits_enumerated == 0
+
+
+@pytest.mark.parametrize("s, cap", [(-1, 3), (0, -1)])
+def test_sign_condition_refuses_negative_size_or_cap(s, cap):
+    with pytest.raises(ValueError, match="must be >= 0"):
+        sign_condition_search(s, cap)
+
+
+def test_sign_condition_matches_per_circuit_expansion():
+    for s in range(6):
+        # truncating at 8 keeps every coefficient at or below each cap exact
+        expanded = [poly for _, poly in _enumerate_then_expand(s, (-1,), cap=8)]
+        for cap in (0, 3, 8):
+            realized = {
+                tuple(1 if poly.coefficient((i,)) > 0 else 0 for i in range(cap + 1))
+                for poly in expanded
+            }
+            result = sign_condition_search(s, cap)
+            assert result.realized == realized
+            assert result.circuits_enumerated == len(expanded)
+            assert result.bits == lex_first_missing(realized, cap)
 
 
 def test_sign_condition_answer_differs_from_every_circuit():

@@ -281,3 +281,19 @@ def test_ama_refuses_negative_verify_trials():
     # refused up front, not reported as an unverifiable chain
     with pytest.raises(ValueError, match="verify trials"):
         ama_simulate([2, 3, 1, 4, 1, 1, 1, 1], 0, 0, HonestProver(), seed=0, verify_trials=-1)
+
+
+@pytest.mark.parametrize("m, k", [(-1, 1), (4, -1)])
+def test_ama_refuses_negative_m_and_k(m, k):
+    with pytest.raises(ValueError, match="must be >= 0"):
+        ama_simulate([2, 3, 1, 4, 1, 1, 1, 1], 0, 0, HonestProver(), seed=0, k=k, m=m)
+
+
+def test_ama_zero_m_and_k_keep_their_transcripts():
+    x = [2, 3, 1, 4, 1, 1, 1, 1]
+    t = ama_simulate(x, 0, 0, HonestProver(), seed=0, m=0)
+    assert t.rounds[0][2].endswith(" matrices=")
+    assert (t.verdict, t.answer) == ("reject", 1)
+    t = ama_simulate(x, 0, 0, HonestProver(), seed=0, k=0)
+    assert t.rounds[-1][2] == "checks=failed reason=skeleton too large branch=b-zero"
+    assert (t.verdict, t.answer) == ("accept", None)
