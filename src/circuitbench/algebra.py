@@ -6,7 +6,7 @@ integers, or residues when a prime modulus is attached.  Monomial order for
 serialization and iteration is graded lexicographic.
 """
 
-from .errors import BudgetError, ParseError
+from .errors import BudgetError, ParseError, content_lines
 from .primes import is_prime
 
 DEFAULT_MONOMIAL_BUDGET = 10**6
@@ -141,12 +141,6 @@ class SparsePoly:
             return -1
         return max(sum(e) for e in self.coeffs)
 
-    def degree_in(self, index):
-        """Largest exponent of variable `index` (1-based); -1 if zero poly."""
-        if not self.coeffs:
-            return -1
-        return max(e[index - 1] for e in self.coeffs)
-
     def evaluate(self, point):
         """Value at an integer point (reduced by the modulus when present)."""
         if len(point) != self.num_vars:
@@ -207,8 +201,7 @@ class SparsePoly:
 
     @classmethod
     def from_text(cls, text):
-        lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-        rows = [(i + 1, ln) for i, ln in enumerate(lines) if ln]
+        rows = list(content_lines(text.splitlines()))
         if not rows:
             raise ParseError("empty polynomial text")
         lineno, head = rows[0]

@@ -10,7 +10,7 @@ gates are binary + and *.
 from dataclasses import dataclass
 
 from .algebra import DEFAULT_MONOMIAL_BUDGET
-from .errors import BudgetError, ParseError
+from .errors import BudgetError, ParseError, content_lines
 from .rings import IntegerRing, PrimeField, TruncatedPolyRing
 
 
@@ -99,20 +99,19 @@ class Circuit:
 # Text format
 
 
-def parse_circuit(text, first_line=1):
+def parse_circuit(text):
     """Parse the line-oriented circuit format.
 
     Layout: "nvars <k>", optional "nparams <k>", gate definitions
     "g<i> = in|param|const|add|mul ...", and a final "out g<i>".  '#' starts
     a comment; blank lines are ignored.  Gates must be named consecutively
-    g1, g2, ... and may only reference earlier gates.  Errors name the line
-    counting the text's first line as `first_line`.
+    g1, g2, ... and may only reference earlier gates.
     """
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=first_line):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            rows.append((lineno, stripped))
+    return _parse_rows(list(content_lines(text.splitlines())))
+
+
+def _parse_rows(rows):
+    """Parse one circuit from its (lineno, content) rows; errors name lineno."""
     if not rows:
         raise ParseError("empty circuit text")
 
@@ -218,17 +217,13 @@ def parse_circuits(lines, first_line=1):
     """Parse the circuits in `lines` separated by '---' lines; sections with
     no text outside comments are skipped.  `lines[0]` is line `first_line`
     of its file, so errors name the file line."""
-    sections = [(first_line, [])]
-    for lineno, raw in enumerate(lines, start=first_line):
-        if raw.split("#", 1)[0].strip() == "---":
-            sections.append((lineno + 1, []))
+    sections = [[]]
+    for lineno, line in content_lines(lines, first_line):
+        if line == "---":
+            sections.append([])
         else:
-            sections[-1][1].append(raw)
-    return [
-        parse_circuit("\n".join(rows), start)
-        for start, rows in sections
-        if any(raw.split("#", 1)[0].strip() for raw in rows)
-    ]
+            sections[-1].append((lineno, line))
+    return [_parse_rows(rows) for rows in sections if rows]
 
 
 def serialize_circuit(circuit):

@@ -23,7 +23,7 @@ from .circuits import (
     parse_circuits,
     weight_report,
 )
-from .errors import BudgetError, ParseError
+from .errors import BudgetError, ParseError, content_lines
 from .rings import IntegerRing, PrimeField
 from .universal import embed
 
@@ -52,18 +52,37 @@ def _ints(text):
 
 def _read_matrix(path):
     rows = []
-    for lineno, raw in enumerate(_read(path).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            try:
-                rows.append([int(v) for v in line.split()])
-            except ValueError:
-                raise ParseError(f"bad matrix row {line!r}", lineno) from None
+    for lineno, line in content_lines(_read(path).splitlines()):
+        try:
+            rows.append([int(v) for v in line.split()])
+        except ValueError:
+            raise ParseError(f"bad matrix row {line!r}", lineno) from None
     return rows
 
 
 def _bits(vec):
-    return "".join(str(v) for v in vec)
+    return None if vec is None else "".join(str(v) for v in vec)
+
+
+def _text(value):
+    """The text form of a report value: true/false, none, lists joined by commas."""
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (list, tuple)):
+        return ",".join(_text(v) for v in value)
+    return str(value)
+
+
+def _report(**fields):
+    """The (JSON object, text lines) pair of a report, one key=value line per field."""
+    return fields, [f"{key}={_text(value)}" for key, value in fields.items()]
+
+
+def _value_report(value):
+    """The single-value report of eval, per, hc and vnp-sum: 'result=' in text."""
+    return {"value": str(value)}, [f"result={value}"]
 
 
 def _circuit_arg(parser):
@@ -89,63 +108,62 @@ def build_parser():
     )
     subparsers = parser.add_subparsers(dest="command")
 
-    class _Sub:
-        def add_parser(self, name, **kwargs):
-            return subparsers.add_parser(name, parents=[common], **kwargs)
+    def sub(name, handler, **kwargs):
+        p = subparsers.add_parser(name, parents=[common], **kwargs)
+        p.set_defaults(handler=handler)
+        return p
 
-    sub = _Sub()
-
-    p = sub.add_parser("eval", help="evaluate a circuit")
+    p = sub("eval", _cmd_eval, help="evaluate a circuit")
     _circuit_arg(p)
     p.add_argument("--ring", choices=["int", "modp"], default="int")
     p.add_argument("--p", type=int, default=0, help="modulus for --ring modp")
     p.add_argument("--vars", default="", help="comma-separated input values")
     p.add_argument("--params", default="", help="comma-separated parameter values")
 
-    p = sub.add_parser("degree", help="formal degree and size metrics")
+    p = sub("degree", _cmd_degree, help="formal degree and size metrics")
     _circuit_arg(p)
 
-    p = sub.add_parser("weight", help="exact coefficient weight and its bound")
+    p = sub("weight", _cmd_weight, help="exact coefficient weight and its bound")
     _circuit_arg(p)
 
-    p = sub.add_parser("embed", help="embed a one-variable circuit into the universal template")
+    p = sub("embed", _cmd_embed, help="embed a one-variable circuit into the universal template")
     _circuit_arg(p)
     p.add_argument("--p", type=int, required=True)
 
-    p = sub.add_parser("forge", help="lex-first hard 0/1 coefficient vector")
+    p = sub("forge", _cmd_forge, help="lex-first hard 0/1 coefficient vector")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--enum-size", type=int, default=None, dest="enum_size")
 
-    p = sub.add_parser("signcond", help="lex-first unrealizable sign condition")
+    p = sub("signcond", _cmd_signcond, help="lex-first unrealizable sign condition")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--D", type=int, required=True, dest="cap")
 
-    p = sub.add_parser("poscoef", help="sign of one coefficient of a constant-free circuit")
+    p = sub("poscoef", _cmd_poscoef, help="sign of one coefficient of a constant-free circuit")
     _circuit_arg(p)
     p.add_argument("--i", type=int, required=True)
 
-    p = sub.add_parser("density", help="solvable-prime density of a system")
+    p = sub("density", _cmd_density, help="solvable-prime density of a system")
     p.add_argument("--system", required=True)
     p.add_argument("--limit", type=int, required=True)
 
-    p = sub.add_parser("solve", help="brute-force a system over one prime")
+    p = sub("solve", _cmd_solve, help="brute-force a system over one prime")
     p.add_argument("--system", required=True)
     p.add_argument("--p", type=int, required=True)
 
-    p = sub.add_parser("gs-sim", help="set-size estimation by hash collisions")
+    p = sub("gs-sim", _cmd_gs_sim, help="set-size estimation by hash collisions")
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--m", type=int, default=4)
     p.add_argument("--bits", type=int, default=12)
     p.add_argument("--trials", type=int, default=1000)
 
-    p = sub.add_parser("per-verify", help="verify a permanent chain")
+    p = sub("per-verify", _cmd_per_verify, help="verify a permanent chain")
     p.add_argument("--chain", required=True, help="circuit files joined by --- lines")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--trials", type=int, default=2)
 
-    p = sub.add_parser("ama-sim", help="run the evaluation protocol once")
+    p = sub("ama-sim", _cmd_ama_sim, help="run the evaluation protocol once")
     p.add_argument("--x", required=True, help="comma-separated nonnegative integers")
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
@@ -155,15 +173,15 @@ def build_parser():
     p.add_argument("--bits", type=int, default=12)
     p.add_argument("--trials", type=int, default=2)
 
-    p = sub.add_parser("per", help="permanent of an integer matrix")
+    p = sub("per", _cmd_per, help="permanent of an integer matrix")
     p.add_argument("--matrix", required=True)
     p.add_argument("--mod", type=int, default=None)
 
-    p = sub.add_parser("hc", help="Hamiltonian-cycle polynomial of a matrix")
+    p = sub("hc", _cmd_hc, help="Hamiltonian-cycle polynomial of a matrix")
     p.add_argument("--matrix", required=True)
     p.add_argument("--mod", type=int, default=None)
 
-    p = sub.add_parser("vnp-sum", help="Boolean sum of a circuit over its last variables")
+    p = sub("vnp-sum", _cmd_vnp_sum, help="Boolean sum of a circuit over its last variables")
     _circuit_arg(p)
     p.add_argument("--summed", type=int, required=True)
     p.add_argument("--x", default="", help="comma-separated values for the free variables")
@@ -176,55 +194,37 @@ def _cmd_eval(args):
     c = parse_circuit(_read(args.circuit))
     ring = PrimeField(args.p) if args.ring == "modp" else IntegerRing()
     value = evaluate(c, ring, _ints(args.vars), _ints(args.params))
-    return {"value": str(value)}, [f"result={value}"]
+    return _value_report(value)
 
 
 def _cmd_degree(args):
     c = parse_circuit(_read(args.circuit))
     m = metrics(c)
-    lines = [
-        f"formal_degree={m.formal_degree}",
-        f"size={m.size}",
-        f"gates={m.gate_count}",
-        f"constant_free={'true' if is_constant_free(c) else 'false'}",
-    ]
-    obj = {
-        "formal_degree": m.formal_degree,
-        "size": m.size,
-        "gates": m.gate_count,
-        "constant_free": is_constant_free(c),
-    }
-    return obj, lines
+    return _report(
+        formal_degree=m.formal_degree,
+        size=m.size,
+        gates=m.gate_count,
+        constant_free=is_constant_free(c),
+    )
 
 
 def _cmd_weight(args):
     c = parse_circuit(_read(args.circuit))
     rep = weight_report(c, budget=args.monomial_budget)
-    lines = [
-        f"exact_weight={rep.exact_weight}",
-        f"bound={rep.bound}",
-        f"bound_holds={'true' if rep.bound_holds else 'false'}",
-        f"size={rep.size}",
-        f"formal_degree={rep.formal_degree}",
-        f"max_const={rep.max_const_abs}",
-    ]
-    obj = {
-        "exact_weight": str(rep.exact_weight),
-        "bound": str(rep.bound),
-        "bound_holds": rep.bound_holds,
-        "size": rep.size,
-        "formal_degree": rep.formal_degree,
-        "max_const": rep.max_const_abs,
-    }
-    return obj, lines
+    return _report(
+        exact_weight=str(rep.exact_weight),
+        bound=str(rep.bound),
+        bound_holds=rep.bound_holds,
+        size=rep.size,
+        formal_degree=rep.formal_degree,
+        max_const=rep.max_const_abs,
+    )
 
 
 def _cmd_embed(args):
     c = parse_circuit(_read(args.circuit))
     emb = embed(c, args.p, seed=args.seed)
-    params = ",".join(str(v) for v in emb.params)
-    lines = [f"levels={emb.levels}", f"params={params}", "verified=true"]
-    return {"levels": emb.levels, "params": list(emb.params), "verified": True}, lines
+    return _report(levels=emb.levels, params=emb.params, verified=True)
 
 
 def _cmd_forge(args):
@@ -232,83 +232,54 @@ def _cmd_forge(args):
     enum = forge.realizable_vectors(
         args.s, args.d, args.p, oracle="circuit-enumeration", enum_size=args.enum_size
     )
-    sweep_first = forge.lex_first_missing(result.realized, args.d)
     enum_first = forge.lex_first_missing(enum.vectors, args.d)
-    lines = [
-        "oracles=system-solve,parameter-sweep,circuit-enumeration",
-        f"saturated={'true' if result.saturated else 'false'}",
-        f"gamma={'none' if result.gamma is None else _bits(result.gamma)}",
-        f"gamma_sweep={'none' if sweep_first is None else _bits(sweep_first)}",
-        f"gamma_enum={'none' if enum_first is None else _bits(enum_first)}",
-        f"realized_sweep={len(result.realized)}",
-        f"realized_enum={len(enum.vectors)}",
-        f"systems_checked={result.systems_checked}",
-        f"oracles_agree={'true' if enum_first == result.gamma else 'false'}",
-    ]
-    obj = {
-        "oracles": ["system-solve", "parameter-sweep", "circuit-enumeration"],
-        "saturated": result.saturated,
-        "gamma": None if result.gamma is None else _bits(result.gamma),
-        "gamma_sweep": None if sweep_first is None else _bits(sweep_first),
-        "gamma_enum": None if enum_first is None else _bits(enum_first),
-        "realized_sweep": len(result.realized),
-        "realized_enum": len(enum.vectors),
-        "systems_checked": result.systems_checked,
-        "oracles_agree": enum_first == result.gamma,
-    }
-    return obj, lines
+    return _report(
+        oracles=["system-solve", "parameter-sweep", "circuit-enumeration"],
+        saturated=result.saturated,
+        gamma=_bits(result.gamma),
+        gamma_sweep=_bits(forge.lex_first_missing(result.realized, args.d)),
+        gamma_enum=_bits(enum_first),
+        realized_sweep=len(result.realized),
+        realized_enum=len(enum.vectors),
+        systems_checked=result.systems_checked,
+        oracles_agree=enum_first == result.gamma,
+    )
 
 
 def _cmd_signcond(args):
     result = forge.sign_condition_search(args.s, args.cap)
-    lines = [
-        f"saturated={'true' if result.saturated else 'false'}",
-        f"bits={'none' if result.bits is None else _bits(result.bits)}",
-        f"realized={len(result.realized)}",
-        f"circuits={result.circuits_enumerated}",
-    ]
-    obj = {
-        "saturated": result.saturated,
-        "bits": None if result.bits is None else _bits(result.bits),
-        "realized": len(result.realized),
-        "circuits": result.circuits_enumerated,
-    }
-    return obj, lines
+    return _report(
+        saturated=result.saturated,
+        bits=_bits(result.bits),
+        realized=len(result.realized),
+        circuits=result.circuits_enumerated,
+    )
 
 
 def _cmd_poscoef(args):
     c = parse_circuit(_read(args.circuit))
     sign = forge.poscoef(c, args.i, budget=args.monomial_budget)
-    word = {1: "positive", 0: "zero", -1: "negative"}[sign]
-    return {"sign": word}, [f"sign={word}"]
+    return _report(sign={1: "positive", 0: "zero", -1: "negative"}[sign])
 
 
 def _cmd_density(args):
     system = systems.parse_system(_read(args.system))
     report = systems.density_probe(system, args.limit, solve_budget=args.eval_budget)
-    lines = [
-        report.summary(),
-        f"good_primes={','.join(str(q) for q in report.good_primes)}",
-        f"complete={'true' if report.complete else 'false'}",
-        f"high_water={report.high_water}",
-    ]
-    obj = {
-        "pi_S": report.pi_s,
-        "pi": report.pi,
-        "ratio": report.ratio,
-        "good_primes": list(report.good_primes),
-        "complete": report.complete,
-        "high_water": report.high_water,
-    }
-    return obj, lines
+    obj, lines = _report(
+        pi_S=report.pi_s,
+        pi=report.pi,
+        ratio=report.ratio,
+        good_primes=report.good_primes,
+        complete=report.complete,
+        high_water=report.high_water,
+    )
+    # text: the three counts share one summary line
+    return obj, [report.summary()] + lines[3:]
 
 
 def _cmd_solve(args):
     system = systems.parse_system(_read(args.system))
-    witness = systems.solve_bruteforce(system, args.p, budget=args.eval_budget)
-    text = "none" if witness is None else ",".join(str(v) for v in witness)
-    obj = {"witness": None if witness is None else list(witness)}
-    return obj, [f"witness={text}"]
+    return _report(witness=systems.solve_bruteforce(system, args.p, budget=args.eval_budget))
 
 
 def _cmd_gs_sim(args):
@@ -320,29 +291,18 @@ def _cmd_gs_sim(args):
     report = protocols.gs_estimate(
         elements, args.m, args.trials, seed=args.seed, cols=args.bits
     )
-    lines = [
-        f"rate={report.rate!r}",
-        f"verdict={report.verdict}",
-        f"phi_count={report.phi_count}",
-        f"set_size={report.set_size}",
-    ]
-    obj = {
-        "rate": report.rate,
-        "verdict": report.verdict,
-        "phi_count": report.phi_count,
-        "set_size": report.set_size,
-    }
-    return obj, lines
+    return _report(
+        rate=report.rate,
+        verdict=report.verdict,
+        phi_count=report.phi_count,
+        set_size=report.set_size,
+    )
 
 
 def _cmd_per_verify(args):
     chain = parse_circuits(_read(args.chain).splitlines())
     report = protocols.permanent_verify(chain, args.p, args.trials, args.seed)
-    lines = [
-        f"accepted={'true' if report.accepted else 'false'}",
-        f"reason={report.reason}",
-    ]
-    return {"accepted": report.accepted, "reason": report.reason}, lines
+    return _report(accepted=report.accepted, reason=report.reason)
 
 
 def _cmd_ama_sim(args):
@@ -368,55 +328,23 @@ def _cmd_ama_sim(args):
 
 def _cmd_per(args):
     value = families.permanent(_read_matrix(args.matrix), mod=args.mod)
-    return {"value": str(value)}, [f"result={value}"]
+    return _value_report(value)
 
 
 def _cmd_hc(args):
     value = families.hamiltonian_cycle_sum(_read_matrix(args.matrix), mod=args.mod)
-    return {"value": str(value)}, [f"result={value}"]
+    return _value_report(value)
 
 
 def _cmd_vnp_sum(args):
     c = parse_circuit(_read(args.circuit))
     ring = PrimeField(args.mod) if args.mod is not None else IntegerRing()
     value = families.boolean_sum(c, ring, _ints(args.x), args.summed)
-    return {"value": str(value)}, [f"result={value}"]
-
-
-_HANDLERS = {
-    "eval": _cmd_eval,
-    "degree": _cmd_degree,
-    "weight": _cmd_weight,
-    "embed": _cmd_embed,
-    "forge": _cmd_forge,
-    "signcond": _cmd_signcond,
-    "poscoef": _cmd_poscoef,
-    "density": _cmd_density,
-    "solve": _cmd_solve,
-    "gs-sim": _cmd_gs_sim,
-    "per-verify": _cmd_per_verify,
-    "ama-sim": _cmd_ama_sim,
-    "per": _cmd_per,
-    "hc": _cmd_hc,
-    "vnp-sum": _cmd_vnp_sum,
-}
-
-
-def _config_lines(args):
-    skip = {"command", "json"}
-    lines = []
-    for key in sorted(vars(args)):
-        if key in skip:
-            continue
-        value = getattr(args, key)
-        if value is None:
-            value = "none"
-        lines.append(f"arg.{key}={value}")
-    return lines
+    return _value_report(value)
 
 
 def _config_obj(args):
-    skip = {"command", "json"}
+    skip = {"command", "handler", "json"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
@@ -433,9 +361,8 @@ def main(argv=None):
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 64
-    handler = _HANDLERS[args.command]
     try:
-        obj, lines = handler(args)
+        obj, lines = args.handler(args)
     except BudgetError as exc:
         print(f"error=budget: {exc}")
         return 2
@@ -445,17 +372,13 @@ def main(argv=None):
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error={exc}")
         return 1
+    config = _config_obj(args)
     if args.json:
-        report = {
-            "schema": SCHEMA,
-            "command": args.command,
-            "config": _config_obj(args),
-            "result": obj,
-        }
+        report = {"schema": SCHEMA, "command": args.command, "config": config, "result": obj}
         print(json.dumps(report, sort_keys=True))
     else:
         out = [f"schema={SCHEMA}", f"command={args.command}"]
-        out.extend(_config_lines(args))
+        out.extend(f"arg.{key}={_text(value)}" for key, value in config.items())
         out.extend(lines)
         print("\n".join(out))
     return 0

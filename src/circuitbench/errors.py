@@ -11,6 +11,18 @@ class ParseError(ValueError):
         self.line = line
 
 
+def content_lines(lines, first_line=1):
+    """Yield (lineno, content) for each line with text outside a '#' comment.
+
+    `content` is the line with its comment and surrounding whitespace
+    removed; `lines[0]` is numbered `first_line`.
+    """
+    for lineno, raw in enumerate(lines, start=first_line):
+        content = raw.split("#", 1)[0].strip()
+        if content:
+            yield lineno, content
+
+
 class BudgetError(RuntimeError):
     """A configured resource budget was exceeded.
 

@@ -10,7 +10,7 @@ from itertools import permutations
 
 from .algebra import SparsePoly
 from .circuits import Circuit, Const, InputVar, evaluate
-from .errors import BudgetError, ParseError
+from .errors import BudgetError, ParseError, content_lines
 
 PERMANENT_CAP = 12
 HC_BUDGET = 9  # (n-1)! enumeration above this is refused
@@ -117,18 +117,11 @@ class TruthTable:
         self.values = [int(v) for v in values]
 
     @classmethod
-    def from_function(cls, n, fn):
-        return cls(n, [fn(mask) for mask in range(1 << n)])
-
-    @classmethod
     def from_text(cls, text):
         """One line per point: '<bits> <value>', bits listed x1 first."""
         entries = {}
         n = None
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for lineno, line in content_lines(text.splitlines()):
             parts = line.split()
             if len(parts) != 2:
                 raise ParseError("expected '<bits> <value>'", lineno)

@@ -306,15 +306,15 @@ def sign_condition_search(s, cap, budget=None):
     Circuits of larger formal degree still participate; only coefficients
     0..cap are inspected.  An empty circuit set (s=0) realizes nothing, so
     the answer is the all-zero condition; a negative s or cap is refused.
+    Each circuit costs cap + 1 (its bit tuple) against `budget`.
     """
     if s < 0 or cap < 0:
         raise ValueError(f"s and cap must be >= 0, got s={s}, cap={cap}")
     realized = set()
     count = 0
     ring = TruncatedPolyRing(IntegerRing(), 1, cap)
-    for _, poly in enumerate_circuits(
-        s, 1, (-1,), budget=budget or DEFAULT_ENUM_ORACLE_BUDGET, ring=ring
-    ):
+    circuit_budget = (budget or DEFAULT_ENUM_ORACLE_BUDGET) // (cap + 1)
+    for _, poly in enumerate_circuits(s, 1, (-1,), budget=circuit_budget, ring=ring):
         count += 1
         bits = tuple(
             1 if poly.coefficient((i,)) > 0 else 0 for i in range(cap + 1)

@@ -319,7 +319,6 @@ class _ChainProver:
 class HonestProver(_ChainProver):
     """Sends the true minor-expansion chain and genuinely colliding primes."""
 
-    mode = "honest"
     build_chain = staticmethod(build_permanent_chain)
 
 
@@ -327,10 +326,6 @@ class CheatingProver(_ChainProver):
     """Same envelope, but the chain computes determinants."""
 
     build_chain = staticmethod(build_determinant_chain)
-
-    def __init__(self, variant="determinant-skeleton"):
-        self.variant = variant
-        self.mode = f"cheating({variant})"
 
 
 def find_collision_primes(matrices, cols):

@@ -20,7 +20,7 @@ from .circuits import (
     parse_circuits,
     serialize_circuit,
 )
-from .errors import BudgetError, ParseError
+from .errors import BudgetError, ParseError, content_lines
 from .primes import is_prime, sieve
 from .universal import build_universal, template_series
 
@@ -272,12 +272,8 @@ def density_probe(system, limit, solve_budget=DEFAULT_SOLVE_BUDGET):
 
 def parse_system(text):
     lines = text.splitlines()
-    header = None
-    for lineno, raw in enumerate(lines, start=1):
-        header = raw.split("#", 1)[0].strip()
-        if header:
-            break
-    if not header:
+    lineno, header = next(content_lines(lines), (None, None))
+    if header is None:
         raise ParseError("empty system text")
     parts = header.split()
     if len(parts) != 2 or parts[0] != "unknowns":

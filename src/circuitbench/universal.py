@@ -116,9 +116,6 @@ class CoefficientVector:
     cap: int
     p: int
 
-    def degree_bound(self, i):
-        return (i + 1) * (1 << (2 * self.levels))
-
 
 def template_series(template, d, ring, param):
     """Degree-d truncation of the template as a {degree: element} dict.

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -220,7 +222,7 @@ def test_resource_exhaustion_exits_without_traceback(capsys, monkeypatch, square
     def handler(args):
         raise exc
 
-    monkeypatch.setitem(cli._HANDLERS, "degree", handler)
+    monkeypatch.setattr(cli, "_cmd_degree", handler)
     assert main(["degree", "--circuit", square_file]) == code
     captured = capsys.readouterr()
     assert captured.out.startswith("error=") and captured.out.count("\n") == 1
@@ -296,3 +298,97 @@ def test_determinism_byte_identical(capsys, square_file, system_file, ones3_file
         json_one = run(capsys, argv + ["--json"])[1]
         json_two = run(capsys, argv + ["--json"])[1]
         assert json_one == json_two, argv
+
+
+def test_signcond_refuses_work_beyond_its_budget(capsys):
+    # each circuit costs D + 1 bits: 2,000,000 // 20,001 leaves room for 99 circuits
+    code, out = run(capsys, ["signcond", "--s", "5", "--D", "20000"])
+    assert code == 2
+    assert out.startswith("error=budget: ") and out.count("\n") == 1
+
+
+def _report_parts(capsys, argv):
+    """(text result lines, JSON result object) of one command, header checked."""
+    code, text = run(capsys, argv)
+    assert code == 0, argv
+    code, raw = run(capsys, argv + ["--json"])
+    assert code == 0, argv
+    report = json.loads(raw)
+    config = report["config"]
+    lines = text.rstrip("\n").split("\n")
+    header = [f"schema={cli.SCHEMA}", f"command={argv[0]}"]
+    header += [f"arg.{key}={cli._text(value)}" for key, value in config.items()]
+    assert lines[: len(header)] == header, argv
+    return lines[len(header):], report["result"]
+
+
+def _shared_rule(lines, result):
+    """The text lines `_text` gives for `result`, in the text's key order."""
+    keys = [line.split("=", 1)[0] for line in lines]
+    assert sorted(keys) == sorted(result)
+    return [f"{key}={cli._text(result[key])}" for key in keys]
+
+
+def test_text_result_lines_render_the_json_result(capsys, square_file, system_file, chain_file):
+    invocations = [
+        ["degree", "--circuit", square_file],
+        ["weight", "--circuit", square_file],
+        ["embed", "--circuit", square_file, "--p", "101"],
+        ["forge", "--s", "1", "--d", "2", "--p", "5"],
+        ["forge", "--s", "1", "--d", "0", "--p", "5"],
+        ["signcond", "--s", "2", "--D", "3"],
+        ["signcond", "--s", "3", "--D", "0"],
+        ["poscoef", "--circuit", square_file, "--i", "1"],
+        ["solve", "--system", system_file, "--p", "5"],
+        ["solve", "--system", system_file, "--p", "7"],
+        ["gs-sim", "--size", "16", "--trials", "30", "--seed", "9"],
+        ["per-verify", "--chain", chain_file, "--p", "101", "--seed", "3"],
+    ]
+    for argv in invocations:
+        lines, result = _report_parts(capsys, argv)
+        assert lines == _shared_rule(lines, result), argv
+
+
+def test_text_report_exceptions(capsys, square_file, system_file, ones3_file, tmp_path):
+    sum_path = tmp_path / "sum.circ"
+    sum_path.write_text("nvars 2\ng1 = in 1\ng2 = in 2\ng3 = add g1 g2\nout g3\n")
+    # eval, per, hc and vnp-sum: 'result=' in text, 'value' in JSON
+    for argv in (
+        ["eval", "--circuit", square_file, "--vars", "3"],
+        ["per", "--matrix", ones3_file],
+        ["hc", "--matrix", ones3_file, "--mod", "5"],
+        ["vnp-sum", "--circuit", str(sum_path), "--summed", "1", "--x", "4"],
+    ):
+        lines, result = _report_parts(capsys, argv)
+        assert list(result) == ["value"], argv
+        assert lines == [f"result={result['value']}"], argv
+    # density: one summary line for the three counts, then the shared rule
+    lines, result = _report_parts(capsys, ["density", "--system", system_file, "--limit", "20"])
+    assert lines[0] == f"pi_S={result['pi_S']} pi={result['pi']} ratio={result['ratio']!r}"
+    rest = {k: v for k, v in result.items() if k not in ("pi_S", "pi", "ratio")}
+    assert lines[1:] == _shared_rule(lines[1:], rest)
+    # ama-sim: the transcript, one line per round, then the verdict
+    argv = ["ama-sim", "--x", "2,3,1,4,1,1,1,1", "--i", "1", "--b", "0", "--seed", "4"]
+    lines, result = _report_parts(capsys, argv)
+    rounds = [
+        f"round={r['round']} sender={r['sender']} payload={r['payload']}"
+        for r in result["rounds"]
+    ]
+    verdict = f"verdict={result['verdict']} answer={cli._text(result['answer'])}"
+    assert lines == rounds + [verdict]
+
+
+def test_cli_session_matches_recorded_hashes(capsys, monkeypatch):
+    """Every benchmark CLI command prints exactly its recorded output."""
+    root = Path(__file__).resolve().parent.parent
+    expected = json.loads((root / "perfbench" / "expected.json").read_text())
+    golden = expected["cli_session"]["stdout_sha256"]
+    monkeypatch.chdir(root)
+    mismatched = []
+    for command, digest in golden.items():
+        code = main(command.split(" "))
+        out = capsys.readouterr().out
+        if code != 0 or hashlib.sha256(out.encode()).hexdigest() != digest:
+            mismatched.append(command)
+    assert len(golden) == 30
+    assert mismatched == []

@@ -282,6 +282,13 @@ def test_sign_condition_refuses_negative_size_or_cap(s, cap):
         sign_condition_search(s, cap)
 
 
+def test_sign_condition_charges_cap_plus_one_per_circuit():
+    circuits = sign_condition_search(4, 4).circuits_enumerated
+    assert sign_condition_search(4, 4, budget=5 * circuits).circuits_enumerated == circuits
+    with pytest.raises(BudgetError, match="budget"):
+        sign_condition_search(4, 4, budget=5 * circuits - 1)
+
+
 def test_sign_condition_matches_per_circuit_expansion():
     for s in range(6):
         # truncating at 8 keeps every coefficient at or below each cap exact
