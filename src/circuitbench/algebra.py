@@ -6,7 +6,7 @@ integers, or residues when a prime modulus is attached.  Monomial order for
 serialization and iteration is graded lexicographic.
 """
 
-from .errors import BudgetError, ParseError, content_lines
+from .errors import BudgetError, ParseError, content_lines, parse_count, parse_int
 from .primes import is_prime
 
 DEFAULT_MONOMIAL_BUDGET = 10**6
@@ -204,31 +204,28 @@ class SparsePoly:
         rows = list(content_lines(text.splitlines()))
         if not rows:
             raise ParseError("empty polynomial text")
-        lineno, head = rows[0]
+        head_line, head = rows[0]
         parts = head.split()
-        if parts[:1] != ["npoly-vars"] or len(parts) not in (2, 4):
-            raise ParseError("expected header 'npoly-vars <n> [mod <p>]'", lineno)
-        try:
-            num_vars = int(parts[1])
-        except ValueError:
-            raise ParseError("bad variable count", lineno) from None
+        expected = "expected header 'npoly-vars <n> [mod <p>]'"
+        if len(parts) not in (2, 4):
+            raise ParseError(expected, head_line)
+        num_vars = parse_count(parts[:2], "npoly-vars", head_line, expected, "bad variable count")
         modulus = None
         if len(parts) == 4:
             if parts[2] != "mod":
-                raise ParseError("expected 'mod <p>'", lineno)
-            try:
-                modulus = int(parts[3])
-            except ValueError:
-                raise ParseError("bad modulus", lineno) from None
+                raise ParseError("expected 'mod <p>'", head_line)
+            modulus = parse_int(parts[3], "bad modulus", head_line)
         coeffs = {}
         for lineno, ln in rows[1:]:
             toks = ln.split()
             if len(toks) != num_vars + 1:
                 raise ParseError(f"expected {num_vars + 1} fields", lineno)
-            try:
-                c = int(toks[0])
-                e = tuple(int(t) for t in toks[1:])
-            except ValueError:
-                raise ParseError("bad integer", lineno) from None
+            c, *e = (parse_int(t, "bad integer", lineno) for t in toks)
+            if any(k < 0 for k in e):
+                raise ParseError("exponents must be >= 0", lineno)
+            e = tuple(e)
             coeffs[e] = coeffs.get(e, 0) + c
-        return cls(coeffs, num_vars, modulus)
+        try:
+            return cls(coeffs, num_vars, modulus)
+        except ValueError as exc:  # the modulus is not a prime in the Miller-Rabin range
+            raise ParseError(str(exc), head_line) from None

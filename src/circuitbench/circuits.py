@@ -10,7 +10,7 @@ gates are binary + and *.
 from dataclasses import dataclass
 
 from .algebra import DEFAULT_MONOMIAL_BUDGET
-from .errors import BudgetError, ParseError, content_lines
+from .errors import BudgetError, ParseError, content_lines, parse_count, parse_int
 from .rings import IntegerRing, PrimeField, TruncatedPolyRing
 
 
@@ -114,42 +114,21 @@ def _parse_rows(rows):
     """Parse one circuit from its (lineno, content) rows; errors name lineno."""
     if not rows:
         raise ParseError("empty circuit text")
+    lineno, line = rows[0]
+    num_vars = parse_count(line.split(), "nvars", lineno, "expected 'nvars <k>'")
+    num_params, pos = 0, 1
+    if len(rows) > 1 and rows[1][1].split()[0] == "nparams":
+        lineno, line = rows[1]
+        num_params = parse_count(line.split(), "nparams", lineno, "expected 'nparams <k>'")
+        pos = 2
 
-    pos = 0
-    lineno, line = rows[pos]
-    head = line.split()
-    if len(head) != 2 or head[0] != "nvars":
-        raise ParseError("expected 'nvars <k>'", lineno)
-    try:
-        num_vars = int(head[1])
-    except ValueError:
-        raise ParseError("bad nvars count", lineno) from None
-    if num_vars < 0:
-        raise ParseError("nvars must be >= 0", lineno)
-    pos += 1
-
-    num_params = 0
-    if pos < len(rows):
-        lineno, line = rows[pos]
-        head = line.split()
-        if head[0] == "nparams":
-            if len(head) != 2:
-                raise ParseError("expected 'nparams <k>'", lineno)
-            try:
-                num_params = int(head[1])
-            except ValueError:
-                raise ParseError("bad nparams count", lineno) from None
-            if num_params < 0:
-                raise ParseError("nparams must be >= 0", lineno)
-            pos += 1
-
-    def gate_ref(token, lineno, defined):
+    def gate_number(token, lineno):
         if not token.startswith("g"):
             raise ParseError(f"expected a gate name, got {token!r}", lineno)
-        try:
-            idx = int(token[1:])
-        except ValueError:
-            raise ParseError(f"bad gate name {token!r}", lineno) from None
+        return parse_int(token[1:], f"bad gate name {token!r}", lineno)
+
+    def gate_ref(token, lineno, defined):
+        idx = gate_number(token, lineno)
         if idx < 1:
             raise ParseError(f"bad gate name {token!r}", lineno)
         if idx > defined:
@@ -170,12 +149,7 @@ def _parse_rows(rows):
         if len(toks) < 3 or toks[1] != "=":
             raise ParseError("expected 'g<i> = <kind> ...'", lineno)
         name = toks[0]
-        if not name.startswith("g"):
-            raise ParseError(f"expected a gate name, got {name!r}", lineno)
-        try:
-            idx = int(name[1:])
-        except ValueError:
-            raise ParseError(f"bad gate name {name!r}", lineno) from None
+        idx = gate_number(name, lineno)
         if 1 <= idx <= len(nodes):
             raise ParseError(f"duplicate gate name {name}", lineno)
         if idx != len(nodes) + 1:
@@ -184,10 +158,7 @@ def _parse_rows(rows):
         if kind in ("in", "param"):
             if len(args) != 1:
                 raise ParseError(f"expected '{kind} <j>'", lineno)
-            try:
-                j = int(args[0])
-            except ValueError:
-                raise ParseError(f"bad index {args[0]!r}", lineno) from None
+            j = parse_int(args[0], f"bad index {args[0]!r}", lineno)
             label, limit = ("input", num_vars) if kind == "in" else ("param", num_params)
             if not 1 <= j <= limit:
                 raise ParseError(f"{label} index {j} outside 1..{limit}", lineno)
@@ -195,10 +166,7 @@ def _parse_rows(rows):
         elif kind == "const":
             if len(args) != 1:
                 raise ParseError("expected 'const <signed decimal>'", lineno)
-            try:
-                nodes.append(Const(int(args[0])))
-            except ValueError:
-                raise ParseError(f"bad constant {args[0]!r}", lineno) from None
+            nodes.append(Const(parse_int(args[0], f"bad constant {args[0]!r}", lineno)))
         elif kind in ("add", "mul"):
             if len(args) != 2:
                 raise ParseError(f"expected '{kind} g<a> g<b>'", lineno)
@@ -213,17 +181,23 @@ def _parse_rows(rows):
     return Circuit(tuple(nodes), output, num_vars, num_params)
 
 
-def parse_circuits(lines, first_line=1):
-    """Parse the circuits in `lines` separated by '---' lines; sections with
-    no text outside comments are skipped.  `lines[0]` is line `first_line`
-    of its file, so errors name the file line."""
+def _sections(lines, first_line):
+    """The (lineno, content) rows of each '---'-separated section of
+    `lines` that has text outside comments; `lines[0]` is line `first_line`."""
     sections = [[]]
     for lineno, line in content_lines(lines, first_line):
         if line == "---":
             sections.append([])
         else:
             sections[-1].append((lineno, line))
-    return [_parse_rows(rows) for rows in sections if rows]
+    return [rows for rows in sections if rows]
+
+
+def parse_circuits(lines, first_line=1):
+    """Parse the circuits in `lines` separated by '---' lines; sections with
+    no text outside comments are skipped.  `lines[0]` is line `first_line`
+    of its file, so errors name the file line."""
+    return [_parse_rows(rows) for rows in _sections(lines, first_line)]
 
 
 def serialize_circuit(circuit):
@@ -414,10 +388,10 @@ class CircuitBuilder:
     def mul(self, a, b):
         return self._emit(Mul(a, b) if a <= b else Mul(b, a))
 
-    def inline(self, circuit, input_map=None, param_map=None):
+    def inline(self, circuit, input_map=None):
         """Copy another circuit's reachable nodes in, returning its output
         position.  `input_map` sends variable indices to node positions of
-        this builder (e.g. constants); `param_map` renumbers parameter slots.
+        this builder (e.g. constants).
         """
         placed = {}
         for pos in circuit.reachable():
@@ -428,8 +402,6 @@ class CircuitBuilder:
                 placed[pos] = self.mul(placed[node.left], placed[node.right])
             elif input_map is not None and isinstance(node, InputVar) and node.index in input_map:
                 placed[pos] = input_map[node.index]
-            elif param_map and isinstance(node, Param):
-                placed[pos] = self.param(param_map[node.index])
             else:
                 placed[pos] = self._emit(node)
         return placed[circuit.output]

@@ -23,7 +23,7 @@ from .circuits import (
     parse_circuits,
     weight_report,
 )
-from .errors import BudgetError, ParseError, content_lines
+from .errors import BudgetError, content_lines, parse_int
 from .rings import IntegerRing, PrimeField
 from .universal import embed
 
@@ -51,13 +51,10 @@ def _ints(text):
 
 
 def _read_matrix(path):
-    rows = []
-    for lineno, line in content_lines(_read(path).splitlines()):
-        try:
-            rows.append([int(v) for v in line.split()])
-        except ValueError:
-            raise ParseError(f"bad matrix row {line!r}", lineno) from None
-    return rows
+    return [
+        [parse_int(v, f"bad matrix row {line!r}", lineno) for v in line.split()]
+        for lineno, line in content_lines(_read(path).splitlines())
+    ]
 
 
 def _bits(vec):

@@ -23,6 +23,26 @@ def content_lines(lines, first_line=1):
             yield lineno, content
 
 
+def parse_int(token, message, line):
+    """`int(token)`, or ParseError(message, line) when it is not an integer."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(message, line) from None
+
+
+def parse_count(tokens, keyword, line, expected, bad=None):
+    """The k >= 0 of the `<keyword> <k>` header split into `tokens`; a header
+    of another shape raises `expected`, a non-integer k `bad` (by default
+    "bad <keyword> count")."""
+    if len(tokens) != 2 or tokens[0] != keyword:
+        raise ParseError(expected, line)
+    count = parse_int(tokens[1], bad or f"bad {keyword} count", line)
+    if count < 0:
+        raise ParseError(f"{keyword} must be >= 0", line)
+    return count
+
+
 class BudgetError(RuntimeError):
     """A configured resource budget was exceeded.
 

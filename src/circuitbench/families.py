@@ -10,7 +10,7 @@ from itertools import permutations
 
 from .algebra import SparsePoly
 from .circuits import Circuit, Const, InputVar, evaluate
-from .errors import BudgetError, ParseError, content_lines
+from .errors import BudgetError, ParseError, content_lines, parse_int
 
 PERMANENT_CAP = 12
 HC_BUDGET = 9  # (n-1)! enumeration above this is refused
@@ -131,10 +131,10 @@ class TruthTable:
             if len(bits) != n or any(c not in "01" for c in bits):
                 raise ParseError(f"bad bit string {bits!r}", lineno)
             mask = sum(1 << i for i, c in enumerate(bits) if c == "1")
-            try:
-                entries[mask] = int(value)
-            except ValueError:
-                raise ParseError(f"bad value {value!r}", lineno) from None
+            value = parse_int(value, f"bad value {value!r}", lineno)
+            if mask in entries:
+                raise ParseError(f"duplicate point {bits}", lineno)
+            entries[mask] = value
         if n is None:
             raise ParseError("empty truth table")
         if len(entries) != 1 << n:

@@ -306,16 +306,27 @@ def sign_condition_search(s, cap, budget=None):
     Circuits of larger formal degree still participate; only coefficients
     0..cap are inspected.  An empty circuit set (s=0) realizes nothing, so
     the answer is the all-zero condition; a negative s or cap is refused.
-    Each circuit costs cap + 1 (its bit tuple) against `budget`.
+    Each circuit costs cap + 1 (its bit tuple) against `budget`; a cap
+    whose one circuit exceeds it is refused before any enumeration.
     """
     if s < 0 or cap < 0:
         raise ValueError(f"s and cap must be >= 0, got s={s}, cap={cap}")
+    budget = budget or DEFAULT_ENUM_ORACLE_BUDGET
+    cost = cap + 1
+
+    def charge(circuits):
+        if circuits * cost > budget:
+            message = f"sign-condition budget {budget} exceeded at cap + 1 = {cost} per circuit"
+            raise BudgetError(message, reached=circuits * cost)
+
+    charge(1)
     realized = set()
     count = 0
     ring = TruncatedPolyRing(IntegerRing(), 1, cap)
-    circuit_budget = (budget or DEFAULT_ENUM_ORACLE_BUDGET) // (cap + 1)
-    for _, poly in enumerate_circuits(s, 1, (-1,), budget=circuit_budget, ring=ring):
+    # one circuit more than `charge` allows, so `charge` is what refuses
+    for _, poly in enumerate_circuits(s, 1, (-1,), budget=budget // cost + 1, ring=ring):
         count += 1
+        charge(count)
         bits = tuple(
             1 if poly.coefficient((i,)) > 0 else 0 for i in range(cap + 1)
         )

@@ -28,7 +28,7 @@ from .circuits import (
 from .families import permanent
 from .pit import pit_equal
 from .primes import is_prime, next_prime_at_least, sieve
-from .systems import PolySystem
+from .systems import PolySystem, _substituted
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +211,7 @@ def permanent_agreement_system(chain, grid_bound=2):
             matrix = [list(point[r * k : (r + 1) * k]) for r in range(k)]
             target = permanent(matrix)
             builder = CircuitBuilder(num_params=unknowns)
-            subst = {j + 1: builder.const(v) for j, v in enumerate(point)}
-            out = builder.inline(skeleton, input_map=subst)
+            out = _substituted(builder, skeleton, point)
             if target:
                 out = builder.add(out, builder.const(-target))
             equations.append(builder.finish(out))
@@ -481,12 +480,13 @@ def ama_simulate(
     bound = math.factorial(n) * max_value**n
     if msg.big_prime < bound:
         return fail("evaluation prime too small")
-    for q in (*msg.small_primes, msg.big_prime):
+    primes = (*msg.small_primes, msg.big_prime)
+    for q in primes:
         if not is_prime(q):
             return fail(f"composite modulus {q}")
 
     checks = []
-    for q, consts in zip(msg.small_primes, msg.small_constants):
+    for q, consts in zip(primes, (*msg.small_constants, msg.big_constants)):
         bound_chain = [bind_params(c, consts) for c in chain]
         try:
             report = permanent_verify(bound_chain, q, verify_trials, rng.getrandbits(32))
@@ -497,17 +497,9 @@ def ama_simulate(
         if not report.accepted:
             rounds.append((3, "A", f"checks={','.join(checks)}"))
             return fail(f"chain is not the permanent mod {q}")
-    big_chain = [bind_params(c, msg.big_constants) for c in chain]
-    try:
-        report = permanent_verify(big_chain, msg.big_prime, verify_trials, rng.getrandbits(32))
-    except ValueError:
-        return fail(f"chain not verifiable mod {msg.big_prime}")
-    checks.append(f"mod{msg.big_prime}:{'ok' if report.accepted else 'fail'}")
-    if not report.accepted:
-        rounds.append((3, "A", f"checks={','.join(checks)}"))
-        return fail(f"chain is not the permanent mod {msg.big_prime}")
 
-    run = compile_mod_evaluator(big_chain[-1], msg.big_prime)
+    # the loop ends on the big prime, so bound_chain is bound to its constants
+    run = compile_mod_evaluator(bound_chain[-1], msg.big_prime)
     value = run(tuple(v % msg.big_prime for v in y), ())
     bit = value >> i & 1
     rounds.append(

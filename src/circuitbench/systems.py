@@ -16,11 +16,12 @@ from .circuits import (
     CircuitBuilder,
     Const,
     Param,
+    _parse_rows,
+    _sections,
     compile_mod_evaluator,
-    parse_circuits,
     serialize_circuit,
 )
-from .errors import BudgetError, ParseError, content_lines
+from .errors import BudgetError, ParseError, content_lines, parse_count
 from .primes import is_prime, sieve
 from .universal import build_universal, template_series
 
@@ -81,6 +82,13 @@ def build_hardness_system(s, d, gamma):
     return PolySystem(unknowns, tuple(equations), tag)
 
 
+def _substituted(builder, skeleton, values):
+    """Inline `skeleton` into `builder` with input j bound to the constant
+    values[j - 1]; returns the output position."""
+    consts = {j: builder.const(v) for j, v in enumerate(values, start=1)}
+    return builder.inline(skeleton, input_map=consts)
+
+
 def build_language_system(n, accepted, skeleton, budget=12):
     """Force `skeleton` (over n input variables and t parameter slots) to be
     nonzero exactly on the accepted words.
@@ -106,15 +114,13 @@ def build_language_system(n, accepted, skeleton, budget=12):
         if mask in accepted:
             continue
         builder = CircuitBuilder(num_vars=0, num_params=unknowns)
-        bits = {j: builder.const(mask >> (j - 1) & 1) for j in range(1, n + 1)}
-        out = builder.inline(skeleton, input_map=bits)
+        out = _substituted(builder, skeleton, [mask >> j & 1 for j in range(n)])
         equations.append(builder.finish(out))
     builder = CircuitBuilder(num_vars=0, num_params=unknowns)
     if accepted:
         prod = None
         for mask in sorted(accepted):
-            bits = {j: builder.const(mask >> (j - 1) & 1) for j in range(1, n + 1)}
-            out = builder.inline(skeleton, input_map=bits)
+            out = _substituted(builder, skeleton, [mask >> j & 1 for j in range(n)])
             prod = builder.mul(prod, out) if prod is not None else out
         value = builder.add(builder.mul(prod, builder.param(z_slot)), builder.const(-1))
     else:
@@ -275,18 +281,18 @@ def parse_system(text):
     lineno, header = next(content_lines(lines), (None, None))
     if header is None:
         raise ParseError("empty system text")
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != "unknowns":
-        raise ParseError("expected header 'unknowns <u>'", lineno)
-    try:
-        unknowns = int(parts[1])
-    except ValueError:
-        raise ParseError("bad unknowns count", lineno) from None
-    if unknowns < 0:
-        raise ParseError("unknowns must be >= 0", lineno)
-    equations = parse_circuits(lines[lineno:], first_line=lineno + 1)
+    unknowns = parse_count(header.split(), "unknowns", lineno, "expected header 'unknowns <u>'")
+    sections = _sections(lines[lineno:], lineno + 1)
+    equations = [_parse_rows(rows) for rows in sections]
     if not equations:
         raise ParseError("system has no equations")
+    # PolySystem's checks, naming the equation's nvars or nparams line
+    for rows, eq in zip(sections, equations):
+        if eq.num_vars:
+            raise ParseError("system equations must not have free input variables", rows[0][0])
+        if eq.num_params > unknowns:
+            message = "equation references an unknown beyond the declared count"
+            raise ParseError(message, rows[1][0])
     return PolySystem(unknowns, tuple(equations), "file")
 
 

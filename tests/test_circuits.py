@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from circuitbench import cli
 from circuitbench.algebra import SparsePoly
 from circuitbench.circuits import (
     Add,
@@ -85,6 +86,14 @@ def parse_chain(text):
         (parse_chain, "\n\n---\nnvars 1\n\ng1 = in 1\nout g2\n", 7),
         (SparsePoly.from_text, "npoly-vars 1 mod x\n1 0\n", 1),
         (TruthTable.from_text, "0 1\n1 z\n", 2),
+        # an equation with free input variables names its nvars line
+        (parse_system, "unknowns 1\n---\nnvars 1\ng1 = in 1\nout g1\n", 3),
+        # a parameter slot past `unknowns` names the equation's nparams line
+        (parse_system, "unknowns 1\n---\nnvars 0\nnparams 2\ng1 = param 2\nout g1\n", 4),
+        (SparsePoly.from_text, "npoly-vars 1 mod 4\n1 0\n", 1),
+        (SparsePoly.from_text, "npoly-vars -1\n", 1),
+        (SparsePoly.from_text, "npoly-vars 1\n1 0\n3 -2\n", 3),
+        (TruthTable.from_text, "0 1\n1 2\n0 3\n", 3),
     ],
 )
 def test_malformed_text_names_the_line(parse, text, line):
@@ -92,6 +101,65 @@ def test_malformed_text_names_the_line(parse, text, line):
         parse(text)
     assert info.value.line == line
     assert str(info.value).startswith(f"line {line}: ")
+
+
+# The errors about a file as a whole, which carry no line (see README "File formats").
+WHOLE_FILE_ERRORS = (
+    "empty circuit text",
+    "empty system text",
+    "system has no equations",
+    "empty polynomial text",
+    "empty truth table",
+    "table incomplete: ",
+)
+
+
+def test_mutated_texts_parse_or_name_the_line(monkeypatch):
+    # read matrices from the text itself instead of from a named file
+    monkeypatch.setattr(cli, "_read", lambda text: text)
+    valid = [
+        (parse_circuit, "nvars 2\nnparams 1\ng1 = in 1\ng2 = param 1\ng3 = const -3\n"
+         "g4 = mul g1 g2\ng5 = add g4 g3\nout g5\n"),
+        (parse_system, "unknowns 2\n---\nnvars 0\nnparams 2\ng1 = param 1\ng2 = param 2\n"
+         "g3 = mul g1 g2\nout g3\n---\nnvars 0\nnparams 1\ng1 = param 1\ng2 = const 1\n"
+         "g3 = add g1 g2\nout g3\n"),
+        (parse_chain, "nvars 1\ng1 = in 1\nout g1\n---\nnvars 4\ng1 = in 1\ng2 = in 4\n"
+         "g3 = mul g1 g2\nout g3\n"),
+        (SparsePoly.from_text, "npoly-vars 2 mod 7\n3 2 0\n-1 0 1\n5 0 0\n"),
+        (TruthTable.from_text, "00 1\n10 2\n01 -3\n11 4\n"),
+        (cli._read_matrix, "1 2 0\n-3 4 5\n6 7 8\n"),
+    ]
+    extra = ["---", "-1", "0", "2", "g0", "g9", "x", "=", "nvars", "nparams", "mod", "1e3"]
+    rng = random.Random(2024)
+    refused = 0
+    for parse, text in valid:
+        parse(text)
+        rows = [line.split() for line in text.splitlines()]
+        pool = [tok for row in rows for tok in row] + extra
+        for _ in range(400):
+            mutant = [list(row) for row in rows]
+            for _ in range(rng.randint(1, 3)):
+                op = rng.choice(("swap", "insert", "delete"))
+                row = rng.choice(mutant)
+                if op == "insert":
+                    row.insert(rng.randint(0, len(row)), rng.choice(pool))
+                elif op == "delete" and row:
+                    del row[rng.randrange(len(row))]
+                elif op == "swap":
+                    spots = [(r, i) for r, cells in enumerate(mutant) for i in range(len(cells))]
+                    (r1, i1), (r2, i2) = rng.choice(spots), rng.choice(spots)
+                    mutant[r1][i1], mutant[r2][i2] = mutant[r2][i2], mutant[r1][i1]
+            mutant_text = "\n".join(" ".join(row) for row in mutant) + "\n"
+            try:
+                parse(mutant_text)
+            except ParseError as exc:
+                refused += 1
+                message = str(exc)
+                assert exc.line is not None or message.startswith(WHOLE_FILE_ERRORS), (
+                    parse, mutant_text, message,
+                )
+    # the mutants reach the readers' refusals, not only their happy paths
+    assert refused > 600
 
 
 def test_comment_only_sections_are_skipped():

@@ -180,6 +180,23 @@ def test_malformed_matrix_names_the_line(capsys, tmp_path, command):
 
 
 @pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("unknowns 1\n---\nnvars 1\ng1 = in 1\nout g1\n", 3,
+         "system equations must not have free input variables"),
+        ("unknowns 1\n---\nnvars 0\nnparams 2\ng1 = param 2\nout g1\n", 4,
+         "equation references an unknown beyond the declared count"),
+    ],
+)
+def test_system_equation_refusals_name_the_line(capsys, tmp_path, text, line, message):
+    path = tmp_path / "bad.sys"
+    path.write_text(text)
+    code, out = run(capsys, ["solve", "--system", str(path), "--p", "5"])
+    assert code == 1
+    assert out == f"error=line {line}: {message}\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [["--s", "0", "--d", "2", "--p", "5"], ["--s", "-1", "--d", "2", "--p", "5"],
      ["--s", "2", "--d", "-1", "--p", "5"]],
@@ -301,10 +318,15 @@ def test_determinism_byte_identical(capsys, square_file, system_file, ones3_file
 
 
 def test_signcond_refuses_work_beyond_its_budget(capsys):
-    # each circuit costs D + 1 bits: 2,000,000 // 20,001 leaves room for 99 circuits
-    code, out = run(capsys, ["signcond", "--s", "5", "--D", "20000"])
-    assert code == 2
-    assert out.startswith("error=budget: ") and out.count("\n") == 1
+    # each circuit costs D + 1 bits: 2,000,000 // 20,001 leaves room for 99 circuits;
+    # a D + 1 above the budget is refused before any circuit is enumerated
+    for cap in (20000, 10**9):
+        code, out = run(capsys, ["signcond", "--s", "5", "--D", str(cap)])
+        assert code == 2
+        assert out == (
+            f"error=budget: sign-condition budget 2000000 exceeded at cap + 1 = {cap + 1}"
+            " per circuit\n"
+        )
 
 
 def _report_parts(capsys, argv):

@@ -1,5 +1,6 @@
 import pytest
 
+from circuitbench import forge
 from circuitbench.algebra import SparsePoly
 from circuitbench.circuits import enumerate_circuits, expand_circuit, parse_circuit
 from circuitbench.errors import BudgetError
@@ -282,11 +283,21 @@ def test_sign_condition_refuses_negative_size_or_cap(s, cap):
         sign_condition_search(s, cap)
 
 
-def test_sign_condition_charges_cap_plus_one_per_circuit():
+def test_sign_condition_charges_cap_plus_one_per_circuit(monkeypatch):
     circuits = sign_condition_search(4, 4).circuits_enumerated
     assert sign_condition_search(4, 4, budget=5 * circuits).circuits_enumerated == circuits
-    with pytest.raises(BudgetError, match="budget"):
+    with pytest.raises(BudgetError, match="budget") as info:
         sign_condition_search(4, 4, budget=5 * circuits - 1)
+    assert str(info.value) == (
+        f"sign-condition budget {5 * circuits - 1} exceeded at cap + 1 = 5 per circuit"
+    )
+    assert info.value.reached == 5 * circuits  # budget units, the last circuit included
+    # a cap whose one circuit exceeds the budget is refused before enumerating
+    monkeypatch.setattr(forge, "enumerate_circuits", None)
+    for s in (0, 4):
+        with pytest.raises(BudgetError, match="budget 2000000 exceeded") as info:
+            sign_condition_search(s, 2_000_000)
+        assert info.value.reached == 2_000_001
 
 
 def test_sign_condition_matches_per_circuit_expansion():
