@@ -193,11 +193,10 @@ def _sections(lines, first_line):
     return [rows for rows in sections if rows]
 
 
-def parse_circuits(lines, first_line=1):
-    """Parse the circuits in `lines` separated by '---' lines; sections with
-    no text outside comments are skipped.  `lines[0]` is line `first_line`
-    of its file, so errors name the file line."""
-    return [_parse_rows(rows) for rows in _sections(lines, first_line)]
+def parse_circuits(lines):
+    """Parse the circuits in a file's `lines`, separated by '---' lines;
+    sections with no text outside comments are skipped."""
+    return [_parse_rows(rows) for rows in _sections(lines, 1)]
 
 
 def serialize_circuit(circuit):
@@ -487,13 +486,14 @@ def weight_report(circuit, budget=DEFAULT_MONOMIAL_BUDGET):
 # Generation
 
 
-def random_circuit(rng, size, num_vars, const_lo=-5, const_hi=5, num_params=0, gate_bias=0.75):
-    """A random valid circuit with exactly `size` nodes (output = last)."""
+def random_circuit(rng, size, num_vars, num_params=0):
+    """A random valid circuit with exactly `size` nodes (output = last); a
+    later node is a gate with probability 3/4, a constant leaf is in -5..5."""
     if size < 1:
         raise ValueError("size must be >= 1")
     nodes = []
     for pos in range(size):
-        want_gate = pos > 0 and (pos == size - 1 or rng.random() < gate_bias)
+        want_gate = pos > 0 and (pos == size - 1 or rng.random() < 0.75)
         if want_gate:
             a = rng.randrange(pos)
             b = rng.randrange(pos)
@@ -510,7 +510,7 @@ def random_circuit(rng, size, num_vars, const_lo=-5, const_hi=5, num_params=0, g
             elif kind == "param":
                 nodes.append(Param(rng.randint(1, num_params)))
             else:
-                nodes.append(Const(rng.randint(const_lo, const_hi)))
+                nodes.append(Const(rng.randint(-5, 5)))
     return Circuit(tuple(nodes), size - 1, num_vars, num_params)
 
 
@@ -518,7 +518,7 @@ DEFAULT_ENUM_BUDGET = 5_000_000
 
 
 def enumerate_circuits(
-    max_size, num_vars, constant_pool, max_gates=None, budget=None, ring=None
+    max_size, num_vars, constant_pool, max_gates=None, budget=DEFAULT_ENUM_BUDGET, ring=None
 ):
     """Yield every canonical circuit with at most `max_size` vertices.
 
@@ -548,8 +548,6 @@ def enumerate_circuits(
     vertices give at most 2**(n - 1) + 1 monomials, so it needs 21, and the
     depth-first walk spends the enumeration budget on low-degree prefixes.
     """
-    if budget is None:
-        budget = DEFAULT_ENUM_BUDGET
     pool = sorted({int(v) for v in constant_pool})
     # (node, key, value) in key order: variables by index, then constants by
     # value; a gate's key is (2 or 3, left key, right key), above every leaf.

@@ -23,7 +23,7 @@ from .circuits import (
     parse_circuits,
     weight_report,
 )
-from .errors import BudgetError, content_lines, parse_int
+from .errors import BudgetError, ParseError, content_lines, parse_int
 from .rings import IntegerRing, PrimeField
 from .universal import embed
 
@@ -51,10 +51,16 @@ def _ints(text):
 
 
 def _read_matrix(path):
-    return [
-        [parse_int(v, f"bad matrix row {line!r}", lineno) for v in line.split()]
+    """The rows of a square integer matrix file; the first row whose entry
+    count is not the row count raises ParseError with its line."""
+    rows = [
+        (lineno, [parse_int(v, f"bad matrix row {line!r}", lineno) for v in line.split()])
         for lineno, line in content_lines(_read(path).splitlines())
     ]
+    for lineno, row in rows:
+        if len(row) != len(rows):
+            raise ParseError(f"expected {len(rows)} entries, one per row, got {len(row)}", lineno)
+    return [row for _, row in rows]
 
 
 def _bits(vec):
@@ -336,7 +342,7 @@ def _cmd_hc(args):
 def _cmd_vnp_sum(args):
     c = parse_circuit(_read(args.circuit))
     ring = PrimeField(args.mod) if args.mod is not None else IntegerRing()
-    value = families.boolean_sum(c, ring, _ints(args.x), args.summed)
+    value = families.boolean_sum(c, ring, _ints(args.x), args.summed, budget=args.eval_budget)
     return _value_report(value)
 
 

@@ -1,5 +1,9 @@
 """Shared exception types."""
 
+import re
+
+_DECIMAL = re.compile(r"-?[0-9]+")
+
 
 class ParseError(ValueError):
     """Malformed circuit, system, or table text.  Carries the 1-based line number."""
@@ -24,11 +28,14 @@ def content_lines(lines, first_line=1):
 
 
 def parse_int(token, message, line):
-    """`int(token)`, or ParseError(message, line) when it is not an integer."""
+    """The value of a `<signed decimal>` token, `-?[0-9]+` in ASCII digits, or
+    ParseError(message, line) for any other token."""
     try:
-        return int(token)
-    except ValueError:
-        raise ParseError(message, line) from None
+        if _DECIMAL.fullmatch(token):
+            return int(token)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise ParseError(message, line)
 
 
 def parse_count(tokens, keyword, line, expected, bad=None):

@@ -23,15 +23,15 @@ def _check_square(matrix):
     return n
 
 
-def permanent(matrix, mod=None, cap=PERMANENT_CAP):
+def permanent(matrix, mod=None):
     """Permanent by Ryser's inclusion-exclusion over column subsets.
 
     For n <= 6 the result is cross-checked against the naive permutation sum
     in the test suite, not here; this path is O(2^n * n^2).
     """
     n = _check_square(matrix)
-    if n > cap:
-        raise BudgetError(f"permanent cap {cap} exceeded (n={n})", reached=n)
+    if n > PERMANENT_CAP:
+        raise BudgetError(f"permanent cap {PERMANENT_CAP} exceeded (n={n})", reached=n)
     total = 0
     for mask in range(1, 1 << n):
         rowsums = []
@@ -70,7 +70,7 @@ def permanent_naive(matrix, mod=None):
     return total % mod if mod is not None else total
 
 
-def hamiltonian_cycle_sum(matrix, mod=None, budget=HC_BUDGET):
+def hamiltonian_cycle_sum(matrix, mod=None):
     """Sum over the (n-1)! Hamiltonian cycles of the products of the cycle's
     entries.  Cycles are enumerated by fixing vertex 1 and walking the
     lexicographic permutations of the remaining vertices, which makes the
@@ -78,8 +78,8 @@ def hamiltonian_cycle_sum(matrix, mod=None, budget=HC_BUDGET):
     n = _check_square(matrix)
     if n < 2:
         raise ValueError("the cycle polynomial needs n >= 2")
-    if n > budget:
-        raise BudgetError(f"(n-1)! enumeration refused for n={n} > {budget}", reached=n)
+    if n > HC_BUDGET:
+        raise BudgetError(f"(n-1)! enumeration refused for n={n} > {HC_BUDGET}", reached=n)
     total = 0
     for rest in permutations(range(1, n)):
         cycle = (0,) + rest
@@ -92,7 +92,7 @@ def hamiltonian_cycle_sum(matrix, mod=None, budget=HC_BUDGET):
     return total % mod if mod is not None else total
 
 
-def hamiltonian_cycle_sum_padded(values, mod=None, budget=HC_BUDGET):
+def hamiltonian_cycle_sum_padded(values):
     """Padding variant: on n values, evaluate the cycle polynomial of
     dimension floor(sqrt(n)) on the first floor(sqrt(n))^2 of them."""
     n = len(values)
@@ -100,7 +100,7 @@ def hamiltonian_cycle_sum_padded(values, mod=None, budget=HC_BUDGET):
     if k < 2:
         raise ValueError("need at least 4 values")
     matrix = [[values[i * k + j] for j in range(k)] for i in range(k)]
-    return hamiltonian_cycle_sum(matrix, mod=mod, budget=budget)
+    return hamiltonian_cycle_sum(matrix)
 
 
 class TruthTable:
@@ -172,13 +172,20 @@ def multilinear_extension(table):
     return SparsePoly(poly, n)
 
 
-def boolean_sum(circuit, ring, x_assign, num_summed, budget=24):
+def boolean_sum(circuit, ring, x_assign, num_summed, budget=10**8):
     """Sum the circuit over all 0/1 assignments of its last `num_summed`
-    variables, the first variables being fixed to `x_assign`."""
+    variables, the first variables being fixed to `x_assign`.  The work,
+    2^num_summed evaluations of circuit.size() nodes, is charged against
+    `budget` before the first evaluation."""
     if num_summed < 0 or num_summed > circuit.num_vars:
         raise ValueError("bad summation variable count")
-    if num_summed > budget:
-        raise BudgetError(f"2^{num_summed} summation refused", reached=num_summed)
+    # 2^k alone exceeds the budget once k reaches its bit length, so a
+    # larger k is charged as that many bits without forming 2^k
+    size = circuit.size()
+    work = size << min(num_summed, max(budget, 0).bit_length())
+    if work > budget:
+        message = f"2^{num_summed} evaluations of {size} nodes exceed the eval budget {budget}"
+        raise BudgetError(message, reached=work)
     n_free = circuit.num_vars - num_summed
     if len(x_assign) != n_free:
         raise ValueError(f"expected {n_free} fixed values")

@@ -24,7 +24,7 @@ constant-free circuits.
 from dataclasses import dataclass
 from itertools import product
 
-from .algebra import SparsePoly
+from .algebra import DEFAULT_MONOMIAL_BUDGET, SparsePoly
 from .circuits import enumerate_circuits, expand_circuit, is_constant_free
 from .errors import BudgetError
 from .primes import is_prime
@@ -172,23 +172,23 @@ def realizable_vectors(
     The circuit-enumeration oracle takes `enum_size` as its vertex-count
     bound (default s, counting all vertices) and draws constants from all of
     F_p.  Note the template sweep is well defined for any prime, including
-    p <= d; only the hard-vector search needs p > d.
+    p <= d; only the hard-vector search needs p > d.  `budget` defaults to
+    the chosen oracle's own budget.
     """
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
     if d < 0:
         raise ValueError("d must be >= 0")
     if oracle == "parameter-sweep":
-        image = _sweep_image(s, d, p, budget or DEFAULT_SWEEP_BUDGET)
+        image = _sweep_image(s, d, p, DEFAULT_SWEEP_BUDGET if budget is None else budget)
         zero_one = frozenset(v for v in image if all(x in (0, 1) for x in v))
         return RealizableSet(s, d, p, zero_one, "parameter-sweep")
     if oracle == "circuit-enumeration":
         size = _vertex_bound(s, enum_size)
         found = set()
         ring = TruncatedPolyRing(PrimeField(p), 1, d)
-        for _, poly in enumerate_circuits(
-            size, 1, range(p), budget=budget or DEFAULT_ENUM_ORACLE_BUDGET, ring=ring
-        ):
+        budget = DEFAULT_ENUM_ORACLE_BUDGET if budget is None else budget
+        for _, poly in enumerate_circuits(size, 1, range(p), budget=budget, ring=ring):
             vec = tuple(poly.coefficient((i,)) for i in range(d + 1))
             if all(x in (0, 1) for x in vec):
                 found.add(vec)
@@ -207,7 +207,7 @@ class HardVectorSearch:
     realized: frozenset  # 0/1 vectors in the parameter-sweep image
 
 
-def find_hard_vector(s, d, p, solve_budget=DEFAULT_SOLVE_BUDGET, sweep_budget=None):
+def find_hard_vector(s, d, p, solve_budget=DEFAULT_SOLVE_BUDGET):
     """Lexicographically first gamma whose hardness system is unsolvable
     over F_p, determined by building and brute-force solving each system.
 
@@ -233,7 +233,7 @@ def find_hard_vector(s, d, p, solve_budget=DEFAULT_SOLVE_BUDGET, sweep_budget=No
         checked += 1
         hard = solve_bruteforce(system, p, budget=solve_budget) is None
         if zero_one is None:
-            sweep = _sweep_image(s, d, p, sweep_budget or DEFAULT_SWEEP_BUDGET)
+            sweep = _sweep_image(s, d, p, DEFAULT_SWEEP_BUDGET)
             zero_one = frozenset(v for v in sweep if all(x in (0, 1) for x in v))
             expected = lex_first_missing(zero_one, d)
         if hard:
@@ -250,7 +250,7 @@ def find_hard_vector(s, d, p, solve_budget=DEFAULT_SOLVE_BUDGET, sweep_budget=No
     return HardVectorSearch(s, d, p, None, True, checked, zero_one)
 
 
-def hardness_certificate(s, d, p, gamma, enum_size=None, budget=None):
+def hardness_certificate(s, d, p, gamma, enum_size=None):
     """Exhaustively confirm that no enumerated circuit of bounded size over
     F_p computes the polynomial sum_i gamma_i x^i exactly.
 
@@ -262,14 +262,14 @@ def hardness_certificate(s, d, p, gamma, enum_size=None, budget=None):
     )
     ring = TruncatedPolyRing(PrimeField(p), 1, None)
     for circuit, poly in enumerate_circuits(
-        size, 1, range(p), budget=budget or DEFAULT_ENUM_ORACLE_BUDGET, ring=ring
+        size, 1, range(p), budget=DEFAULT_ENUM_ORACLE_BUDGET, ring=ring
     ):
         if poly == target:
             return False, circuit
     return True, None
 
 
-def poscoef(circuit, i, budget=None):
+def poscoef(circuit, i, budget=DEFAULT_MONOMIAL_BUDGET):
     """Exact sign of the coefficient of x^i of a constant-free one-variable
     circuit: 1, 0, or -1.  Expansion is truncated at degree i, which cannot
     change coefficients at or below i."""
@@ -279,8 +279,7 @@ def poscoef(circuit, i, budget=None):
         raise ValueError("poscoef requires a one-variable circuit")
     if i < 0:
         raise ValueError("coefficient index must be >= 0")
-    kwargs = {"budget": budget} if budget is not None else {}
-    poly = expand_circuit(circuit, cap=i, **kwargs)
+    poly = expand_circuit(circuit, cap=i, budget=budget)
     if circuit.num_vars == 0:
         coeff = poly.coefficient(()) if i == 0 else 0
     else:
@@ -298,7 +297,7 @@ class SignConditionSearch:
     circuits_enumerated: int
 
 
-def sign_condition_search(s, cap, budget=None):
+def sign_condition_search(s, cap, budget=DEFAULT_ENUM_ORACLE_BUDGET):
     """Lex-first sign condition (b_0..b_cap, b_i = 1 iff the coefficient of
     x^i is strictly positive) realized by no constant-free circuit with at
     most s vertices.
@@ -311,7 +310,6 @@ def sign_condition_search(s, cap, budget=None):
     """
     if s < 0 or cap < 0:
         raise ValueError(f"s and cap must be >= 0, got s={s}, cap={cap}")
-    budget = budget or DEFAULT_ENUM_ORACLE_BUDGET
     cost = cap + 1
 
     def charge(circuits):

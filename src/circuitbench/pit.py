@@ -25,8 +25,8 @@ class PitVerdict:
     error_bound: float  # probability that "equal" hides a real difference
 
 
-def default_trials(degree, p, target=0.01):
-    """Smallest trial count with (degree/p)^trials <= target."""
+def default_trials(degree, p):
+    """Smallest trial count with (degree/p)^trials <= 1%."""
     if degree <= 0:
         return 1
     ratio = degree / p
@@ -34,7 +34,7 @@ def default_trials(degree, p, target=0.01):
         raise ValueError("p must exceed the formal degree")
     if ratio == 0:
         return 1
-    return max(1, math.ceil(math.log(target) / math.log(ratio)))
+    return max(1, math.ceil(math.log(0.01) / math.log(ratio)))
 
 
 def pit_equal(c1, c2, p, trials=None, seed=0):

@@ -66,10 +66,10 @@ def prime_count(limit):
     return len(sieve(limit))
 
 
-def next_prime_at_least(n, search_budget=10_000_000):
-    """Smallest prime >= n."""
+def next_prime_at_least(n):
+    """Smallest prime >= n, searched over at most 10^7 candidates."""
     c = max(2, n)
-    for _ in range(search_budget):
+    for _ in range(10_000_000):
         if is_prime(c):
             return c
         c += 1

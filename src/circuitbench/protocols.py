@@ -113,12 +113,12 @@ class GsReport:
     verdict: str  # "small" | "large" | "inconclusive"
 
 
-def gs_estimate(elements, m, trials, seed, cols=12, tolerance=0.05):
+def gs_estimate(elements, m, trials, seed, cols=12):
     """Empirical rate of the collision predicate over random hash samples.
 
     A set of size at most 2^(m-2) makes the predicate hold with probability
     at most 1/2, while size at least m 2^m forces it always; the verdict
-    reflects which side the measured rate lands on.
+    reflects which side the measured rate lands on, "small" up to 0.55.
     """
     if trials < 0 or m < 0:
         raise ValueError(f"trials and m must be >= 0, got trials={trials}, m={m}")
@@ -135,7 +135,7 @@ def gs_estimate(elements, m, trials, seed, cols=12, tolerance=0.05):
     rate = hits / trials if trials else 0.0
     if trials and hits == trials:
         verdict = "large"
-    elif rate <= 0.5 + tolerance:
+    elif rate <= 0.55:
         verdict = "small"
     else:
         verdict = "inconclusive"
@@ -189,10 +189,10 @@ def build_determinant_chain(t):
     return _chain(t, -1)
 
 
-def permanent_agreement_system(chain, grid_bound=2):
+def permanent_agreement_system(chain):
     """The system forcing a skeleton chain to compute permanents: one
     equation per circuit and grid point, C_k(e) - per(e) = 0 with e ranging
-    over {0..grid_bound}^(k*k).  Unknowns are the chain's parameter slots.
+    over {0, 1, 2}^(k*k).  Unknowns are the chain's parameter slots.
 
     The primes at which this system is solvable form the pool the evaluation
     protocol's collision test is probing, so a density probe over it makes
@@ -207,7 +207,7 @@ def permanent_agreement_system(chain, grid_bound=2):
     for k, skeleton in enumerate(chain, start=1):
         if skeleton.num_vars != k * k:
             raise ValueError(f"chain circuit {k} must have {k * k} variables")
-        for point in product(range(grid_bound + 1), repeat=k * k):
+        for point in product(range(3), repeat=k * k):
             matrix = [list(point[r * k : (r + 1) * k]) for r in range(k)]
             target = permanent(matrix)
             builder = CircuitBuilder(num_params=unknowns)

@@ -89,7 +89,7 @@ def _substituted(builder, skeleton, values):
     return builder.inline(skeleton, input_map=consts)
 
 
-def build_language_system(n, accepted, skeleton, budget=12):
+def build_language_system(n, accepted, skeleton):
     """Force `skeleton` (over n input variables and t parameter slots) to be
     nonzero exactly on the accepted words.
 
@@ -97,11 +97,11 @@ def build_language_system(n, accepted, skeleton, budget=12):
     One product equation over all accepted words times a fresh unknown Z
     must equal 1, built as a single product circuit rather than one equation
     per accepted word.  With no accepted words the product equation
-    degenerates to Z - 1 = 0.
+    degenerates to Z - 1 = 0.  More than 12 input variables are refused.
     """
     if skeleton.num_vars != n:
         raise ValueError(f"skeleton must have {n} input variables")
-    if n > budget:
+    if n > 12:
         raise BudgetError(f"2^{n} substitutions refused", reached=n)
     accepted = {int(x) for x in accepted}
     if any(x < 0 or x >= 1 << n for x in accepted):

@@ -230,18 +230,20 @@ class Embedding:
     template: UniversalTemplate
 
 
-def embed(circuit, p=None, trials=None, seed=0):
+def embed(circuit, p=None, seed=0):
     """Find template parameters reproducing a one-variable circuit, over F_p
     or (with p=None) over the integers.
 
-    Level 1 is pinned to x.  Every gate reachable from the output occupies
-    one level: a product gate selects its two operands, a sum gate selects
-    both operands on one side and multiplies by the constant side 1.
-    Constant leaves fold into the offset coefficients.  Over F_p the
-    assignment is verified with pit_equal (which needs p above the formal
-    degree of the folded template); over the integers by exact expansion.
-    A verification failure raises EmbeddingError since it can only mean the
-    construction is wrong.
+    Every reachable node is a linear form over template levels, level 0
+    being the constant 1: x is level 1, so {1: 1}, and a constant c is
+    {0: c}.  Each reachable gate takes the next level, whose form is
+    {level: 1}.  A product gate multiplies its operands' forms; a sum gate
+    multiplies their sum by {0: 1}.  A constant output takes one synthetic
+    level, (c) * (1).  The forms' coefficients are the level's parameters.
+    Over F_p the assignment is verified with pit_equal (which needs p above
+    the formal degree of the folded template); over the integers by exact
+    expansion.  A verification failure raises EmbeddingError since it can
+    only mean the construction is wrong.
     """
     if circuit.num_params:
         raise ValueError("circuit must not have parameter slots")
@@ -253,57 +255,34 @@ def embed(circuit, p=None, trials=None, seed=0):
     def red(v):
         return v if p is None else v % p
 
-    reach = circuit.reachable()
-    gates = [pos for pos in reach if isinstance(circuit.nodes[pos], (Add, Mul))]
-    out_node = circuit.nodes[circuit.output]
+    forms = {}
+    sides = []  # per level j >= 2: the (a, b) forms it multiplies
+    for pos in circuit.reachable():
+        node = circuit.nodes[pos]
+        if isinstance(node, InputVar):
+            forms[pos] = {1: 1}
+        elif isinstance(node, Const):
+            forms[pos] = {0: red(node.value)}
+        else:
+            a, b = forms[node.left], forms[node.right]
+            if isinstance(node, Add):
+                a = dict(a)
+                for i, c in b.items():
+                    a[i] = red(a.get(i, 0) + c)
+                b = {0: 1}
+            sides.append((a, b))
+            forms[pos] = {len(sides) + 1: 1}
+    if isinstance(circuit.nodes[circuit.output], Const):
+        sides.append((forms[circuit.output], {0: 1}))
 
-    if not gates and isinstance(out_node, Const):
-        # a lone constant needs a synthetic level: (c) * (1)
-        levels = 2
-        template = build_universal(levels)
-        params = [0] * template.param_count()
-        params[template.param_slot(1, 0, "b") - 1] = 1
-        params[template.param_slot(2, 0, "a") - 1] = red(out_node.value)
-        params[template.param_slot(2, 0, "b") - 1] = 1
-    else:
-        levels = max(1, len(gates) + 1)
-        template = build_universal(levels)
-        params = [0] * template.param_count()
-        params[template.param_slot(1, 0, "b") - 1] = 1
-
-        desc = {}
-        level_of = {}
-        for idx, pos in enumerate(gates):
-            level_of[pos] = idx + 2
-        for pos in reach:
-            node = circuit.nodes[pos]
-            if isinstance(node, InputVar):
-                desc[pos] = ("level", 1)
-            elif isinstance(node, Const):
-                desc[pos] = ("const", red(node.value))
-            else:
-                j = level_of[pos]
-                if isinstance(node, Mul):
-                    for child, side in ((node.left, "a"), (node.right, "b")):
-                        kind, val = desc[child]
-                        if kind == "const":
-                            slot = template.param_slot(j, 0, side)
-                            params[slot - 1] = val
-                        else:
-                            slot = template.param_slot(j, val, side)
-                            params[slot - 1] = 1
-                else:
-                    offset = 0
-                    for child in (node.left, node.right):
-                        kind, val = desc[child]
-                        if kind == "const":
-                            offset = red(offset + val)
-                        else:
-                            slot = template.param_slot(j, val, "a")
-                            params[slot - 1] = red(params[slot - 1] + 1)
-                    params[template.param_slot(j, 0, "a") - 1] = offset
-                    params[template.param_slot(j, 0, "b") - 1] = 1
-                desc[pos] = ("level", j)
+    levels = len(sides) + 1
+    template = build_universal(levels)
+    params = [0] * template.param_count()
+    params[template.param_slot(1, 0, "b") - 1] = 1
+    for j, pair in enumerate(sides, start=2):
+        for side, form in zip("ab", pair):
+            for i, c in form.items():
+                params[template.param_slot(j, i, side) - 1] = c
 
     params = tuple(params)
     bound = simplify_constants(template.circuit, params)
@@ -317,7 +296,7 @@ def embed(circuit, p=None, trials=None, seed=0):
                 "this is a bug in the embedding construction"
             )
     else:
-        verdict = pit_equal(bound, target, p, trials=trials, seed=seed)
+        verdict = pit_equal(bound, target, p, seed=seed)
         if not verdict.equal:
             raise EmbeddingError(
                 f"embedding verification failed at witness {verdict.witness}; "

@@ -94,9 +94,18 @@ def parse_chain(text):
         (SparsePoly.from_text, "npoly-vars -1\n", 1),
         (SparsePoly.from_text, "npoly-vars 1\n1 0\n3 -2\n", 3),
         (TruthTable.from_text, "0 1\n1 2\n0 3\n", 3),
+        # a row whose entry count is not the row count
+        (cli._read_matrix, "1 2\n3\n", 2),
+        # integer tokens are <signed decimal>, -?[0-9]+ in ASCII digits
+        (parse_circuit, "nvars 0\ng1 = const 1_0\nout g1\n", 2),
+        (parse_circuit, "nvars 1\ng1 = in 1\ng+2 = mul g1 g1\nout g2\n", 3),
+        (parse_circuit, "nvars 0\ng1 = const \u0663\nout g1\n", 2),
+        (cli._read_matrix, "1 2\n3 +2\n", 2),
     ],
 )
-def test_malformed_text_names_the_line(parse, text, line):
+def test_malformed_text_names_the_line(monkeypatch, parse, text, line):
+    # read matrices from the text itself instead of from a named file
+    monkeypatch.setattr(cli, "_read", lambda text: text)
     with pytest.raises(ParseError) as info:
         parse(text)
     assert info.value.line == line

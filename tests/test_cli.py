@@ -179,6 +179,37 @@ def test_malformed_matrix_names_the_line(capsys, tmp_path, command):
     assert out.startswith("error=line 2: ")
 
 
+@pytest.mark.parametrize("command", ["per", "hc"])
+def test_ragged_matrix_names_the_row(capsys, tmp_path, command):
+    path = tmp_path / "ragged.mat"
+    path.write_text("1 2\n3\n")
+    code, out = run(capsys, [command, "--matrix", str(path)])
+    assert code == 1
+    assert out == "error=line 2: expected 2 entries, one per row, got 1\n"
+
+
+@pytest.mark.parametrize(
+    "summed, budget, message",
+    [
+        # 24 summed variables of a 47-node circuit: 2^24 * 47 evaluations
+        (24, [], "2^24 evaluations of 47 nodes exceed the eval budget 100000000"),
+        (2, ["--eval-budget", str(4 * 47 - 1)],
+         "2^2 evaluations of 47 nodes exceed the eval budget 187"),
+    ],
+    ids=["summed-24", "eval-budget"],
+)
+def test_vnp_sum_charges_its_work_to_the_eval_budget(capsys, tmp_path, summed, budget, message):
+    lines = ["nvars 24"] + [f"g{j} = in {j}" for j in range(1, 25)]
+    lines += [f"g{j + 24} = add g{j + 23} g{j + 1}" for j in range(1, 24)]
+    path = tmp_path / "sum24.circ"
+    path.write_text("\n".join(lines + ["out g47"]) + "\n")
+    free = ",".join("1" * (24 - summed))
+    argv = ["vnp-sum", "--circuit", str(path), "--summed", str(summed), "--x", free, *budget]
+    code, out = run(capsys, argv)
+    assert code == 2
+    assert out == f"error=budget: {message}\n"
+
+
 @pytest.mark.parametrize(
     "text, line, message",
     [

@@ -181,6 +181,16 @@ def test_boolean_sum_budget():
     c = b.finish(b.input(1))
     with pytest.raises(BudgetError):
         boolean_sum(c, IntegerRing(), [], 30)
+    # the budget counts 2^k evaluations times the node count
+    b = CircuitBuilder(num_vars=3)
+    c = b.finish(b.mul(b.input(1), b.add(b.input(2), b.input(3))))  # 5 nodes
+    assert boolean_sum(c, IntegerRing(), [], 3, budget=8 * 5) == 4
+    with pytest.raises(BudgetError, match="eval budget 39$") as info:
+        boolean_sum(c, IntegerRing(), [], 3, budget=8 * 5 - 1)
+    assert info.value.reached == 8 * 5
+    # a budget of 0 allows no evaluation, not even the one of zero summed variables
+    with pytest.raises(BudgetError):
+        boolean_sum(c, IntegerRing(), [1, 1, 1], 0, budget=0)
 
 
 def test_projection_to_constant_and_variable():

@@ -116,6 +116,14 @@ def test_sweep_budget():
     assert info.value.reached == 10007**2
 
 
+def test_zero_budget_allows_no_work():
+    for oracle in ("parameter-sweep", "circuit-enumeration"):
+        with pytest.raises(BudgetError):
+            realizable_vectors(2, 2, 5, oracle=oracle, budget=0)
+    with pytest.raises(BudgetError):
+        sign_condition_search(3, 2, budget=0)
+
+
 @pytest.mark.parametrize("s, d", [(0, 2), (-1, 2), (2, -1)])
 def test_forge_rejects_bad_level_count_and_degree(s, d):
     with pytest.raises(ValueError):

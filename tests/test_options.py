@@ -1,0 +1,83 @@
+"""Every defaulted parameter of the package is set by some caller.
+
+An option that no call in the package, its tests or its benchmark ever
+passes is surface without a use: it only widens what a reader has to
+consider.  This test walks `src/circuitbench` with `ast`, keys functions by
+name and class `__init__`s by class name (other methods are skipped), and
+looks for a call that passes each defaulted parameter by keyword or by
+position.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "circuitbench"
+CALLERS = (ROOT / "src", ROOT / "tests", ROOT / "perfbench")
+
+
+def _trees(*dirs):
+    for directory in dirs:
+        for path in sorted(directory.rglob("*.py")):
+            yield ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def defaulted_parameters():
+    """{(name, param, position)} for every parameter with a default;
+    `position` is None for keyword-only parameters."""
+    found = set()
+    for tree in _trees(PACKAGE):
+        methods = {
+            id(item)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for item in cls.body
+            if isinstance(item, ast.FunctionDef)
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef | ast.FunctionDef):
+                continue
+            if isinstance(node, ast.ClassDef):
+                init = [f for f in node.body if getattr(f, "name", None) == "__init__"]
+                if not init:
+                    continue
+                name, fn, skip = node.name, init[0], 1  # `self` is never passed
+            elif id(node) in methods:
+                continue
+            else:
+                name, fn, skip = node.name, node, 0
+            positional = fn.args.posonlyargs + fn.args.args
+            first = len(positional) - len(fn.args.defaults)
+            for pos in range(first, len(positional)):
+                found.add((name, positional[pos].arg, pos - skip))
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    found.add((name, arg.arg, None))
+    return found
+
+
+def passed_parameters():
+    """{(name, keyword)} and {(name, position)} for every call in the
+    callers; a `*args` or `**kwargs` call passes everything that way."""
+    passed = set()
+    for tree in _trees(*CALLERS):
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            for pos, arg in enumerate(call.args):
+                passed.add((name, "*" if isinstance(arg, ast.Starred) else pos))
+            for kw in call.keywords:
+                passed.add((name, kw.arg or "**"))
+    return passed
+
+
+def test_every_default_is_set_by_a_caller():
+    passed = passed_parameters()
+    unset = sorted(
+        f"{name}({param})"
+        for name, param, pos in defaulted_parameters()
+        if not {(name, param), (name, pos), (name, "**"), (name, "*")} & passed
+    )
+    assert unset == []

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -218,6 +219,23 @@ def test_embed_rejects_params():
     c = parse_circuit("nvars 1\nnparams 1\ng1 = param 1\nout g1\n")
     with pytest.raises(ValueError):
         embed(c, 101)
+
+
+@pytest.mark.parametrize(
+    "p, digest",
+    [
+        (101, "1370483d1c9b864e7bc102f86b6336584eef8d3d20685da2dfddff5a323a7f6e"),
+        (None, "b11d24e7ba509eb9b700afdc86e1e38b03ec8afe84d5c9e64ca52e8be7adf385"),
+    ],
+)
+def test_embedding_parameters_are_pinned(p, digest):
+    # SHA-256 of every (levels, params) over 5,705 circuits, recorded before
+    # embed assigned parameters by linear forms
+    h = hashlib.sha256()
+    for c in enumerate_circuits(6, 1, (-1, 0, 1, 2), max_gates=3):
+        emb = embed(c, p)
+        h.update(repr((emb.levels, emb.params)).encode() + b"\n")
+    assert h.hexdigest() == digest
 
 
 def _random_param_cases():
