@@ -44,10 +44,11 @@ def _read(path):
         return fh.read()
 
 
-def _ints(text):
+def _ints(text, option):
+    """The comma-separated `<signed decimal>` integers of an argv option."""
     if not text.strip():
         return []
-    return [int(v) for v in text.split(",")]
+    return [parse_int(v, f"bad integer {v!r} in {option}", None) for v in text.split(",")]
 
 
 def _read_matrix(path):
@@ -196,7 +197,7 @@ def build_parser():
 def _cmd_eval(args):
     c = parse_circuit(_read(args.circuit))
     ring = PrimeField(args.p) if args.ring == "modp" else IntegerRing()
-    value = evaluate(c, ring, _ints(args.vars), _ints(args.params))
+    value = evaluate(c, ring, _ints(args.vars, "--vars"), _ints(args.params, "--params"))
     return _value_report(value)
 
 
@@ -315,7 +316,7 @@ def _cmd_ama_sim(args):
         else protocols.CheatingProver()
     )
     transcript = protocols.ama_simulate(
-        _ints(args.x),
+        _ints(args.x, "--x"),
         args.i,
         args.b,
         prover,
@@ -342,7 +343,8 @@ def _cmd_hc(args):
 def _cmd_vnp_sum(args):
     c = parse_circuit(_read(args.circuit))
     ring = PrimeField(args.mod) if args.mod is not None else IntegerRing()
-    value = families.boolean_sum(c, ring, _ints(args.x), args.summed, budget=args.eval_budget)
+    x = _ints(args.x, "--x")
+    value = families.boolean_sum(c, ring, x, args.summed, budget=args.eval_budget)
     return _value_report(value)
 
 

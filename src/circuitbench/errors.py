@@ -50,6 +50,13 @@ def parse_count(tokens, keyword, line, expected, bad=None):
     return count
 
 
+def capped_power(base, exp, budget):
+    """base ** exp for base >= 0, with exp capped at the budget's bit length:
+    past it both powers exceed the budget, so comparing the capped one with
+    the budget gives the same answer without forming a huge number."""
+    return base ** min(exp, max(budget, 1).bit_length())
+
+
 class BudgetError(RuntimeError):
     """A configured resource budget was exceeded.
 

@@ -10,7 +10,7 @@ from itertools import permutations
 
 from .algebra import SparsePoly
 from .circuits import Circuit, Const, InputVar, evaluate
-from .errors import BudgetError, ParseError, content_lines, parse_int
+from .errors import BudgetError, ParseError, capped_power, content_lines, parse_int
 
 PERMANENT_CAP = 12
 HC_BUDGET = 9  # (n-1)! enumeration above this is refused
@@ -179,10 +179,8 @@ def boolean_sum(circuit, ring, x_assign, num_summed, budget=10**8):
     `budget` before the first evaluation."""
     if num_summed < 0 or num_summed > circuit.num_vars:
         raise ValueError("bad summation variable count")
-    # 2^k alone exceeds the budget once k reaches its bit length, so a
-    # larger k is charged as that many bits without forming 2^k
     size = circuit.size()
-    work = size << min(num_summed, max(budget, 0).bit_length())
+    work = size * capped_power(2, num_summed, budget)
     if work > budget:
         message = f"2^{num_summed} evaluations of {size} nodes exceed the eval budget {budget}"
         raise BudgetError(message, reached=work)

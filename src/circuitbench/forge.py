@@ -29,7 +29,12 @@ from .circuits import enumerate_circuits, expand_circuit, is_constant_free
 from .errors import BudgetError
 from .primes import is_prime
 from .rings import IntegerRing, PrimeField, TruncatedPolyRing
-from .systems import DEFAULT_SOLVE_BUDGET, build_hardness_system, solve_bruteforce
+from .systems import (
+    DEFAULT_SOLVE_BUDGET,
+    build_hardness_system,
+    check_assignment_budget,
+    solve_bruteforce,
+)
 
 DEFAULT_SWEEP_BUDGET = 10**7
 DEFAULT_ENUM_ORACLE_BUDGET = 2_000_000
@@ -94,7 +99,6 @@ class RealizableSet:
     d: int
     p: int
     vectors: frozenset  # 0/1 vectors of length d+1
-    source: str  # "parameter-sweep" | "circuit-enumeration"
 
 
 def _sweep_image(s, d, p, budget):
@@ -182,7 +186,7 @@ def realizable_vectors(
     if oracle == "parameter-sweep":
         image = _sweep_image(s, d, p, DEFAULT_SWEEP_BUDGET if budget is None else budget)
         zero_one = frozenset(v for v in image if all(x in (0, 1) for x in v))
-        return RealizableSet(s, d, p, zero_one, "parameter-sweep")
+        return RealizableSet(s, d, p, zero_one)
     if oracle == "circuit-enumeration":
         size = _vertex_bound(s, enum_size)
         found = set()
@@ -192,7 +196,7 @@ def realizable_vectors(
             vec = tuple(poly.coefficient((i,)) for i in range(d + 1))
             if all(x in (0, 1) for x in vec):
                 found.add(vec)
-        return RealizableSet(s, d, p, frozenset(found), "circuit-enumeration")
+        return RealizableSet(s, d, p, frozenset(found))
     raise ValueError(f"unknown oracle {oracle!r}")
 
 
@@ -212,11 +216,11 @@ def find_hard_vector(s, d, p, solve_budget=DEFAULT_SOLVE_BUDGET):
     over F_p, determined by building and brute-force solving each system.
 
     Requires p > d: identifying two degree-<=d polynomials from their values
-    on 0..d needs d+1 distinct points mod p.  The answer is cross-checked
-    against the parameter-sweep image, to which it provably must be equal.
-    The sweep runs after the first solve: every system has the same s(s+1)
-    unknowns, so a solver budget that cannot be met is refused before any
-    sweep work.
+    on 0..d needs d+1 distinct points mod p.  Every system has the same
+    s(s+1) unknowns, so p^(s(s+1)) assignments over `solve_budget` are
+    refused before any system is built or any sweep work is done.  Each
+    system must be unsolvable exactly at the parameter-sweep image's
+    lex-first missing vector, which the answer provably equals.
     """
     if s < 1:
         raise ValueError("level count must be >= 1")
@@ -226,27 +230,19 @@ def find_hard_vector(s, d, p, solve_budget=DEFAULT_SOLVE_BUDGET):
         raise ValueError(f"modulus {p} is not prime")
     if p <= d:
         raise ValueError(f"need p > d for {d + 1} distinct interpolation points, got p={p}")
-    zero_one = None
-    checked = 0
-    for gamma in product((0, 1), repeat=d + 1):
+    check_assignment_budget(p, s * (s + 1), solve_budget)
+    sweep = _sweep_image(s, d, p, DEFAULT_SWEEP_BUDGET)
+    zero_one = frozenset(v for v in sweep if all(x in (0, 1) for x in v))
+    expected = lex_first_missing(zero_one, d)
+    for checked, gamma in enumerate(product((0, 1), repeat=d + 1), start=1):
         system = build_hardness_system(s, d, gamma)
-        checked += 1
         hard = solve_bruteforce(system, p, budget=solve_budget) is None
-        if zero_one is None:
-            sweep = _sweep_image(s, d, p, DEFAULT_SWEEP_BUDGET)
-            zero_one = frozenset(v for v in sweep if all(x in (0, 1) for x in v))
-            expected = lex_first_missing(zero_one, d)
+        if hard != (gamma == expected):
+            verdict = "unsolvable" if hard else "solvable"
+            message = f"solver finds {gamma} {verdict}, sweep's first hard vector is {expected}"
+            raise RuntimeError(message)
         if hard:
-            if gamma != expected:
-                raise RuntimeError(
-                    f"solver found hard vector {gamma} but the sweep predicts "
-                    f"{expected}; truncated evaluation paths disagree"
-                )
             return HardVectorSearch(s, d, p, gamma, False, checked, zero_one)
-    if expected is not None:
-        raise RuntimeError(
-            f"solver saturated but the sweep predicts {expected} is unrealizable"
-        )
     return HardVectorSearch(s, d, p, None, True, checked, zero_one)
 
 

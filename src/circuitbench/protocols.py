@@ -68,24 +68,34 @@ def psi(matrices, elements):
     return True
 
 
-def phi(matrices, elements):
-    """Exists a pivot in the set colliding, under every matrix, with some
-    distinct set element.  Evaluated exactly by bucketing the set under each
-    matrix, never by scanning tuples."""
-    elements = list(elements)
-    collide_all = set(elements)
+def first_collision(matrices, elements):
+    """The first pivot in `elements` with a distinct element colliding with
+    it under every matrix, as (pivot, mate_1, .., mate_m) with mate_j the
+    first such element under matrix j; None when no pivot collides
+    everywhere.  Each matrix buckets the set once, and the search ends at
+    the first matrix after which no pivot is left."""
+    elements = list(dict.fromkeys(elements))
+    pivots, tables = set(elements), []
     for a in matrices:
         buckets = {}
         for e in elements:
             buckets.setdefault(a.apply(e), []).append(e)
-        ok = set()
-        for members in buckets.values():
-            if len(members) >= 2:
-                ok.update(members)
-        collide_all &= ok
-        if not collide_all:
-            return False
-    return True
+        pivots &= {e for members in buckets.values() if len(members) > 1 for e in members}
+        tables.append(buckets)
+        if not pivots:
+            break
+    if not pivots:
+        return None
+    pivot = next(e for e in elements if e in pivots)
+    mates = [next(e for e in b[a.apply(pivot)] if e != pivot) for a, b in zip(matrices, tables)]
+    return (pivot, *mates)
+
+
+def phi(matrices, elements):
+    """Exists a pivot in the set colliding, under every matrix, with some
+    distinct set element.  Evaluated exactly by bucketing the set under each
+    matrix, never by scanning tuples."""
+    return first_collision(matrices, elements) is not None
 
 
 def phi_reference(matrices, elements):
@@ -330,24 +340,7 @@ class CheatingProver(_ChainProver):
 def find_collision_primes(matrices, cols):
     """Deterministically pick primes (p_0, .., p_m) below 2^cols satisfying
     the collision predicate, or None when no pivot collides everywhere."""
-    pool = sieve((1 << cols) - 1)
-    buckets = []
-    for a in matrices:
-        b = {}
-        for q in pool:
-            b.setdefault(a.apply(q), []).append(q)
-        buckets.append(b)
-    for p0 in pool:
-        partners = []
-        for a, b in zip(matrices, buckets):
-            members = b[a.apply(p0)]
-            mate = next((q for q in members if q != p0), None)
-            if mate is None:
-                break
-            partners.append(mate)
-        else:
-            return (p0, *partners)
-    return None
+    return first_collision(matrices, sieve((1 << cols) - 1))
 
 
 @dataclass(frozen=True)

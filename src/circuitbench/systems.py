@@ -21,7 +21,7 @@ from .circuits import (
     compile_mod_evaluator,
     serialize_circuit,
 )
-from .errors import BudgetError, ParseError, content_lines, parse_count
+from .errors import BudgetError, ParseError, capped_power, content_lines, parse_count
 from .primes import is_prime, sieve
 from .universal import build_universal, template_series
 
@@ -72,8 +72,6 @@ def build_hardness_system(s, d, gamma):
             coeff = series.get(deg)
             if coeff is not None:
                 value = builder.add(value, coeff) if value is not None else coeff
-        if value is None:
-            value = builder.const(0)
         target = sum(g * m**i for i, g in enumerate(gamma))
         if target:
             value = builder.add(value, builder.const(-target))
@@ -200,6 +198,14 @@ def _solver_kernel(system):
     return namespace["kernel"]
 
 
+def check_assignment_budget(p, u, budget):
+    """Refuse a search over the p^u assignments of u unknowns when p^u
+    exceeds `budget`; `reached` is the capped power compared."""
+    work = capped_power(p, u, budget)
+    if work > budget:
+        raise BudgetError(f"{p}^{u} assignments exceed budget {budget}", reached=work)
+
+
 def solve_bruteforce(system, p, budget=DEFAULT_SOLVE_BUDGET):
     """Lexicographically first satisfying assignment over F_p, or None.
 
@@ -210,9 +216,7 @@ def solve_bruteforce(system, p, budget=DEFAULT_SOLVE_BUDGET):
     """
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
-    u = system.unknown_count
-    if p**u > budget:
-        raise BudgetError(f"{p}^{u} assignments exceed budget {budget}", reached=p**u)
+    check_assignment_budget(p, system.unknown_count, budget)
     witness = _solver_kernel(system)(p)
     if witness is not None:
         runs = [compile_mod_evaluator(eq, p) for eq in system.equations]

@@ -39,8 +39,6 @@ class UniversalTemplate:
     # per level j (1-based): (a_slots, b_slots), each a tuple of parameter
     # indices for coefficients 0..j-1
     level_params: tuple
-    # circuit node position of each level's output
-    level_nodes: tuple
 
     def param_slot(self, level, i, side):
         """Parameter slot (1-based) for coefficient i of the given side."""
@@ -104,7 +102,7 @@ def build_universal(s):
             sides.append(acc)
         level_nodes.append(emit(Mul(sides[0], sides[1])))
     circuit = Circuit(tuple(nodes), level_nodes[-1], 1, slot)
-    return UniversalTemplate(s, circuit, tuple(level_params), tuple(level_nodes))
+    return UniversalTemplate(s, circuit, tuple(level_params))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -130,6 +131,55 @@ def test_gs_sim(capsys):
     code, out = run(capsys, ["gs-sim", "--size", "64", "--trials", "50"])
     assert code == 0
     assert "verdict=large" in out
+
+
+def test_gs_sim_empty_set_without_matrices_is_small(capsys):
+    # with no matrices and no elements there is no pivot, so phi never holds
+    code, out = run(capsys, ["gs-sim", "--size", "0", "--m", "0"])
+    assert code == 0
+    assert out.endswith("rate=0.0\nverdict=small\nphi_count=0\nset_size=0\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--system", "huge.sys", "--p", "101"],
+         "101^100000000 assignments exceed budget 100000000"),
+        (["forge", "--s", "400", "--d", "1", "--p", "5"],
+         "5^160400 assignments exceed budget 100000000"),
+    ],
+    ids=["solve", "forge"],
+)
+def test_assignment_budget_refuses_at_once(capsys, tmp_path, monkeypatch, argv, message):
+    huge = "unknowns 100000000\nnvars 0\nnparams 1\ng1 = param 1\nout g1\n"
+    (tmp_path / "huge.sys").write_text(huge)
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    code, out = run(capsys, argv)
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert out == f"error=budget: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, token, option",
+    [
+        (["eval", "--vars", "1_0"], "1_0", "--vars"),
+        (["eval", "--vars", " +3"], " +3", "--vars"),
+        (["eval", "--vars", "3", "--params", "1,,2"], "", "--params"),
+        (["vnp-sum", "--summed", "0", "--x", "\u0663"], "\u0663", "--x"),
+    ],
+)
+def test_argv_integers_are_strict(capsys, square_file, argv, token, option):
+    code, out = run(capsys, [argv[0], "--circuit", square_file, *argv[1:]])
+    assert code == 1
+    assert out == f"error=bad integer {token!r} in {option}\n"
+
+
+def test_ama_sim_argv_integers_are_strict(capsys):
+    code, out = run(capsys, ["ama-sim", "--x", "2,3,1,+4,1,1,1,1", "--i", "0", "--b", "0"])
+    assert code == 1
+    assert out == "error=bad integer '+4' in --x\n"
 
 
 @pytest.fixture

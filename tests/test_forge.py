@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from circuitbench import forge
@@ -178,6 +180,37 @@ def test_find_hard_vector_pinned():
     assert result.gamma == (0, 0, 1)
     assert not result.saturated
     assert result.realized == realizable_vectors(1, 2, 5).vectors
+
+
+def test_find_hard_vector_refuses_before_building(monkeypatch):
+    # 5^160400 assignments: refused before any system or sweep work
+    def never(*args):
+        raise AssertionError("work started before the solver budget check")
+
+    monkeypatch.setattr(forge, "build_hardness_system", never)
+    monkeypatch.setattr(forge, "_sweep_image", never)
+    message = r"^5\^160400 assignments exceed budget 100000000$"
+    with pytest.raises(BudgetError, match=message) as info:
+        find_hard_vector(400, 1, 5)
+    assert info.value.reached == 5**27  # capped at the budget's bit length
+    with pytest.raises(BudgetError, match=r"^5\^2 assignments exceed budget 0$"):
+        find_hard_vector(1, 2, 5, solve_budget=0)
+
+
+@pytest.mark.parametrize(
+    "image, message",
+    [
+        (set(), "solver finds (0, 0, 0) solvable, sweep's first hard vector is (0, 0, 0)"),
+        (set(product((0, 1), repeat=3)),
+         "solver finds (0, 0, 1) unsolvable, sweep's first hard vector is None"),
+    ],
+    ids=["sweep-empty", "sweep-saturated"],
+)
+def test_find_hard_vector_refuses_a_disagreeing_sweep(monkeypatch, image, message):
+    monkeypatch.setattr(forge, "_sweep_image", lambda *args: image)
+    with pytest.raises(RuntimeError) as info:
+        find_hard_vector(1, 2, 5)
+    assert str(info.value) == message
 
 
 def test_find_hard_vector_requires_enough_points():

@@ -1,9 +1,14 @@
+import ast
+import dataclasses
+import hashlib
+import inspect
 import random
 from itertools import product
 
 import pytest
 
-from circuitbench.circuits import compile_mod_evaluator
+from circuitbench import protocols
+from circuitbench.circuits import Circuit, CircuitBuilder, compile_mod_evaluator
 from circuitbench.families import permanent
 from circuitbench.protocols import (
     CheatingProver,
@@ -13,6 +18,7 @@ from circuitbench.protocols import (
     build_determinant_chain,
     build_permanent_chain,
     find_collision_primes,
+    first_collision,
     gs_estimate,
     permanent_verify,
     phi,
@@ -38,15 +44,39 @@ def test_psi_requires_distinct_elements():
     assert not psi([a], [3, 3])
 
 
+def _collision_corpus(seed, cases):
+    """Seeded (matrices, elements) pairs with 0..4 matrices and sets of size
+    0..12, the empty set with no matrices among them."""
+    rng = random.Random(seed)
+    corpus = [([], [])]
+    for _ in range(cases):
+        m = rng.randint(0, 4)
+        cols = rng.randint(1, 6)
+        elements = rng.sample(range(1 << cols), rng.randint(0, min(12, 1 << cols)))
+        corpus.append(([random_hash_matrix(rng, m, cols) for _ in range(m)], elements))
+    return corpus
+
+
 def test_phi_matches_reference():
-    rng = random.Random(101)
-    for _ in range(200):
-        m = rng.randint(1, 3)
-        cols = rng.randint(2, 6)
-        size = rng.randint(0, min(12, 1 << cols))
-        elements = rng.sample(range(1 << cols), size)
-        matrices = [random_hash_matrix(rng, m, cols) for _ in range(m)]
+    for matrices, elements in _collision_corpus(101, 600):
         assert phi(matrices, elements) == phi_reference(matrices, elements)
+
+
+def test_first_collision_witnesses_satisfy_psi():
+    for matrices, elements in _collision_corpus(1204, 600):
+        witness = first_collision(matrices, elements)
+        assert (witness is not None) == phi_reference(matrices, elements)
+        if witness is not None:
+            assert set(witness) <= set(elements)
+            assert psi(matrices, list(witness))
+
+
+def test_first_collision_ignores_repeated_elements():
+    # a repeated element is not a distinct mate
+    a = HashMatrix((0b11,), cols=2)
+    assert first_collision([a], [1, 1, 2]) == (1, 2)
+    assert first_collision([a], [1, 1]) is None
+    assert not phi([a], [1, 1]) and not phi_reference([a], [1, 1])
 
 
 def test_phi_matches_tuple_search_tiny():
@@ -174,6 +204,21 @@ def test_collision_primes_always_exist_at_default_sizes():
         assert psi(matrices, list(picks))
 
 
+def test_collision_primes_pinned():
+    # SHA-256 of 300 seeded searches, recorded before the prime search and
+    # phi shared one collision search
+    rng = random.Random(1202)
+    picks = []
+    for _ in range(300):
+        m = rng.randint(0, 6)
+        cols = rng.randint(1, 12)
+        matrices = [random_hash_matrix(rng, m, cols) for _ in range(m)]
+        picks.append(find_collision_primes(matrices, cols))
+    assert sum(p is None for p in picks) == 98
+    digest = hashlib.sha256(repr(picks).encode()).hexdigest()
+    assert digest == "c2064d2c57a22b096dcd0fcff56e542a7c509640997ce11391dcbd8c45d76506"
+
+
 def test_ama_non_square_branch():
     # n=6 splits into |y|=2, |z|=4, and 2 is not a square
     for b, verdict in ((0, "accept"), (1, "reject")):
@@ -234,36 +279,11 @@ def test_ama_transcript_format():
     assert obj["verdict"] in ("accept", "reject")
 
 
-class _DegenerateProver:
-    """Sends a syntactically valid chain whose base circuit has a huge
-    formal degree, which would void the identity test at small primes."""
-
-    mode = "cheating(degenerate)"
-
-    def message(self, t, n, max_value, matrices, cols):
-        from circuitbench.circuits import CircuitBuilder
-
-        honest = HonestProver().message(t, n, max_value, matrices, cols)
-        if honest is None:
-            return None
-        b = CircuitBuilder(num_vars=1)
-        node = b.input(1)
-        for _ in range(6):
-            node = b.mul(node, node)  # formal degree 64 exceeds small primes
-        chain = (b.finish(node),) + honest.chain[1:]
-        return type(honest)(
-            chain,
-            honest.small_primes,
-            honest.small_constants,
-            honest.big_prime,
-            honest.big_constants,
-        )
-
-
 def test_ama_degenerate_chain_goes_to_failure_branch():
     x = [2, 3, 1, 4, 1, 1, 1, 1]
     for b, verdict in ((0, "accept"), (1, "reject")):
-        t = ama_simulate(x, 0, b, _DegenerateProver(), seed=31)
+        prover = _CorruptingProver(lambda msg: _with_chain(msg, 0, _degenerate_base))
+        t = ama_simulate(x, 0, b, prover, seed=31)
         assert t.verdict == verdict
         assert t.answer is None
 
@@ -297,3 +317,102 @@ def test_ama_zero_m_and_k_keep_their_transcripts():
     t = ama_simulate(x, 0, 0, HonestProver(), seed=0, k=0)
     assert t.rounds[-1][2] == "checks=failed reason=skeleton too large branch=b-zero"
     assert (t.verdict, t.answer) == ("accept", None)
+
+
+def _bloated(circuit):
+    """The same polynomial as `circuit` in more than 64 nodes."""
+    b = CircuitBuilder(num_vars=circuit.num_vars)
+    node = b.inline(circuit)
+    for _ in range(70):
+        node = b.add(node, b.const(0))
+    return b.finish(node)
+
+
+def _plus_one(circuit):
+    b = CircuitBuilder(num_vars=circuit.num_vars)
+    return b.finish(b.add(b.inline(circuit), b.const(1)))
+
+
+def _degenerate_base(circuit):
+    """A base circuit whose huge formal degree voids the identity test at
+    small primes."""
+    b = CircuitBuilder(num_vars=1)
+    node = b.input(1)
+    for _ in range(6):
+        node = b.mul(node, node)  # formal degree 64 exceeds small primes
+    return b.finish(node)
+
+
+def _with_chain(msg, position, change):
+    chain = list(msg.chain)
+    chain[position] = change(chain[position])
+    return dataclasses.replace(msg, chain=tuple(chain))
+
+
+# one corruption of the honest message per refusal site of ama_simulate,
+# as (reason, corruption); x = [2, 3, 1, 4, 1, 1, 1, 1] gives t = 2, n = 8
+_REFUSALS = [
+    ("no prover message", lambda msg: None),
+    ("malformed message", lambda msg: dataclasses.replace(msg, chain=msg.chain[:1])),
+    ("malformed constants",
+     lambda msg: dataclasses.replace(msg, small_constants=msg.small_constants[1:])),
+    ("inconsistent parameter counts",
+     lambda msg: _with_chain(msg, 0, lambda c: Circuit(c.nodes, c.output, c.num_vars, 1))),
+    ("wrong chain arity", lambda msg: dataclasses.replace(msg, chain=msg.chain[::-1])),
+    ("skeleton too large", lambda msg: _with_chain(msg, 1, _bloated)),
+    ("constant vector length mismatch",
+     lambda msg: dataclasses.replace(msg, small_constants=((0,),) * len(msg.small_primes))),
+    ("constant vector length mismatch", lambda msg: dataclasses.replace(msg, big_constants=(0,))),
+    ("prime does not fit the encoding",
+     lambda msg: dataclasses.replace(msg, small_primes=msg.small_primes[:-1] + (4099,))),
+    ("no hash collision",
+     lambda msg: dataclasses.replace(msg, small_primes=msg.small_primes[:1] * 5)),
+    ("evaluation prime too small", lambda msg: dataclasses.replace(msg, big_prime=2)),
+    ("composite modulus ", lambda msg: dataclasses.replace(msg, big_prime=msg.big_prime * 3)),
+    ("chain not verifiable mod ", lambda msg: _with_chain(msg, 0, _degenerate_base)),
+    ("chain is not the permanent mod ", lambda msg: _with_chain(msg, 1, _plus_one)),
+]
+
+
+class _CorruptingProver:
+    """Sends the honest message with one corruption applied."""
+
+    def __init__(self, corrupt):
+        self.corrupt = corrupt
+
+    def message(self, t, n, max_value, matrices, cols):
+        return self.corrupt(HonestProver().message(t, n, max_value, matrices, cols))
+
+
+@pytest.mark.parametrize(
+    "reason, corrupt", _REFUSALS, ids=[f"{i}-{r.strip()}" for i, (r, _) in enumerate(_REFUSALS)]
+)
+def test_ama_verifier_refusals(reason, corrupt):
+    x = [2, 3, 1, 4, 1, 1, 1, 1]
+    for b, verdict in ((0, "accept"), (1, "reject")):
+        t = ama_simulate(x, 0, b, _CorruptingProver(corrupt), seed=41)
+        last = t.rounds[-1][2]
+        assert last.startswith(f"checks=failed reason={reason}"), last
+        assert last.endswith(" branch=b-zero")
+        assert (t.verdict, t.answer) == (verdict, None)
+
+
+def _fail_reasons():
+    """The reason of every fail(...) call in ama_simulate; the constant
+    prefix of an f-string reason."""
+    tree = ast.parse(inspect.getsource(protocols.ama_simulate).lstrip())
+    reasons = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "fail":
+            (arg,) = node.args
+            if isinstance(arg, ast.JoinedStr):
+                arg = arg.values[0]
+            reasons.append(arg.value)
+    return reasons
+
+
+def test_every_ama_refusal_reason_has_a_case():
+    # one case per fail(...) site, and every reason among the cases
+    reasons = _fail_reasons()
+    assert len(reasons) == len(_REFUSALS)
+    assert set(reasons) == {reason for reason, _ in _REFUSALS}

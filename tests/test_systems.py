@@ -42,6 +42,16 @@ def test_solve_budget():
         solve_bruteforce(system, 101, budget=50)
 
 
+def test_solve_budget_never_forms_the_whole_power():
+    # 101^(10^8) is a number of about 80 MB; the refusal compares 101^27,
+    # the first power past the budget's bit length
+    system = PolySystem(10**8, (y_squared_plus_one().equations[0],), "test")
+    message = r"^101\^100000000 assignments exceed budget 100000000$"
+    with pytest.raises(BudgetError, match=message) as info:
+        solve_bruteforce(system, 101)
+    assert info.value.reached == 101**27
+
+
 def oracle_solve(system, p):
     """The reference solver: every assignment in lexicographic order, each
     equation evaluated over F_p by `compile_mod_evaluator`, not by the
