@@ -74,8 +74,6 @@ from .universal import (
     UniversalTemplate,
     build_universal,
     embed,
-    interpolate_univariate,
-    interpolated_coefficients,
     truncated_coefficient_map,
 )
 

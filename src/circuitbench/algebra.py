@@ -17,7 +17,8 @@ class SparsePoly:
 
     Instances are value-like: no operation mutates its arguments.  `modulus`
     is None for integer coefficients or a prime p for F_p coefficients.
-    Stored coefficients are never zero.
+    The constructor is the one place coefficients are normalized: it reduces
+    them into [0, p) and drops zeros, so operations only accumulate raw sums.
     """
 
     __slots__ = ("coeffs", "num_vars", "modulus")
@@ -36,10 +37,6 @@ class SparsePoly:
         self.coeffs = clean
         self.num_vars = num_vars
         self.modulus = modulus
-
-    @classmethod
-    def zero(cls, num_vars, modulus=None):
-        return cls({}, num_vars, modulus)
 
     @classmethod
     def const(cls, value, num_vars, modulus=None):
@@ -63,22 +60,12 @@ class SparsePoly:
     def __add__(self, other):
         self._check_compatible(other)
         out = dict(self.coeffs)
-        mod = self.modulus
         for e, c in other.coeffs.items():
-            s = out.get(e, 0) + c
-            if mod is not None:
-                s %= mod
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        return SparsePoly(out, self.num_vars, mod)
+            out[e] = out.get(e, 0) + c
+        return SparsePoly(out, self.num_vars, self.modulus)
 
     def __neg__(self):
-        mod = self.modulus
-        if mod is None:
-            return SparsePoly({e: -c for e, c in self.coeffs.items()}, self.num_vars, mod)
-        return SparsePoly({e: mod - c for e, c in self.coeffs.items()}, self.num_vars, mod)
+        return SparsePoly({e: -c for e, c in self.coeffs.items()}, self.num_vars, self.modulus)
 
     def __sub__(self, other):
         return self + (-other)
@@ -89,11 +76,11 @@ class SparsePoly:
     def mul_truncated(self, other, cap, budget=DEFAULT_MONOMIAL_BUDGET):
         """Product with all monomials of total degree > cap removed.
 
-        cap=None computes the exact product.  Raises BudgetError when the
-        accumulating result would exceed `budget` distinct monomials.
+        cap=None computes the exact product.  Raises BudgetError when more
+        than `budget` distinct monomials are formed, counting those that
+        later cancel.
         """
         self._check_compatible(other)
-        mod = self.modulus
         out = {}
         for e1, c1 in self.coeffs.items():
             d1 = sum(e1)
@@ -101,19 +88,13 @@ class SparsePoly:
                 if cap is not None and d1 + sum(e2) > cap:
                     continue
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if mod is not None:
-                    s %= mod
-                if s:
-                    out[e] = s
-                    if len(out) > budget:
-                        raise BudgetError(
-                            f"monomial budget {budget} exceeded during multiplication",
-                            reached=len(out),
-                        )
-                elif e in out:
-                    del out[e]
-        return SparsePoly(out, self.num_vars, mod)
+                out[e] = out.get(e, 0) + c1 * c2
+                if len(out) > budget:
+                    raise BudgetError(
+                        f"monomial budget {budget} exceeded during multiplication",
+                        reached=len(out),
+                    )
+        return SparsePoly(out, self.num_vars, self.modulus)
 
     def truncate(self, cap):
         """Drop all monomials of total degree > cap."""

@@ -34,25 +34,10 @@ def permanent(matrix, mod=None):
         raise BudgetError(f"permanent cap {PERMANENT_CAP} exceeded (n={n})", reached=n)
     total = 0
     for mask in range(1, 1 << n):
-        rowsums = []
-        for i in range(n):
-            s = 0
-            row = matrix[i]
-            m = mask
-            j = 0
-            while m:
-                if m & 1:
-                    s += row[j]
-                m >>= 1
-                j += 1
-            rowsums.append(s % mod if mod is not None else s)
-        prod = 1
-        for s in rowsums:
-            prod = prod * s % mod if mod is not None else prod * s
+        cols = [j for j in range(n) if mask >> j & 1]
+        prod = math.prod(sum(row[j] for j in cols) for row in matrix)
         # (-1)^n (-1)^{|S|} written as (-1)^{n-|S|}
-        if (n - bin(mask).count("1")) % 2:
-            prod = -prod
-        total += prod
+        total += -prod if (n - len(cols)) % 2 else prod
     return total % mod if mod is not None else total
 
 
@@ -83,12 +68,7 @@ def hamiltonian_cycle_sum(matrix, mod=None):
     total = 0
     for rest in permutations(range(1, n)):
         cycle = (0,) + rest
-        prod = 1
-        for k in range(n):
-            prod *= matrix[cycle[k]][cycle[(k + 1) % n]]
-            if mod is not None:
-                prod %= mod
-        total += prod
+        total += math.prod(matrix[cycle[k]][cycle[(k + 1) % n]] for k in range(n))
     return total % mod if mod is not None else total
 
 

@@ -231,8 +231,7 @@ def find_hard_vector(s, d, p, solve_budget=DEFAULT_SOLVE_BUDGET):
     if p <= d:
         raise ValueError(f"need p > d for {d + 1} distinct interpolation points, got p={p}")
     check_assignment_budget(p, s * (s + 1), solve_budget)
-    sweep = _sweep_image(s, d, p, DEFAULT_SWEEP_BUDGET)
-    zero_one = frozenset(v for v in sweep if all(x in (0, 1) for x in v))
+    zero_one = realizable_vectors(s, d, p).vectors
     expected = lex_first_missing(zero_one, d)
     for checked, gamma in enumerate(product((0, 1), repeat=d + 1), start=1):
         system = build_hardness_system(s, d, gamma)
@@ -253,9 +252,7 @@ def hardness_certificate(s, d, p, gamma, enum_size=None):
     Returns (True, None) or (False, offending circuit).
     """
     size = _vertex_bound(s, enum_size)
-    target = SparsePoly(
-        {(i,): g for i, g in enumerate(gamma) if g}, 1, modulus=p
-    )
+    target = SparsePoly({(i,): g for i, g in enumerate(gamma)}, 1, modulus=p)
     ring = TruncatedPolyRing(PrimeField(p), 1, None)
     for circuit, poly in enumerate_circuits(
         size, 1, range(p), budget=DEFAULT_ENUM_ORACLE_BUDGET, ring=ring

@@ -22,7 +22,6 @@ class PitVerdict:
     witness: tuple | None  # a point where values differ, when not equal
     trials: int
     p: int
-    error_bound: float  # probability that "equal" hides a real difference
 
 
 def default_trials(degree, p):
@@ -64,5 +63,5 @@ def pit_equal(c1, c2, p, trials=None, seed=0):
     for _ in range(trials):
         point = tuple(rng.randrange(p) for _ in range(n))
         if run1(point, ()) != run2(point, ()):
-            return PitVerdict(False, point, trials, p, 0.0)
-    return PitVerdict(True, None, trials, p, (degree / p) ** trials if degree else 0.0)
+            return PitVerdict(False, point, trials, p)
+    return PitVerdict(True, None, trials, p)

@@ -15,6 +15,8 @@ _MR_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+SIEVE_BUDGET = 10**7  # one flag byte per integer: sieve(10**7) peaks near 50 MB
+
 
 @functools.lru_cache
 def is_prime(n):
@@ -48,7 +50,11 @@ def is_prime(n):
 
 
 def sieve(limit):
-    """All primes <= limit, ascending."""
+    """All primes <= limit, ascending.  A limit above SIEVE_BUDGET is
+    refused before the flag array is allocated."""
+    if limit > SIEVE_BUDGET:
+        message = f"sieve limit {limit} exceeds the sieve budget {SIEVE_BUDGET}"
+        raise BudgetError(message, reached=limit)
     if limit < 2:
         return []
     flags = bytearray([1]) * (limit + 1)
@@ -59,11 +65,6 @@ def sieve(limit):
             flags[i * i :: i] = bytearray((limit - i * i) // i + 1)
         i += 1
     return [i for i in range(2, limit + 1) if flags[i]]
-
-
-def prime_count(limit):
-    """pi(limit): the number of primes <= limit."""
-    return len(sieve(limit))
 
 
 def next_prime_at_least(n):

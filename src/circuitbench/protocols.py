@@ -225,7 +225,7 @@ def permanent_agreement_system(chain):
             if target:
                 out = builder.add(out, builder.const(-target))
             equations.append(builder.finish(out))
-    return PolySystem(unknowns, tuple(equations), f"permanent-agreement(t={len(chain)})")
+    return PolySystem(unknowns, tuple(equations))
 
 
 @dataclass(frozen=True)

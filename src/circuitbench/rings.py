@@ -47,11 +47,6 @@ class PrimeField:
     def mul(self, a, b):
         return a * b % self.p
 
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p)
-
     def __repr__(self):
         return f"PrimeField({self.p})"
 
@@ -75,17 +70,11 @@ class TruncatedPolyRing:
         self.modulus = base.modulus
 
     def from_int(self, v):
-        v = v if self.modulus is None else v % self.modulus
-        if not v:
-            return SparsePoly.zero(self.var_count, self.modulus)
         return SparsePoly.const(v, self.var_count, self.modulus)
 
     def gen(self, index):
         """The generator polynomial for variable `index` (1-based)."""
-        poly = SparsePoly.variable(index, self.var_count, self.modulus)
-        if self.cap is not None and self.cap < 1:
-            return poly.truncate(self.cap)
-        return poly
+        return SparsePoly.variable(index, self.var_count, self.modulus).truncate(self.cap)
 
     def add(self, a, b):
         return a + b

@@ -32,7 +32,6 @@ DEFAULT_SOLVE_BUDGET = 10**8
 class PolySystem:
     unknown_count: int
     equations: tuple
-    provenance: str = ""
 
     def __post_init__(self):
         if self.unknown_count < 0:
@@ -76,8 +75,7 @@ def build_hardness_system(s, d, gamma):
         if target:
             value = builder.add(value, builder.const(-target))
         equations.append(builder.finish(value))
-    tag = f"hardness(s={s},d={d},gamma={''.join(map(str, gamma))})"
-    return PolySystem(unknowns, tuple(equations), tag)
+    return PolySystem(unknowns, tuple(equations))
 
 
 def _substituted(builder, skeleton, values):
@@ -124,8 +122,7 @@ def build_language_system(n, accepted, skeleton):
     else:
         value = builder.add(builder.param(z_slot), builder.const(-1))
     equations.append(builder.finish(value))
-    tag = f"language(n={n},|L|={len(accepted)})"
-    return PolySystem(unknowns, tuple(equations), tag)
+    return PolySystem(unknowns, tuple(equations))
 
 
 # CPython refuses more than 20 statically nested blocks in one function;
@@ -297,7 +294,7 @@ def parse_system(text):
         if eq.num_params > unknowns:
             message = "equation references an unknown beyond the declared count"
             raise ParseError(message, rows[1][0])
-    return PolySystem(unknowns, tuple(equations), "file")
+    return PolySystem(unknowns, tuple(equations))
 
 
 def serialize_system(system):

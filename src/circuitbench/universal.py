@@ -20,7 +20,6 @@ from .circuits import (
     InputVar,
     Mul,
     Param,
-    compile_mod_evaluator,
     evaluate,
     expand_circuit,
     serialize_circuit,
@@ -47,11 +46,6 @@ class UniversalTemplate:
 
     def param_count(self):
         return self.circuit.num_params
-
-    def coefficient_degree_bound(self, i):
-        """Upper bound on the degree, in the parameters, of the coefficient
-        of x^i: (i+1) * 2^(2s)."""
-        return (i + 1) * (1 << (2 * self.levels))
 
     def to_text(self):
         """Circuit serialization with a header comment and a slot legend."""
@@ -172,53 +166,6 @@ def truncated_coefficient_map_reference(template, d, p, params):
     poly = evaluate(template.circuit, ring, [ring.gen(1)], [ring.from_int(v) for v in params])
     entries = tuple(poly.coefficient((i,)) for i in range(d + 1))
     return CoefficientVector(entries, template.levels, d, p)
-
-
-def interpolate_univariate(points, values, p):
-    """Coefficients of the unique polynomial of degree < len(points) through
-    the given points over F_p (Lagrange).  Points must be distinct mod p."""
-    field = PrimeField(p)
-    n = len(points)
-    if len(values) != n:
-        raise ValueError("points and values must have the same length")
-    if len({pt % p for pt in points}) != n:
-        raise ValueError("interpolation points must be distinct mod p")
-    coeffs = [0] * n
-    for j, (xj, yj) in enumerate(zip(points, values)):
-        # basis polynomial prod_{k != j} (x - x_k) / (x_j - x_k)
-        basis = [1]
-        denom = 1
-        for k, xk in enumerate(points):
-            if k == j:
-                continue
-            denom = denom * (xj - xk) % p
-            nxt = [0] * (len(basis) + 1)
-            for deg, c in enumerate(basis):
-                nxt[deg] = (nxt[deg] - c * xk) % p
-                nxt[deg + 1] = (nxt[deg + 1] + c) % p
-            basis = nxt
-        scale = yj % p * field.inv(denom) % p
-        for deg, c in enumerate(basis):
-            coeffs[deg] = (coeffs[deg] + scale * c) % p
-    return tuple(coeffs)
-
-
-def interpolated_coefficients(circuit, d, p):
-    """Exact coefficients 0..d of a one-variable circuit over F_p, recovered
-    from its values at x = 0..d.
-
-    Exactness requires that the computed polynomial has degree at most d
-    (e.g. formal degree <= d) and that p > d so the points are distinct.
-    This is the exact alternative to randomized identity testing for
-    low-degree univariate comparisons.
-    """
-    if circuit.num_vars > 1 or circuit.num_params:
-        raise ValueError("interpolation targets closed one-variable circuits")
-    if p <= d:
-        raise ValueError(f"need p > d for {d + 1} distinct points, got p={p}")
-    run = compile_mod_evaluator(circuit, p)
-    values = [run((m,) if circuit.num_vars else (), ()) for m in range(d + 1)]
-    return interpolate_univariate(tuple(range(d + 1)), values, p)
 
 
 @dataclass(frozen=True)

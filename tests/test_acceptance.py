@@ -140,7 +140,7 @@ def _quadratic_system():
     eq = parse_circuit(
         "nvars 0\nnparams 1\ng1 = param 1\ng2 = mul g1 g1\ng3 = const 1\ng4 = add g2 g3\nout g4\n"
     )
-    return PolySystem(1, (eq,), "y^2+1")
+    return PolySystem(1, (eq,))
 
 
 def test_criterion_05_density_probe():
@@ -166,7 +166,7 @@ def test_criterion_05_density_probe():
                 value = evaluate(c, IntegerRing(), [], point)
                 b = CircuitBuilder(num_params=u)
                 eqs.append(b.finish(b.add(b.inline(c), b.const(-value))))
-            report = density_probe(PolySystem(u, tuple(eqs), "planted"), 100)
+            report = density_probe(PolySystem(u, tuple(eqs)), 100)
             assert report.ratio == 1.0
             planted_ok += 1
         details["note"] = f"pi_S(1e4)/pi(1e4)={big.ratio:.4f}, {planted_ok} planted systems"

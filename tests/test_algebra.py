@@ -18,12 +18,12 @@ def one(n=1, mod=None):
     return SparsePoly.const(1, n, mod)
 
 
-def random_poly(rng, n, terms, max_deg=4, max_coeff=9):
+def random_poly(rng, n, terms, max_deg=4, max_coeff=9, mod=None):
     coeffs = {}
     for _ in range(terms):
         e = tuple(rng.randint(0, max_deg) for _ in range(n))
         coeffs[e] = rng.randint(-max_coeff, max_coeff)
-    return SparsePoly(coeffs, n)
+    return SparsePoly(coeffs, n, mod)
 
 
 def test_mul_truncated_cap_one():
@@ -51,7 +51,7 @@ def test_coefficient_lookup():
 
 def test_weight():
     assert poly({(2,): 2, (1,): 1, (0,): -3}, 1).weight() == 6
-    assert SparsePoly.zero(1).weight() == 0
+    assert SparsePoly.const(0, 1).weight() == 0
     f = one() + x()
     assert (f * f * f).weight() == 8
 
@@ -117,6 +117,28 @@ def test_monomial_budget():
     g = poly({(0, i): 1 for i in range(30)}, 2)
     with pytest.raises(BudgetError):
         f.mul_truncated(g, None, budget=100)
+
+
+def test_monomial_budget_counts_every_monomial_formed():
+    with pytest.raises(BudgetError) as info:
+        (x() + one()).mul_truncated(x() - one(), None, budget=2)
+    assert info.value.reached == 3
+    assert (x() + one()).mul_truncated(x() - one(), None, budget=3) == x() * x() - one()
+
+
+@pytest.mark.parametrize("mod", [None, 2, 5, 101])
+def test_results_store_only_normalized_coefficients(mod):
+    """The constructor is the one normalizer: no operation's result holds a
+    zero, and over F_p every coefficient lies in [0, p)."""
+    rng = random.Random(1303)
+    for _ in range(400):
+        f = random_poly(rng, 2, rng.randint(0, 6), max_deg=3, max_coeff=4, mod=mod)
+        g = random_poly(rng, 2, rng.randint(0, 6), max_deg=3, max_coeff=4, mod=mod)
+        cap = rng.choice((None, 0, 1, 2, 3))
+        for r in (f + g, f - g, -f, f * g, f.mul_truncated(g, cap), f.truncate(cap)):
+            assert 0 not in r.coeffs.values()
+            if mod is not None:
+                assert all(0 <= c < mod for c in r.coeffs.values())
 
 
 def test_evaluate():

@@ -162,6 +162,25 @@ def test_assignment_budget_refuses_at_once(capsys, tmp_path, monkeypatch, argv, 
 
 
 @pytest.mark.parametrize(
+    "argv, limit",
+    [
+        (["density", "--system", "xsq_plus_1.sys", "--limit", "100000000000"], 100000000000),
+        (["ama-sim", "--x", "2,3,1,4,1,1,1,1", "--i", "0", "--b", "1", "--bits", "30"],
+         2**30 - 1),
+    ],
+    ids=["density", "ama-sim"],
+)
+def test_sieve_budget_refuses_before_allocating(capsys, tmp_path, monkeypatch, argv, limit):
+    (tmp_path / "xsq_plus_1.sys").write_text(XSQ_PLUS_1)
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    code, out = run(capsys, argv)
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert out == f"error=budget: sieve limit {limit} exceeds the sieve budget 10000000\n"
+
+
+@pytest.mark.parametrize(
     "argv, token, option",
     [
         (["eval", "--vars", "1_0"], "1_0", "--vars"),

@@ -1,11 +1,14 @@
-"""Every defaulted parameter of the package is set by some caller.
+"""Every defaulted parameter of the package is set by some caller, and
+every record field is read by someone.
 
 An option that no call in the package, its tests or its benchmark ever
 passes is surface without a use: it only widens what a reader has to
 consider.  This test walks `src/circuitbench` with `ast`, keys functions by
 name and class `__init__`s by class name (other methods are skipped), and
 looks for a call that passes each defaulted parameter by keyword or by
-position.
+position.  A dataclass field that nothing reads is the same kind of
+surface: it is computed and carried, and it takes part in equality, but
+no answer depends on it.
 """
 
 import ast
@@ -81,3 +84,46 @@ def test_every_default_is_set_by_a_caller():
         if not {(name, param), (name, pos), (name, "**"), (name, "*")} & passed
     )
     assert unset == []
+
+
+def _is_dataclass(cls):
+    for deco in cls.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def record_fields():
+    """{(class, field)} for every annotated field of a package dataclass."""
+    return {
+        (cls.name, item.target.id)
+        for tree in _trees(PACKAGE)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+        for item in cls.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    }
+
+
+def read_names():
+    """Every name read as `.name` or as `getattr(..., "name")` in the callers."""
+    read = set()
+    for tree in _trees(*CALLERS):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "getattr"
+                and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant)
+            ):
+                read.add(node.args[1].value)
+    return read
+
+
+def test_every_record_field_is_read():
+    read = read_names()
+    unread = sorted(f"{cls}.{field}" for cls, field in record_fields() if field not in read)
+    assert unread == []

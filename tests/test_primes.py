@@ -1,10 +1,11 @@
 import pytest
 
+from circuitbench.errors import BudgetError
 from circuitbench.primes import (
     _MR_DETERMINISTIC_LIMIT,
+    SIEVE_BUDGET,
     is_prime,
     next_prime_at_least,
-    prime_count,
     sieve,
 )
 
@@ -32,8 +33,14 @@ def test_sieve_matches_point_tests():
 
 
 def test_prime_count():
-    assert prime_count(20) == 8
-    assert prime_count(10**4) == 1229
+    assert len(sieve(20)) == 8
+    assert len(sieve(10**4)) == 1229
+
+
+def test_sieve_refuses_past_its_budget():
+    with pytest.raises(BudgetError) as info:
+        sieve(SIEVE_BUDGET + 1)
+    assert info.value.reached == SIEVE_BUDGET + 1
 
 
 def test_next_prime_at_least():

@@ -22,7 +22,7 @@ from circuitbench.systems import (
 
 
 def single_equation(text):
-    return PolySystem(parse_circuit(text).num_params, (parse_circuit(text),), "test")
+    return PolySystem(parse_circuit(text).num_params, (parse_circuit(text),))
 
 
 def y_squared_plus_one():
@@ -45,7 +45,7 @@ def test_solve_budget():
 def test_solve_budget_never_forms_the_whole_power():
     # 101^(10^8) is a number of about 80 MB; the refusal compares 101^27,
     # the first power past the budget's bit length
-    system = PolySystem(10**8, (y_squared_plus_one().equations[0],), "test")
+    system = PolySystem(10**8, (y_squared_plus_one().equations[0],))
     message = r"^101\^100000000 assignments exceed budget 100000000$"
     with pytest.raises(BudgetError, match=message) as info:
         solve_bruteforce(system, 101)
@@ -83,7 +83,7 @@ def test_solve_lex_first_and_complete_vs_direct_substitution():
             random_circuit(rng, rng.randint(1, 8), num_vars=0, num_params=rng.randint(0, u))
             for _ in range(rng.randint(1, 3))
         )
-        system = PolySystem(u, eqs, "random")
+        system = PolySystem(u, eqs)
         assert solve_bruteforce(system, p) == oracle_solve(system, p)
 
 
@@ -104,16 +104,16 @@ def test_solve_matches_oracle_beyond_the_nested_loops():
     b = CircuitBuilder(num_params=u)
     # x^2 + x + 1 has no root mod 2
     no_root = b.finish(b.add(b.mul(b.param(u), b.param(u)), b.add(b.param(u), b.const(1))))
-    systems = [PolySystem(u, (no_root,), "no root")]
+    systems = [PolySystem(u, (no_root,))]
     for _ in range(4):
         eqs = tuple(
             random_circuit(rng, rng.randint(4, 12), num_vars=0, num_params=u)
             for _ in range(rng.randint(1, 3))
         )
-        systems.append(PolySystem(u, eqs, "random"))
+        systems.append(PolySystem(u, eqs))
     b = CircuitBuilder(num_params=u)
     late = b.finish(b.add(b.mul(b.param(1), b.param(2)), b.const(-1)))
-    systems.append(PolySystem(u, (late,), "late witness"))
+    systems.append(PolySystem(u, (late,)))
     for system in systems:
         assert solve_bruteforce(system, 2) == oracle_solve(system, 2)
     assert solve_bruteforce(systems[-1], 2) == (1, 1) + (0,) * (u - 2)
@@ -221,7 +221,7 @@ def test_density_probe_contradictory_system():
     eq1 = b1.finish(b1.param(1))
     b2 = CircuitBuilder(num_params=1)
     eq2 = b2.finish(b2.add(b2.param(1), b2.const(-1)))
-    system = PolySystem(1, (eq1, eq2), "contradiction")
+    system = PolySystem(1, (eq1, eq2))
     report = density_probe(system, 20)
     assert report.pi_s == 0
     assert report.good_primes == ()
@@ -253,7 +253,7 @@ def test_density_probe_planted_random_circuits():
             b = CircuitBuilder(num_params=u)
             out = b.inline(c)
             eqs.append(b.finish(b.add(out, b.const(-value))))
-        system = PolySystem(u, tuple(eqs), "planted")
+        system = PolySystem(u, tuple(eqs))
         report = density_probe(system, 100)
         assert report.ratio == 1.0
 
@@ -262,7 +262,6 @@ def test_partial_report_on_budget():
     system = PolySystem(
         2,
         (parse_circuit("nvars 0\nnparams 2\ng1 = param 1\ng2 = param 2\ng3 = mul g1 g2\ng4 = const -1\ng5 = add g3 g4\nout g5\n"),),
-        "test",
     )
     report = density_probe(system, 30, solve_budget=200)  # 13^2 = 169 fits, 17^2 doesn't
     assert not report.complete
@@ -281,12 +280,12 @@ def test_system_text_roundtrip():
 
 def test_equations_must_be_closed():
     with pytest.raises(ValueError):
-        PolySystem(1, (parse_circuit("nvars 1\ng1 = in 1\nout g1\n"),), "bad")
+        PolySystem(1, (parse_circuit("nvars 1\ng1 = in 1\nout g1\n"),))
 
 
 def test_negative_unknown_count_rejected():
     with pytest.raises(ValueError, match="unknown_count must be >= 0"):
-        PolySystem(-1, (parse_circuit("nvars 0\ng1 = const 0\nout g1\n"),), "bad")
+        PolySystem(-1, (parse_circuit("nvars 0\ng1 = const 0\nout g1\n"),))
 
 
 def test_hardness_equations_match_coefficient_map():

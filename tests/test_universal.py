@@ -9,7 +9,6 @@ from circuitbench.circuits import (
     enumerate_circuits,
     evaluate,
     expand_circuit,
-    formal_degree,
     parse_circuit,
     random_circuit,
     serialize_circuit,
@@ -19,8 +18,6 @@ from circuitbench.rings import IntegerRing, PrimeField
 from circuitbench.universal import (
     build_universal,
     embed,
-    interpolate_univariate,
-    interpolated_coefficients,
     truncated_coefficient_map,
     truncated_coefficient_map_reference,
 )
@@ -113,23 +110,7 @@ def test_coefficient_degree_bound_symbolically():
             par_deg = sum(exps[1:])
             per_i[i] = max(per_i.get(i, 0), par_deg)
         for i, deg in per_i.items():
-            assert deg <= t.coefficient_degree_bound(i)
-
-
-def test_interpolated_coefficients_exact():
-    assert interpolate_univariate((0, 1, 2), (1, 0, 1), 5) == (1, 3, 1)  # (x-1)^2
-    d = 4
-    for c in enumerate_circuits(5, 1, (-1, 0, 1, 2), max_gates=2):
-        if formal_degree(c) > d:
-            continue
-        got = interpolated_coefficients(c, d, 101)
-        full = expand_circuit(c, modulus=101)
-        assert got == tuple(full.coefficient((i,)) for i in range(d + 1))
-
-
-def test_interpolation_rejects_coincident_points():
-    with pytest.raises(ValueError):
-        interpolate_univariate((0, 5), (1, 2), 5)
+            assert deg <= (i + 1) << (2 * s)
 
 
 def test_template_serialization_reparses():
