@@ -288,8 +288,13 @@ def _cmd_solve(args):
 
 def _cmd_gs_sim(args):
     universe = 1 << args.bits
+    if universe > sys.maxsize:
+        raise ValueError(
+            f"the {args.bits}-bit universe exceeds the sampling limit sys.maxsize = {sys.maxsize}"
+        )
     if args.size > universe:
         raise ValueError(f"set size {args.size} exceeds the {args.bits}-bit universe")
+    protocols.charge_hashing(max(1, args.trials * args.m**2), args.size, args.eval_budget)
     rng = random.Random(args.seed)
     elements = rng.sample(range(universe), args.size)
     report = protocols.gs_estimate(
@@ -325,6 +330,7 @@ def _cmd_ama_sim(args):
         m=args.m,
         cols=args.bits,
         verify_trials=args.trials,
+        budget=args.eval_budget,
     )
     lines = transcript.to_text().rstrip("\n").split("\n")
     return transcript.to_json_obj(), lines

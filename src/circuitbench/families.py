@@ -11,9 +11,12 @@ from itertools import permutations
 from .algebra import SparsePoly
 from .circuits import Circuit, Const, InputVar, evaluate
 from .errors import BudgetError, ParseError, capped_power, content_lines, parse_int
+from .rings import LaneRing
 
 PERMANENT_CAP = 12
 HC_BUDGET = 9  # (n-1)! enumeration above this is refused
+LANE_BITS = 8  # at most 2^8 assignments per boolean_sum pass: each node holds one value per lane
+LANE_VALUES = 1 << 16  # and at most this many node values per pass, unless one lane has more
 
 
 def _check_square(matrix):
@@ -152,11 +155,24 @@ def multilinear_extension(table):
     return SparsePoly(poly, n)
 
 
+def _lane_bits(size, num_summed):
+    """log2 of boolean_sum's lanes for a circuit of `size` nodes: at most
+    LANE_BITS and num_summed, and lanes * size <= LANE_VALUES unless that
+    leaves no lane but one, so a pass holds at most max(size, LANE_VALUES)
+    values."""
+    return min(num_summed, LANE_BITS, max(0, (LANE_VALUES // size).bit_length() - 1))
+
+
 def boolean_sum(circuit, ring, x_assign, num_summed, budget=10**8):
     """Sum the circuit over all 0/1 assignments of its last `num_summed`
-    variables, the first variables being fixed to `x_assign`.  The work,
-    2^num_summed evaluations of circuit.size() nodes, is charged against
-    `budget` before the first evaluation."""
+    variables, the first variables being fixed to `x_assign`, in `ring`, an
+    IntegerRing or a PrimeField.  The work, 2^num_summed evaluations of
+    circuit.size() nodes, is charged against `budget` before the first
+    evaluation.
+
+    The assignments go in chunks of 2^_lane_bits(size, num_summed), each one
+    `evaluate` over a LaneRing: the low summed variables take every 0/1
+    pattern across the lanes of a chunk, and the others are fixed per chunk."""
     if num_summed < 0 or num_summed > circuit.num_vars:
         raise ValueError("bad summation variable count")
     size = circuit.size()
@@ -167,10 +183,17 @@ def boolean_sum(circuit, ring, x_assign, num_summed, budget=10**8):
     n_free = circuit.num_vars - num_summed
     if len(x_assign) != n_free:
         raise ValueError(f"expected {n_free} fixed values")
+    lanes = LaneRing(ring)
+    low = _lane_bits(size, num_summed)
+    width = 1 << low
+    inputs = [lanes.from_int(v) for v in x_assign]
+    inputs += [[lane >> j & 1 for lane in range(width)] for j in range(low)]
     total = ring.from_int(0)
-    for mask in range(1 << num_summed):
-        ys = [mask >> j & 1 for j in range(num_summed)]
-        total = ring.add(total, evaluate(circuit, ring, list(x_assign) + ys))
+    for chunk in range(1 << (num_summed - low)):
+        high = [chunk >> j & 1 for j in range(num_summed - low)]
+        value = evaluate(circuit, lanes, inputs + high)
+        chunk_sum = sum(value) if isinstance(value, list) else value * width
+        total = ring.add(total, ring.from_int(chunk_sum))
     return total
 
 

@@ -25,10 +25,11 @@ from .circuits import (
     compile_mod_evaluator,
     serialize_circuit,
 )
+from .errors import BudgetError
 from .families import permanent
 from .pit import pit_equal
 from .primes import is_prime, next_prime_at_least, sieve
-from .systems import PolySystem, _substituted
+from .systems import DEFAULT_SOLVE_BUDGET, PolySystem, _substituted
 
 
 # ---------------------------------------------------------------------------
@@ -68,27 +69,80 @@ def psi(matrices, elements):
     return True
 
 
+def _lane_hashes(a, packed, ones, width, count):
+    """Every packed element's hash under `a`, one key per lane.
+
+    One row's hash bit of every element is the lane parity of `packed` ANDed
+    with the row repeated in every lane: log2(width) shift-XOR folds leave
+    it in each lane's bit 0.  Row r of a block of `width` rows goes to lane
+    bit r, so a block's keys are one int, unpacked once into a memoryview
+    (bytes slices for lanes wider than 64 bits); a matrix of more than
+    `width` rows gives tuples of block keys.  Equal hashes give equal keys
+    and distinct ones distinct keys; the key values are not `a.apply`'s."""
+    size, lane = width // 8, (1 << width) - 1
+    blocks = []
+    for start in range(0, max(1, len(a.rows)), width):  # no rows: one all-zero block
+        keys = 0
+        for r, row in enumerate(a.rows[start : start + width]):
+            bits = packed & (row & lane) * ones
+            shift = width // 2
+            while shift:
+                bits ^= bits >> shift
+                shift //= 2
+            keys |= (bits & ones) << r
+        raw = keys.to_bytes(count * size, "little")
+        if size in _LANE_CODES:  # native byte order: a bijection on keys
+            blocks.append(memoryview(raw).cast(_LANE_CODES[size]))
+        else:
+            blocks.append([raw[i : i + size] for i in range(0, len(raw), size)])
+    return blocks[0] if len(blocks) == 1 else list(zip(*blocks))
+
+
+_LANE_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}  # lane bytes -> memoryview format
+
+
 def first_collision(matrices, elements):
     """The first pivot in `elements` with a distinct element colliding with
     it under every matrix, as (pivot, mate_1, .., mate_m) with mate_j the
     first such element under matrix j; None when no pivot collides
     everywhere.  Each matrix buckets the set once, and the search ends at
-    the first matrix after which no pivot is left."""
+    the first matrix after which no pivot is left.
+
+    The hashes come from `_lane_hashes`: the distinct elements are packed
+    into width-bit lanes of one int, with width a power of two >= max(8,
+    the widest matrix's cols), so each row costs a few big-int operations
+    over the whole set, and memory stays O(len(elements) * width)."""
     elements = list(dict.fromkeys(elements))
     pivots, tables = set(elements), []
+    lo, hi = min(elements, default=0), max(elements, default=0)
+    width = 8
+    while width < max((a.cols for a in matrices), default=0):
+        width *= 2
+    ones = ((1 << (width * len(elements))) - 1) // ((1 << width) - 1)
+    packed = None
     for a in matrices:
+        if lo < 0 or hi >> a.cols:
+            a.apply(next(e for e in elements if e < 0 or e >> a.cols))  # raises its ValueError
+        if packed is None:  # every element fits a.cols <= width bits
+            packed = int.from_bytes(
+                b"".join(e.to_bytes(width // 8, "little") for e in elements), "little"
+            )
+        keys = _lane_hashes(a, packed, ones, width, len(elements))
         buckets = {}
-        for e in elements:
-            buckets.setdefault(a.apply(e), []).append(e)
+        for e, key in zip(elements, keys):
+            buckets.setdefault(key, []).append(e)
         pivots &= {e for members in buckets.values() if len(members) > 1 for e in members}
-        tables.append(buckets)
+        tables.append(keys)
         if not pivots:
             break
     if not pivots:
         return None
-    pivot = next(e for e in elements if e in pivots)
-    mates = [next(e for e in b[a.apply(pivot)] if e != pivot) for a, b in zip(matrices, tables)]
-    return (pivot, *mates)
+    i = next(i for i, e in enumerate(elements) if e in pivots)
+    mates = [
+        next(e for e, key in zip(elements, keys) if key == keys[i] and e != elements[i])
+        for keys in tables
+    ]
+    return (elements[i], *mates)
 
 
 def phi(matrices, elements):
@@ -109,6 +163,16 @@ def phi_reference(matrices, elements):
         ):
             return True
     return False
+
+
+def charge_hashing(rows, size, budget):
+    """Refuse, with BudgetError, hashing `size` elements under `rows` matrix
+    rows in all when those rows * size row parities exceed `budget`.  Called
+    before the set is drawn or any matrix is."""
+    work = rows * size
+    if work > budget:
+        message = f"{rows} hash rows over {size} elements exceed the eval budget {budget}"
+        raise BudgetError(message, reached=work)
 
 
 @dataclass(frozen=True)
@@ -315,9 +379,9 @@ class ProverMessage:
 class _ChainProver:
     """Sends the chain from `build_chain` and genuinely colliding primes."""
 
-    def message(self, t, n, max_value, matrices, cols):
+    def message(self, t, n, max_value, matrices, candidates):
         chain = tuple(self.build_chain(t))
-        picks = find_collision_primes(matrices, cols)
+        picks = find_collision_primes(matrices, candidates)
         if picks is None:
             return None
         big = next_prime_at_least(max(2, math.factorial(n) * max(1, max_value) ** n))
@@ -337,10 +401,11 @@ class CheatingProver(_ChainProver):
     build_chain = staticmethod(build_determinant_chain)
 
 
-def find_collision_primes(matrices, cols):
-    """Deterministically pick primes (p_0, .., p_m) below 2^cols satisfying
-    the collision predicate, or None when no pivot collides everywhere."""
-    return first_collision(matrices, sieve((1 << cols) - 1))
+def find_collision_primes(matrices, primes):
+    """Deterministically pick primes (p_0, .., p_m) from `primes`, in
+    ama_simulate the primes below 2^cols, satisfying the collision
+    predicate, or None when no pivot collides everywhere."""
+    return first_collision(matrices, primes)
 
 
 @dataclass(frozen=True)
@@ -388,6 +453,7 @@ def ama_simulate(
     m=4,
     cols=12,
     verify_trials=2,
+    budget=DEFAULT_SOLVE_BUDGET,
 ):
     """Three-round evaluation protocol for bit i of the permanent of the
     matrix packed into the y part of x.
@@ -400,7 +466,9 @@ def ama_simulate(
     computes permanents modulo every supplied prime, then compares bit i of
     the evaluation.  Any failed check sends him to the same
     "accept iff b = 0" branch.  Identical seeds reproduce the transcript
-    byte for byte.
+    byte for byte.  The primes below 2^cols are sieved once and handed to
+    the prover; its collision search over them, m^2 hash rows, is charged
+    against `budget` before any matrix is drawn.
     """
     x = [int(v) for v in x]
     n = len(x)
@@ -428,6 +496,8 @@ def ama_simulate(
         verdict = "accept" if b == 0 else "reject"
         return ProtocolTranscript(seed, tuple(rounds), verdict, None)
 
+    candidates = sieve((1 << cols) - 1)  # the primes the prover's collision search hashes
+    charge_hashing(m * m, len(candidates), budget)
     matrices = [random_hash_matrix(rng, m, cols) for _ in range(m)]
     mats_txt = ",".join(
         ".".join(format(row, f"0{(cols + 3) // 4}x") for row in a.rows) for a in matrices
@@ -436,7 +506,7 @@ def ama_simulate(
 
     y = x[:ylen]
     max_value = max(x)
-    msg = prover.message(t, n, max_value, matrices, cols)
+    msg = prover.message(t, n, max_value, matrices, candidates)
 
     def fail(reason):
         rounds.append((3, "A", f"checks=failed reason={reason} branch=b-zero"))

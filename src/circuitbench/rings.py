@@ -1,11 +1,14 @@
 """Evaluation domains for circuits.
 
-Three ring flavours cover everything the workbench needs: exact integers,
-prime fields with plain int residues, and rings of degree-truncated sparse
-polynomials over either of the first two.  A ring object knows how to build
-elements from ints and how to add and multiply them; circuit evaluation is
-generic over that interface.
+Four ring flavours cover everything the workbench needs: exact integers,
+prime fields with plain int residues, lanes of many points of either of
+those, and rings of degree-truncated sparse polynomials over either of the
+first two.  A ring object knows how to build elements from ints and how to
+add and multiply them; circuit evaluation is generic over that interface.
 """
+
+import operator
+from itertools import repeat
 
 from .algebra import DEFAULT_MONOMIAL_BUDGET, SparsePoly
 from .primes import is_prime
@@ -49,6 +52,43 @@ class PrimeField:
 
     def __repr__(self):
         return f"PrimeField({self.p})"
+
+
+class LaneRing:
+    """Many points of a scalar ring (IntegerRing or PrimeField) at once.
+
+    An element is either an int, the same value in every lane, or a list
+    with one value per lane; `add` and `mul` broadcast an int against a
+    list, and reduce mod p when the base ring is a PrimeField.  Evaluating a
+    circuit over this ring runs the interpreter once per node for all lanes.
+    """
+
+    def __init__(self, base):
+        self.base = base
+        self.modulus = base.modulus
+
+    def from_int(self, v):
+        return self.base.from_int(v)
+
+    def add(self, a, b):
+        return self._lanes(operator.add, a, b)
+
+    def mul(self, a, b):
+        return self._lanes(operator.mul, a, b)
+
+    def _lanes(self, op, a, b):
+        p = self.modulus
+        if isinstance(a, list):
+            out = list(map(op, a, b if isinstance(b, list) else repeat(b)))
+        elif isinstance(b, list):
+            out = list(map(op, repeat(a), b))
+        else:
+            out = op(a, b)
+            return out if p is None else out % p
+        return out if p is None else [v % p for v in out]
+
+    def __repr__(self):
+        return f"LaneRing({self.base!r})"
 
 
 class TruncatedPolyRing:

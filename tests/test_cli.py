@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -178,6 +179,36 @@ def test_sieve_budget_refuses_before_allocating(capsys, tmp_path, monkeypatch, a
     assert time.perf_counter() - start < 5
     assert code == 2
     assert out == f"error=budget: sieve limit {limit} exceeds the sieve budget 10000000\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gs-sim", "--size", "20000000", "--bits", "30", "--trials", "1"],
+         "16 hash rows over 20000000 elements exceed the eval budget 100000000"),
+        (["gs-sim", "--size", "64", "--trials", "100000000"],
+         "1600000000 hash rows over 64 elements exceed the eval budget 100000000"),
+        # m^2 rows over the 564 primes below 2^12
+        (["ama-sim", "--x", "0,2,3,0,1,2,2,3", "--i", "1", "--b", "0", "--m", "3000"],
+         "9000000 hash rows over 564 elements exceed the eval budget 100000000"),
+    ],
+    ids=["gs-sim-size", "gs-sim-trials", "ama-sim-m"],
+)
+def test_hashing_budget_refuses_before_drawing(capsys, argv, message):
+    start = time.perf_counter()
+    code, out = run(capsys, argv)
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert out == f"error=budget: {message}\n"
+
+
+def test_gs_sim_refuses_a_universe_it_cannot_sample(capsys):
+    code, out = run(capsys, ["gs-sim", "--size", "64", "--bits", "100000"])
+    assert code == 1
+    assert out == (
+        "error=the 100000-bit universe exceeds the sampling limit "
+        f"sys.maxsize = {sys.maxsize}\n"
+    )
 
 
 @pytest.mark.parametrize(

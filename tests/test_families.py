@@ -5,10 +5,20 @@ from itertools import product
 import pytest
 
 from circuitbench.algebra import SparsePoly
-from circuitbench.circuits import CircuitBuilder, evaluate, expand_circuit, parse_circuit
+from circuitbench.circuits import (
+    CircuitBuilder,
+    evaluate,
+    expand_circuit,
+    parse_circuit,
+    random_circuit,
+)
 from circuitbench.errors import BudgetError, ParseError
+from circuitbench import families
 from circuitbench.families import (
+    LANE_BITS,
+    LANE_VALUES,
     TruthTable,
+    _lane_bits,
     apply_projection,
     boolean_sum,
     hamiltonian_cycle_sum,
@@ -18,7 +28,7 @@ from circuitbench.families import (
     permanent_naive,
 )
 from circuitbench.pit import pit_equal
-from circuitbench.rings import IntegerRing, PrimeField
+from circuitbench.rings import IntegerRing, LaneRing, PrimeField
 
 
 def test_permanent_examples():
@@ -161,7 +171,6 @@ def test_boolean_sum_counts_satisfying_assignments():
 
 def test_boolean_sum_matches_direct_polynomial_summation():
     rng = random.Random(53)
-    from circuitbench.circuits import random_circuit
 
     for _ in range(100):
         total_vars = rng.randint(1, 4)
@@ -191,6 +200,63 @@ def test_boolean_sum_budget():
     # a budget of 0 allows no evaluation, not even the one of zero summed variables
     with pytest.raises(BudgetError):
         boolean_sum(c, IntegerRing(), [1, 1, 1], 0, budget=0)
+
+
+def _scalar_boolean_sum(circuit, ring, xs, summed):
+    """One scalar `evaluate` per assignment: the oracle for the lane path."""
+    total = ring.from_int(0)
+    for mask in range(1 << summed):
+        point = list(xs) + [mask >> j & 1 for j in range(summed)]
+        total = ring.add(total, evaluate(circuit, ring, point))
+    return total
+
+
+@pytest.mark.parametrize(
+    "ring", [IntegerRing(), PrimeField(2), PrimeField(3), PrimeField(1000003)], ids=repr
+)
+def test_boolean_sum_matches_scalar_loop(ring):
+    rng = random.Random(1415)
+    p = ring.modulus or 7
+    for case in range(48):
+        summed = case % 12  # 9 and more summed variables cross chunks
+        total_vars = summed + rng.randint(0, 2)
+        c = random_circuit(rng, rng.randint(2, 16), num_vars=total_vars)  # constants in -5..5
+        xs = [rng.randint(-3 * p, 3 * p) for _ in range(total_vars - summed)]
+        assert boolean_sum(c, ring, xs, summed) == _scalar_boolean_sum(c, ring, xs, summed)
+    b = CircuitBuilder(num_vars=10)
+    constant = b.finish(b.mul(b.const(-4), b.const(p + 2)))
+    want = _scalar_boolean_sum(constant, ring, [], 10)
+    assert boolean_sum(constant, ring, [], 10) == want == ring.from_int(-4 * (p + 2) << 10)
+
+
+def test_boolean_sum_lanes_shrink_for_large_circuits(monkeypatch):
+    assert _lane_bits(150, 12) == LANE_BITS and _lane_bits(150, 3) == 3
+    sizes = (257, 1000, LANE_VALUES, LANE_VALUES + 1)
+    assert [_lane_bits(size, 12) for size in sizes] == [7, 6, 0, 0]
+    for size in range(1, 3 * LANE_VALUES, 997):
+        assert size << _lane_bits(size, 12) <= max(size, LANE_VALUES)
+    calls = []
+    monkeypatch.setattr(families, "evaluate", lambda *a: calls.append(1) or evaluate(*a))
+    rng = random.Random(1416)
+    c = random_circuit(rng, 1200, num_vars=9)
+    assert _lane_bits(c.size(), 8) == 5
+    ring, xs = PrimeField(1000003), [rng.randint(0, 10**6)]
+    assert boolean_sum(c, ring, xs, 8) == _scalar_boolean_sum(c, ring, xs, 8)
+    assert len(calls) == 2 ** (8 - 5)  # 32 lanes per pass, not 2^LANE_BITS
+
+
+def test_lane_ring_broadcasts():
+    z = LaneRing(IntegerRing())
+    assert z.add(2, 3) == 5 and z.mul(-2, 3) == -6
+    assert z.add(2, [1, -1]) == [3, 1] == z.add([1, -1], 2)
+    assert z.mul(-3, [1, 2]) == [-3, -6] == z.mul([1, 2], -3)
+    assert z.add([1, 2], [3, -4]) == [4, -2] and z.mul([1, 2], [3, -4]) == [3, -8]
+    f = LaneRing(PrimeField(5))
+    assert f.from_int(-1) == 4 and f.from_int(7) == 2
+    assert f.add(3, 4) == 2 and f.mul(3, 4) == 2
+    assert f.add(4, [1, 3]) == [0, 2] == f.add([1, 3], 4)
+    assert f.mul(3, [2, 4]) == [1, 2] == f.mul([2, 4], 3)
+    assert f.add([1, 4], [4, 4]) == [0, 3] and f.mul([2, 3], [3, 4]) == [1, 2]
 
 
 def test_projection_to_constant_and_variable():
@@ -243,7 +309,6 @@ def test_projection_zeroing_hc_entry():
 
 def test_projection_commutes_with_evaluation():
     rng = random.Random(61)
-    from circuitbench.circuits import random_circuit
 
     for _ in range(200):
         c = random_circuit(rng, rng.randint(1, 8), num_vars=3)

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import inspect
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from circuitbench import protocols
 from circuitbench.circuits import Circuit, CircuitBuilder, compile_mod_evaluator
 from circuitbench.families import permanent
+from circuitbench.primes import sieve
 from circuitbench.protocols import (
     CheatingProver,
     HashMatrix,
@@ -69,6 +71,100 @@ def test_first_collision_witnesses_satisfy_psi():
         if witness is not None:
             assert set(witness) <= set(elements)
             assert psi(matrices, list(witness))
+
+
+def _first_collision_buckets(matrices, elements):
+    """The dict-bucketing search the lane search replaced, kept as its
+    oracle: each matrix buckets every distinct element by `apply`."""
+    elements = list(dict.fromkeys(elements))
+    pivots, tables = set(elements), []
+    for a in matrices:
+        buckets = {}
+        for e in elements:
+            buckets.setdefault(a.apply(e), []).append(e)
+        pivots &= {e for members in buckets.values() if len(members) > 1 for e in members}
+        tables.append(buckets)
+        if not pivots:
+            break
+    if not pivots:
+        return None
+    pivot = next(e for e in elements if e in pivots)
+    mates = [next(e for e in b[a.apply(pivot)] if e != pivot) for a, b in zip(matrices, tables)]
+    return (pivot, *mates)
+
+
+def _outcome(search, matrices, elements):
+    try:
+        return search(matrices, elements)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_first_collision_matches_bucketing_oracle():
+    """Full return tuples, refusals included, over lane widths 8 to 128."""
+    rng = random.Random(1414)
+    outcomes = set()
+    for case in range(3000):
+        m = rng.randint(0, 6)
+        cols = rng.randint(1, 70)
+        # a third of the cases mix matrix widths, so the widest sets the lane
+        widths = [rng.randint(1, 70) if case % 3 == 0 else cols for _ in range(m)]
+        narrow = min(widths, default=cols)
+        # small value ranges force repeats and collisions, wide ones spread
+        span = 1 << min(narrow, rng.choice([2, 4, 8, 70]))
+        elements = [rng.randrange(span) for _ in range(rng.randint(0, 100))]
+        if elements and case % 10 == 0:
+            elements.insert(rng.randrange(len(elements)), rng.choice([-1, 1 << narrow]))
+        matrices = [
+            HashMatrix(tuple(rng.getrandbits(w) for _ in range(rng.randint(0, 6))), w)
+            for w in widths
+        ]
+        want = _outcome(_first_collision_buckets, matrices, elements)
+        assert _outcome(first_collision, matrices, elements) == want, (matrices, elements)
+        outcomes.add("none" if want is None else type(want).__name__)
+    assert outcomes == {"none", "tuple", "str"}
+
+
+def test_first_collision_matrices_taller_than_a_lane():
+    # more rows than lane bits split the hash keys into blocks of lane-width rows
+    rng = random.Random(1417)
+    for _ in range(300):
+        cols = rng.randint(1, 20)
+        elements = [rng.getrandbits(cols) for _ in range(rng.randint(0, 60))]
+        count = rng.randint(1, 3)
+        matrices = [random_hash_matrix(rng, rng.randint(7, 40), cols) for _ in range(count)]
+        want = _first_collision_buckets(matrices, elements)
+        assert first_collision(matrices, elements) == want, (matrices, elements)
+
+
+def test_first_collision_memory_stays_linear_in_the_set():
+    # 4,000 elements under 12-row matrices: the search holds a few hundred
+    # bytes per element, not one lane mask of the whole set per bucket
+    rng = random.Random(1418)
+    elements = rng.sample(range(1 << 16), 4000)
+    matrices = [random_hash_matrix(rng, 12, 16) for _ in range(12)]
+    want = _first_collision_buckets(matrices, elements)
+    tracemalloc.start()
+    try:
+        got = first_collision(matrices, elements)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 500 * len(elements), peak
+
+
+def test_first_collision_refuses_like_apply():
+    a = HashMatrix((0b101,), cols=3)
+    for bad in (-1, 8):
+        with pytest.raises(ValueError) as want:
+            a.apply(bad)
+        with pytest.raises(ValueError) as got:
+            first_collision([a], [1, bad, 2, 9])
+        assert str(got.value) == str(want.value)
+    # only the matrices the search reaches check the elements
+    identity = HashMatrix((0b100, 0b010, 0b001), 3)
+    assert first_collision([identity, HashMatrix((), 1)], [1, 2, 4]) is None
 
 
 def test_first_collision_ignores_repeated_elements():
@@ -199,7 +295,7 @@ def test_collision_primes_always_exist_at_default_sizes():
     rng = random.Random(109)
     for _ in range(20):
         matrices = [random_hash_matrix(rng, 4, 12) for _ in range(4)]
-        picks = find_collision_primes(matrices, 12)
+        picks = find_collision_primes(matrices, sieve((1 << 12) - 1))
         assert picks is not None
         assert psi(matrices, list(picks))
 
@@ -213,7 +309,7 @@ def test_collision_primes_pinned():
         m = rng.randint(0, 6)
         cols = rng.randint(1, 12)
         matrices = [random_hash_matrix(rng, m, cols) for _ in range(m)]
-        picks.append(find_collision_primes(matrices, cols))
+        picks.append(find_collision_primes(matrices, sieve((1 << cols) - 1)))
     assert sum(p is None for p in picks) == 98
     digest = hashlib.sha256(repr(picks).encode()).hexdigest()
     assert digest == "c2064d2c57a22b096dcd0fcff56e542a7c509640997ce11391dcbd8c45d76506"
@@ -380,8 +476,8 @@ class _CorruptingProver:
     def __init__(self, corrupt):
         self.corrupt = corrupt
 
-    def message(self, t, n, max_value, matrices, cols):
-        return self.corrupt(HonestProver().message(t, n, max_value, matrices, cols))
+    def message(self, t, n, max_value, matrices, candidates):
+        return self.corrupt(HonestProver().message(t, n, max_value, matrices, candidates))
 
 
 @pytest.mark.parametrize(
