@@ -7,74 +7,85 @@ searches, and simulations of hash-based set-size estimation, permanent
 verification, and an Arthur-Merlin evaluation protocol.
 """
 
-from .algebra import SparsePoly
-from .circuits import (
-    Add,
-    Circuit,
-    CircuitBuilder,
-    Const,
-    InputVar,
-    Mul,
-    Param,
-    bind_params,
-    enumerate_circuits,
-    evaluate,
-    expand_circuit,
-    formal_degree,
-    is_constant_free,
-    metrics,
-    parse_circuit,
-    random_circuit,
-    serialize_circuit,
-    simplify_constants,
-    weight_report,
-)
-from .errors import BudgetError, EmbeddingError, ParseError
-from .families import (
-    TruthTable,
-    apply_projection,
-    boolean_sum,
-    hamiltonian_cycle_sum,
-    multilinear_extension,
-    permanent,
-    permanent_naive,
-)
-from .forge import (
-    find_hard_vector,
-    hardness_certificate,
-    poscoef,
-    realizable_vectors,
-    sign_condition_search,
-)
-from .pit import pit_equal
-from .protocols import (
-    CheatingProver,
-    HashMatrix,
-    HonestProver,
-    ama_simulate,
-    build_determinant_chain,
-    build_permanent_chain,
-    gs_estimate,
-    permanent_agreement_system,
-    permanent_verify,
-    phi,
-    psi,
-)
-from .rings import IntegerRing, PrimeField, TruncatedPolyRing
-from .systems import (
-    PolySystem,
-    build_hardness_system,
-    build_language_system,
-    density_probe,
-    parse_system,
-    serialize_system,
-    solve_bruteforce,
-)
-from .universal import (
-    UniversalTemplate,
-    build_universal,
-    embed,
-    truncated_coefficient_map,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+# public name -> the module that defines it; each module is imported on the
+# first access to one of its names, so `import circuitbench` loads nothing
+_HOMES = {
+    "SparsePoly": "algebra",
+    "Add": "circuits",
+    "Circuit": "circuits",
+    "CircuitBuilder": "circuits",
+    "Const": "circuits",
+    "InputVar": "circuits",
+    "Mul": "circuits",
+    "Param": "circuits",
+    "bind_params": "circuits",
+    "enumerate_circuits": "circuits",
+    "evaluate": "circuits",
+    "expand_circuit": "circuits",
+    "formal_degree": "circuits",
+    "is_constant_free": "circuits",
+    "metrics": "circuits",
+    "parse_circuit": "circuits",
+    "random_circuit": "circuits",
+    "serialize_circuit": "circuits",
+    "simplify_constants": "circuits",
+    "weight_report": "circuits",
+    "BudgetError": "errors",
+    "EmbeddingError": "errors",
+    "ParseError": "errors",
+    "TruthTable": "families",
+    "apply_projection": "families",
+    "boolean_sum": "families",
+    "hamiltonian_cycle_sum": "families",
+    "multilinear_extension": "families",
+    "permanent": "families",
+    "permanent_naive": "families",
+    "find_hard_vector": "forge",
+    "hardness_certificate": "forge",
+    "poscoef": "forge",
+    "realizable_vectors": "forge",
+    "sign_condition_search": "forge",
+    "pit_equal": "pit",
+    "CheatingProver": "protocols",
+    "HashMatrix": "protocols",
+    "HonestProver": "protocols",
+    "ama_simulate": "protocols",
+    "build_determinant_chain": "protocols",
+    "build_permanent_chain": "protocols",
+    "gs_estimate": "protocols",
+    "permanent_agreement_system": "protocols",
+    "permanent_verify": "protocols",
+    "phi": "protocols",
+    "psi": "protocols",
+    "IntegerRing": "rings",
+    "PrimeField": "rings",
+    "TruncatedPolyRing": "rings",
+    "PolySystem": "systems",
+    "build_hardness_system": "systems",
+    "build_language_system": "systems",
+    "density_probe": "systems",
+    "parse_system": "systems",
+    "serialize_system": "systems",
+    "solve_bruteforce": "systems",
+    "UniversalTemplate": "universal",
+    "build_universal": "universal",
+    "embed": "universal",
+    "truncated_coefficient_map": "universal",
+}
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOMES[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -8,12 +8,11 @@ nothing time- or machine-dependent is ever printed.
 Exit codes: 0 success, 1 domain error, 2 budget exceeded, 64 usage error.
 """
 
+# Each command imports the layers it runs inside its handler, so a command
+# starts without loading (and compiling) the forge, solver or protocols.
 import argparse
-import json
-import random
 import sys
 
-from . import families, forge, protocols, systems
 from .algebra import DEFAULT_MONOMIAL_BUDGET
 from .circuits import (
     evaluate,
@@ -23,9 +22,8 @@ from .circuits import (
     parse_circuits,
     weight_report,
 )
-from .errors import BudgetError, ParseError, content_lines, parse_int
+from .errors import DEFAULT_SOLVE_BUDGET, BudgetError, ParseError, content_lines, parse_int
 from .rings import IntegerRing, PrimeField
-from .universal import embed
 
 SCHEMA = "circuitbench-report-v1"
 
@@ -108,7 +106,7 @@ def build_parser():
         "--monomial-budget", type=int, default=DEFAULT_MONOMIAL_BUDGET, dest="monomial_budget"
     )
     common.add_argument(
-        "--eval-budget", type=int, default=systems.DEFAULT_SOLVE_BUDGET, dest="eval_budget"
+        "--eval-budget", type=int, default=DEFAULT_SOLVE_BUDGET, dest="eval_budget"
     )
     subparsers = parser.add_subparsers(dest="command")
 
@@ -226,12 +224,14 @@ def _cmd_weight(args):
 
 
 def _cmd_embed(args):
+    from .universal import embed
     c = parse_circuit(_read(args.circuit))
     emb = embed(c, args.p, seed=args.seed)
     return _report(levels=emb.levels, params=emb.params, verified=True)
 
 
 def _cmd_forge(args):
+    from . import forge
     result = forge.find_hard_vector(args.s, args.d, args.p, solve_budget=args.eval_budget)
     enum = forge.realizable_vectors(
         args.s, args.d, args.p, oracle="circuit-enumeration", enum_size=args.enum_size
@@ -251,6 +251,7 @@ def _cmd_forge(args):
 
 
 def _cmd_signcond(args):
+    from . import forge
     result = forge.sign_condition_search(args.s, args.cap)
     return _report(
         saturated=result.saturated,
@@ -261,12 +262,14 @@ def _cmd_signcond(args):
 
 
 def _cmd_poscoef(args):
+    from . import forge
     c = parse_circuit(_read(args.circuit))
     sign = forge.poscoef(c, args.i, budget=args.monomial_budget)
     return _report(sign={1: "positive", 0: "zero", -1: "negative"}[sign])
 
 
 def _cmd_density(args):
+    from . import systems
     system = systems.parse_system(_read(args.system))
     report = systems.density_probe(system, args.limit, solve_budget=args.eval_budget)
     obj, lines = _report(
@@ -282,11 +285,17 @@ def _cmd_density(args):
 
 
 def _cmd_solve(args):
+    from . import systems
     system = systems.parse_system(_read(args.system))
     return _report(witness=systems.solve_bruteforce(system, args.p, budget=args.eval_budget))
 
 
 def _cmd_gs_sim(args):
+    import random
+    from . import protocols
+
+    if args.size < 0:
+        raise ValueError(f"--size must be >= 0, got {args.size}")
     universe = 1 << args.bits
     if universe > sys.maxsize:
         raise ValueError(
@@ -309,12 +318,14 @@ def _cmd_gs_sim(args):
 
 
 def _cmd_per_verify(args):
+    from . import protocols
     chain = parse_circuits(_read(args.chain).splitlines())
     report = protocols.permanent_verify(chain, args.p, args.trials, args.seed)
     return _report(accepted=report.accepted, reason=report.reason)
 
 
 def _cmd_ama_sim(args):
+    from . import protocols
     prover = (
         protocols.HonestProver()
         if args.prover == "honest"
@@ -337,16 +348,19 @@ def _cmd_ama_sim(args):
 
 
 def _cmd_per(args):
+    from . import families
     value = families.permanent(_read_matrix(args.matrix), mod=args.mod)
     return _value_report(value)
 
 
 def _cmd_hc(args):
+    from . import families
     value = families.hamiltonian_cycle_sum(_read_matrix(args.matrix), mod=args.mod)
     return _value_report(value)
 
 
 def _cmd_vnp_sum(args):
+    from . import families
     c = parse_circuit(_read(args.circuit))
     ring = PrimeField(args.mod) if args.mod is not None else IntegerRing()
     x = _ints(args.x, "--x")
@@ -385,6 +399,7 @@ def main(argv=None):
         return 1
     config = _config_obj(args)
     if args.json:
+        import json
         report = {"schema": SCHEMA, "command": args.command, "config": config, "result": obj}
         print(json.dumps(report, sort_keys=True))
     else:

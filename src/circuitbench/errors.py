@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types, budget helpers and the integer token readers."""
 
 import re
 
@@ -55,6 +55,9 @@ def capped_power(base, exp, budget):
     past it both powers exceed the budget, so comparing the capped one with
     the budget gives the same answer without forming a huge number."""
     return base ** min(exp, max(budget, 1).bit_length())
+
+
+DEFAULT_SOLVE_BUDGET = 10**8  # assignments, evaluations or hash rows one command may spend
 
 
 class BudgetError(RuntimeError):

@@ -19,10 +19,13 @@ LANE_BITS = 8  # at most 2^8 assignments per boolean_sum pass: each node holds o
 LANE_VALUES = 1 << 16  # and at most this many node values per pass, unless one lane has more
 
 
-def _check_square(matrix):
+def _check_square(matrix, mod):
+    """The dimension of a square non-empty matrix; also refuses a modulus below 1."""
     n = len(matrix)
     if n == 0 or any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square and non-empty")
+    if mod is not None and mod < 1:
+        raise ValueError(f"modulus must be >= 1, got {mod}")
     return n
 
 
@@ -32,7 +35,7 @@ def permanent(matrix, mod=None):
     For n <= 6 the result is cross-checked against the naive permutation sum
     in the test suite, not here; this path is O(2^n * n^2).
     """
-    n = _check_square(matrix)
+    n = _check_square(matrix, mod)
     if n > PERMANENT_CAP:
         raise BudgetError(f"permanent cap {PERMANENT_CAP} exceeded (n={n})", reached=n)
     total = 0
@@ -46,7 +49,7 @@ def permanent(matrix, mod=None):
 
 def permanent_naive(matrix, mod=None):
     """Permutation-sum oracle, exponential; kept independent of Ryser."""
-    n = _check_square(matrix)
+    n = _check_square(matrix, mod)
     if n > 8:
         raise BudgetError("naive permanent limited to n <= 8", reached=n)
     total = 0
@@ -63,7 +66,7 @@ def hamiltonian_cycle_sum(matrix, mod=None):
     entries.  Cycles are enumerated by fixing vertex 1 and walking the
     lexicographic permutations of the remaining vertices, which makes the
     summation order deterministic."""
-    n = _check_square(matrix)
+    n = _check_square(matrix, mod)
     if n < 2:
         raise ValueError("the cycle polynomial needs n >= 2")
     if n > HC_BUDGET:

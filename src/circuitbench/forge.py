@@ -26,15 +26,10 @@ from itertools import product
 
 from .algebra import DEFAULT_MONOMIAL_BUDGET, SparsePoly
 from .circuits import enumerate_circuits, expand_circuit, is_constant_free
-from .errors import BudgetError
+from .errors import DEFAULT_SOLVE_BUDGET, BudgetError
 from .primes import is_prime
 from .rings import IntegerRing, PrimeField, TruncatedPolyRing
-from .systems import (
-    DEFAULT_SOLVE_BUDGET,
-    build_hardness_system,
-    check_assignment_budget,
-    solve_bruteforce,
-)
+from .systems import build_hardness_system, check_assignment_budget, solve_bruteforce
 
 DEFAULT_SWEEP_BUDGET = 10**7
 DEFAULT_ENUM_ORACLE_BUDGET = 2_000_000

@@ -25,11 +25,11 @@ from .circuits import (
     compile_mod_evaluator,
     serialize_circuit,
 )
-from .errors import BudgetError
+from .errors import DEFAULT_SOLVE_BUDGET, BudgetError
 from .families import permanent
 from .pit import pit_equal
 from .primes import is_prime, next_prime_at_least, sieve
-from .systems import DEFAULT_SOLVE_BUDGET, PolySystem, _substituted
+from .systems import PolySystem, _substituted
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,16 @@ from .circuits import (
     compile_mod_evaluator,
     serialize_circuit,
 )
-from .errors import BudgetError, ParseError, capped_power, content_lines, parse_count
+from .errors import (
+    DEFAULT_SOLVE_BUDGET,
+    BudgetError,
+    ParseError,
+    capped_power,
+    content_lines,
+    parse_count,
+)
 from .primes import is_prime, sieve
 from .universal import build_universal, template_series
-
-DEFAULT_SOLVE_BUDGET = 10**8
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from circuitbench import cli
+from circuitbench import cli, forge
 from circuitbench.cli import main
 
 SQUARE = "nvars 1\ng1 = in 1\ng2 = const -1\ng3 = add g1 g2\ng4 = mul g3 g3\nout g4\n"
@@ -202,6 +204,12 @@ def test_hashing_budget_refuses_before_drawing(capsys, argv, message):
     assert out == f"error=budget: {message}\n"
 
 
+def test_gs_sim_refuses_a_negative_size(capsys):
+    code, out = run(capsys, ["gs-sim", "--size", "-1"])
+    assert code == 1
+    assert out == "error=--size must be >= 0, got -1\n"
+
+
 def test_gs_sim_refuses_a_universe_it_cannot_sample(capsys):
     code, out = run(capsys, ["gs-sim", "--size", "64", "--bits", "100000"])
     assert code == 1
@@ -286,6 +294,16 @@ def test_ragged_matrix_names_the_row(capsys, tmp_path, command):
     code, out = run(capsys, [command, "--matrix", str(path)])
     assert code == 1
     assert out == "error=line 2: expected 2 entries, one per row, got 1\n"
+
+
+@pytest.mark.parametrize("mod", ["0", "-3"])
+@pytest.mark.parametrize("command", ["per", "hc"])
+def test_matrix_modulus_below_one_exits_1(capsys, ones3_file, command, mod):
+    code = main([command, "--matrix", ones3_file, "--mod", mod])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == f"error=modulus must be >= 1, got {mod}\n"
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize(
@@ -381,7 +399,7 @@ def test_forge_refuses_solver_budget_before_sweeping(capsys, monkeypatch):
     def sweep(*args):
         raise AssertionError("the sweep ran before the solver budget check")
 
-    monkeypatch.setattr(cli.forge, "_sweep_image", sweep)
+    monkeypatch.setattr(forge, "_sweep_image", sweep)
     code, out = run(capsys, ["forge", "--s", "3", "--d", "4", "--p", "11"])
     assert code == 2
     assert out.startswith("error=budget: ")
@@ -545,3 +563,79 @@ def test_cli_session_matches_recorded_hashes(capsys, monkeypatch):
             mismatched.append(command)
     assert len(golden) == 30
     assert mismatched == []
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# the layers that a command loads only when it runs them
+LAYERS = {"forge", "protocols", "systems", "universal", "pit", "families"}
+PRINT_LOADED = (
+    "print(*sorted(m for m in sys.modules if m.startswith('circuitbench.')), file=sys.stderr)"
+)
+
+
+def _fresh(argv):
+    """Run python `argv` in a fresh interpreter that imports circuitbench from src."""
+    env = {**os.environ, "PYTHONPATH": str(SRC), "COLUMNS": "80"}
+    return subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+def _loaded(code, *args):
+    """The circuitbench submodules loaded after `code` runs in a fresh
+    interpreter (with `args` as sys.argv[1:]), and its stdout."""
+    done = _fresh(["-c", f"import sys\n{code}\n{PRINT_LOADED}", *args])
+    assert done.returncode == 0, done.stderr
+    return {name.removeprefix("circuitbench.") for name in done.stderr.split()}, done.stdout
+
+
+def test_package_import_loads_no_submodule():
+    assert _loaded("import circuitbench")[0] == set()
+
+
+def test_cli_import_loads_no_command_layer():
+    loaded, _ = _loaded("import circuitbench.cli")
+    assert "circuits" in loaded
+    assert loaded & LAYERS == set()
+
+
+COMMAND_LAYERS = [
+    (["degree", "--circuit", "square.circ"], LAYERS - {"families"}),
+    (["eval", "--circuit", "square.circ", "--vars", "3"], LAYERS - {"families"}),
+    (["weight", "--circuit", "square.circ"], LAYERS - {"families"}),
+    (["per", "--matrix", "ones3.mat"], LAYERS - {"families"}),
+    (["hc", "--matrix", "ones3.mat"], LAYERS - {"families"}),
+    (["vnp-sum", "--circuit", "square.circ", "--summed", "1"], LAYERS - {"families"}),
+    (["embed", "--circuit", "square.circ", "--p", "101"], {"forge", "systems", "protocols"}),
+    (["density", "--system", "xsq_plus_1.sys", "--limit", "20"], {"forge", "protocols"}),
+    (["solve", "--system", "xsq_plus_1.sys", "--p", "5"], {"forge", "protocols"}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded", COMMAND_LAYERS, ids=[argv[0] for argv, _ in COMMAND_LAYERS]
+)
+def test_command_loads_only_its_layers(tmp_path, monkeypatch, argv, unloaded):
+    (tmp_path / "square.circ").write_text(SQUARE)
+    (tmp_path / "ones3.mat").write_text("1 1 1\n1 1 1\n1 1 1\n")
+    (tmp_path / "xsq_plus_1.sys").write_text(XSQ_PLUS_1)
+    monkeypatch.chdir(tmp_path)
+    loaded, out = _loaded("from circuitbench import cli\nassert cli.main(sys.argv[1:]) == 0", *argv)
+    assert out.startswith(f"schema=circuitbench-report-v1\ncommand={argv[0]}\n")
+    assert "circuits" in loaded
+    assert loaded & unloaded == set()
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["--help"], "5ce8714f7c333c3e27a73f40bd19073c0f8d61067aa8f5209cb8234188ab52ab"),
+        (["forge", "--help"], "ccdac9bb934833ab3b13ce73c5701ad793e04c91ff2463c9dce08e558e733b03"),
+    ],
+    ids=["main", "forge"],
+)
+def test_help_text_is_unchanged(argv, digest):
+    # argparse's text at 80 columns, as printed when every layer was imported up front
+    done = _fresh(["-m", "circuitbench.cli", *argv])
+    assert (done.returncode, done.stderr) == (0, "")
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == digest
