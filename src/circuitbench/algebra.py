@@ -6,7 +6,7 @@ integers, or residues when a prime modulus is attached.  Monomial order for
 serialization and iteration is graded lexicographic.
 """
 
-from .errors import BudgetError, ParseError, content_lines, parse_count, parse_int
+from .errors import ParseError, charge, content_lines, parse_count, parse_int
 from .primes import is_prime
 
 DEFAULT_MONOMIAL_BUDGET = 10**6
@@ -90,10 +90,7 @@ class SparsePoly:
                 e = tuple(a + b for a, b in zip(e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
                 if len(out) > budget:
-                    raise BudgetError(
-                        f"monomial budget {budget} exceeded during multiplication",
-                        reached=len(out),
-                    )
+                    charge("monomial", budget, len(out), f"{len(out)} monomials of a product")
         return SparsePoly(out, self.num_vars, self.modulus)
 
     def truncate(self, cap):

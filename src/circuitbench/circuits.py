@@ -10,7 +10,7 @@ gates are binary + and *.
 from dataclasses import dataclass
 
 from .algebra import DEFAULT_MONOMIAL_BUDGET
-from .errors import BudgetError, ParseError, content_lines, parse_count, parse_int
+from .errors import ParseError, charge, content_lines, parse_count, parse_int
 from .rings import IntegerRing, PrimeField, TruncatedPolyRing
 
 
@@ -569,9 +569,7 @@ def enumerate_circuits(
         if unused == 1:
             yielded += 1
             if yielded > budget:
-                raise BudgetError(
-                    f"circuit enumeration budget {budget} exceeded", reached=yielded
-                )
+                charge("enumeration", budget, yielded, f"{yielded} circuits")
             circuit = Circuit(tuple(nodes), len(nodes) - 1, num_vars, 0)
             yield circuit if ring is None else (circuit, values[-1])
         n = len(nodes)

@@ -270,6 +270,8 @@ def _cmd_poscoef(args):
 
 def _cmd_density(args):
     from . import systems
+    if args.limit < 0:
+        raise ValueError(f"--limit must be >= 0, got {args.limit}")
     system = systems.parse_system(_read(args.system))
     report = systems.density_probe(system, args.limit, solve_budget=args.eval_budget)
     obj, lines = _report(
@@ -296,6 +298,8 @@ def _cmd_gs_sim(args):
 
     if args.size < 0:
         raise ValueError(f"--size must be >= 0, got {args.size}")
+    if args.bits < 0:
+        raise ValueError(f"--bits must be >= 0, got {args.bits}")
     universe = 1 << args.bits
     if universe > sys.maxsize:
         raise ValueError(
@@ -326,6 +330,8 @@ def _cmd_per_verify(args):
 
 def _cmd_ama_sim(args):
     from . import protocols
+    if args.bits < 0:
+        raise ValueError(f"--bits must be >= 0, got {args.bits}")
     prover = (
         protocols.HonestProver()
         if args.prover == "honest"

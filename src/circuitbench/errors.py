@@ -61,15 +61,19 @@ DEFAULT_SOLVE_BUDGET = 10**8  # assignments, evaluations or hash rows one comman
 
 
 class BudgetError(RuntimeError):
-    """A configured resource budget was exceeded.
-
-    Raised instead of silently truncating or returning a partial (wrong)
-    answer.  `reached` records how far the computation got.
-    """
+    """A named budget was exceeded: raised by `charge` instead of truncating or
+    returning a partial (wrong) answer.  `reached` records how far the work got."""
 
     def __init__(self, message, reached=None):
         super().__init__(message)
         self.reached = reached
+
+
+def charge(name, budget, work, what):
+    """The package's one budget refusal: BudgetError("<what> exceed the <name>
+    budget <budget>", reached=work) when `work` is over `budget`."""
+    if work > budget:
+        raise BudgetError(f"{what} exceed the {name} budget {budget}", reached=work)
 
 
 class EmbeddingError(RuntimeError):

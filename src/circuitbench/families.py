@@ -10,7 +10,14 @@ from itertools import permutations
 
 from .algebra import SparsePoly
 from .circuits import Circuit, Const, InputVar, evaluate
-from .errors import BudgetError, ParseError, capped_power, content_lines, parse_int
+from .errors import (
+    DEFAULT_SOLVE_BUDGET,
+    ParseError,
+    capped_power,
+    charge,
+    content_lines,
+    parse_int,
+)
 from .rings import LaneRing
 
 PERMANENT_CAP = 12
@@ -36,8 +43,7 @@ def permanent(matrix, mod=None):
     in the test suite, not here; this path is O(2^n * n^2).
     """
     n = _check_square(matrix, mod)
-    if n > PERMANENT_CAP:
-        raise BudgetError(f"permanent cap {PERMANENT_CAP} exceeded (n={n})", reached=n)
+    charge("permanent", PERMANENT_CAP, n, f"{n} rows")
     total = 0
     for mask in range(1, 1 << n):
         cols = [j for j in range(n) if mask >> j & 1]
@@ -50,8 +56,7 @@ def permanent(matrix, mod=None):
 def permanent_naive(matrix, mod=None):
     """Permutation-sum oracle, exponential; kept independent of Ryser."""
     n = _check_square(matrix, mod)
-    if n > 8:
-        raise BudgetError("naive permanent limited to n <= 8", reached=n)
+    charge("naive-permanent", 8, n, f"{n} rows")
     total = 0
     for perm in permutations(range(n)):
         prod = 1
@@ -69,8 +74,7 @@ def hamiltonian_cycle_sum(matrix, mod=None):
     n = _check_square(matrix, mod)
     if n < 2:
         raise ValueError("the cycle polynomial needs n >= 2")
-    if n > HC_BUDGET:
-        raise BudgetError(f"(n-1)! enumeration refused for n={n} > {HC_BUDGET}", reached=n)
+    charge("cycle-sum", HC_BUDGET, n, f"{n} vertices")
     total = 0
     for rest in permutations(range(1, n)):
         cycle = (0,) + rest
@@ -142,8 +146,7 @@ def multilinear_extension(table):
     its coefficients come out of a subset Moebius transform, so the build is
     O(n 2^n) rather than O(4^n).
     """
-    if table.n > 20:
-        raise BudgetError("multilinear extension limited to n <= 20", reached=table.n)
+    charge("multilinear-extension", 20, table.n, f"{table.n} variables")
     n = table.n
     coeffs = list(table.values)
     for bit in range(n):
@@ -166,7 +169,7 @@ def _lane_bits(size, num_summed):
     return min(num_summed, LANE_BITS, max(0, (LANE_VALUES // size).bit_length() - 1))
 
 
-def boolean_sum(circuit, ring, x_assign, num_summed, budget=10**8):
+def boolean_sum(circuit, ring, x_assign, num_summed, budget=DEFAULT_SOLVE_BUDGET):
     """Sum the circuit over all 0/1 assignments of its last `num_summed`
     variables, the first variables being fixed to `x_assign`, in `ring`, an
     IntegerRing or a PrimeField.  The work, 2^num_summed evaluations of
@@ -180,9 +183,7 @@ def boolean_sum(circuit, ring, x_assign, num_summed, budget=10**8):
         raise ValueError("bad summation variable count")
     size = circuit.size()
     work = size * capped_power(2, num_summed, budget)
-    if work > budget:
-        message = f"2^{num_summed} evaluations of {size} nodes exceed the eval budget {budget}"
-        raise BudgetError(message, reached=work)
+    charge("eval", budget, work, f"2^{num_summed} evaluations of {size} nodes")
     n_free = circuit.num_vars - num_summed
     if len(x_assign) != n_free:
         raise ValueError(f"expected {n_free} fixed values")

@@ -26,10 +26,10 @@ from itertools import product
 
 from .algebra import DEFAULT_MONOMIAL_BUDGET, SparsePoly
 from .circuits import enumerate_circuits, expand_circuit, is_constant_free
-from .errors import DEFAULT_SOLVE_BUDGET, BudgetError
+from .errors import DEFAULT_SOLVE_BUDGET, capped_power, charge
 from .primes import is_prime
 from .rings import IntegerRing, PrimeField, TruncatedPolyRing
-from .systems import build_hardness_system, check_assignment_budget, solve_bruteforce
+from .systems import build_hardness_system, solve_bruteforce
 
 DEFAULT_SWEEP_BUDGET = 10**7
 DEFAULT_ENUM_ORACLE_BUDGET = 2_000_000
@@ -116,28 +116,20 @@ def _sweep_image(s, d, p, budget):
         raise ValueError("level count must be >= 1")
     if d < 0:
         raise ValueError("d must be >= 0")
-    work = 0
-
-    def charge(count):
-        nonlocal work
-        work += count
-        if work > budget:
-            raise BudgetError(
-                f"{work} sweep products exceed the sweep-work budget {budget}",
-                reached=work,
-            )
-
     one = (1,) + (0,) * d
     spans = [(one,)] + ([(one, (0, 1) + (0,) * (d - 1))] if d else [])
     if s == 1:
-        charge(p ** len(spans[-1]))
+        work = p ** len(spans[-1])
+        charge("sweep", budget, work, f"{work} sweep products")
         return set(_span_elements(spans[-1], p))
     image = set()
+    work = 0
     for j in range(2, s + 1):
         following = set()
         for basis in sorted(spans):
             size = p ** len(basis)
-            charge(size * (size + 1) // 2)
+            work += size * (size + 1) // 2
+            charge("sweep", budget, work, f"{work} sweep products")
             elems = _span_elements(basis, p)
             values = {
                 _series_mul(q, r, d, p) for i, q in enumerate(elems) for r in elems[i:]
@@ -225,7 +217,8 @@ def find_hard_vector(s, d, p, solve_budget=DEFAULT_SOLVE_BUDGET):
         raise ValueError(f"modulus {p} is not prime")
     if p <= d:
         raise ValueError(f"need p > d for {d + 1} distinct interpolation points, got p={p}")
-    check_assignment_budget(p, s * (s + 1), solve_budget)
+    u = s * (s + 1)
+    charge("eval", solve_budget, capped_power(p, u, solve_budget), f"{p}^{u} assignments")
     zero_one = realizable_vectors(s, d, p).vectors
     expected = lex_first_missing(zero_one, d)
     for checked, gamma in enumerate(product((0, 1), repeat=d + 1), start=1):
@@ -299,20 +292,16 @@ def sign_condition_search(s, cap, budget=DEFAULT_ENUM_ORACLE_BUDGET):
     if s < 0 or cap < 0:
         raise ValueError(f"s and cap must be >= 0, got s={s}, cap={cap}")
     cost = cap + 1
-
-    def charge(circuits):
-        if circuits * cost > budget:
-            message = f"sign-condition budget {budget} exceeded at cap + 1 = {cost} per circuit"
-            raise BudgetError(message, reached=circuits * cost)
-
-    charge(1)
+    what = f"coefficient signs ({cost} per circuit)"
+    charge("sign-condition", budget, cost, f"{cost} {what}")
     realized = set()
     count = 0
     ring = TruncatedPolyRing(IntegerRing(), 1, cap)
-    # one circuit more than `charge` allows, so `charge` is what refuses
+    # one circuit more than the sign-condition budget allows, so that budget refuses
     for _, poly in enumerate_circuits(s, 1, (-1,), budget=budget // cost + 1, ring=ring):
         count += 1
-        charge(count)
+        if count * cost > budget:
+            charge("sign-condition", budget, count * cost, f"{count * cost} {what}")
         bits = tuple(
             1 if poly.coefficient((i,)) > 0 else 0 for i in range(cap + 1)
         )

@@ -8,7 +8,7 @@ scale).
 
 import functools
 
-from .errors import BudgetError
+from .errors import charge
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
@@ -52,9 +52,7 @@ def is_prime(n):
 def sieve(limit):
     """All primes <= limit, ascending.  A limit above SIEVE_BUDGET is
     refused before the flag array is allocated."""
-    if limit > SIEVE_BUDGET:
-        message = f"sieve limit {limit} exceeds the sieve budget {SIEVE_BUDGET}"
-        raise BudgetError(message, reached=limit)
+    charge("sieve", SIEVE_BUDGET, limit, f"the integers up to {limit}")
     if limit < 2:
         return []
     flags = bytearray([1]) * (limit + 1)
@@ -68,10 +66,11 @@ def sieve(limit):
 
 
 def next_prime_at_least(n):
-    """Smallest prime >= n, searched over at most 10^7 candidates."""
+    """Smallest prime >= n; the prime-search budget ends at the 10^7-th candidate."""
     c = max(2, n)
-    for _ in range(10_000_000):
-        if is_prime(c):
-            return c
+    last = c + 10_000_000 - 1
+    while not is_prime(c):
         c += 1
-    raise BudgetError(f"no prime found in [{n}, {c})", reached=c)
+        if c > last:
+            charge("prime-search", last, c, f"the candidates up to {c}")
+    return c

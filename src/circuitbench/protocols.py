@@ -25,7 +25,7 @@ from .circuits import (
     compile_mod_evaluator,
     serialize_circuit,
 )
-from .errors import DEFAULT_SOLVE_BUDGET, BudgetError
+from .errors import DEFAULT_SOLVE_BUDGET, charge
 from .families import permanent
 from .pit import pit_equal
 from .primes import is_prime, next_prime_at_least, sieve
@@ -166,13 +166,9 @@ def phi_reference(matrices, elements):
 
 
 def charge_hashing(rows, size, budget):
-    """Refuse, with BudgetError, hashing `size` elements under `rows` matrix
-    rows in all when those rows * size row parities exceed `budget`.  Called
-    before the set is drawn or any matrix is."""
-    work = rows * size
-    if work > budget:
-        message = f"{rows} hash rows over {size} elements exceed the eval budget {budget}"
-        raise BudgetError(message, reached=work)
+    """Charge the rows * size row parities of hashing `size` elements under
+    `rows` matrix rows to the eval budget, before the set or any matrix is drawn."""
+    charge("eval", budget, rows * size, f"{rows} hash rows over {size} elements")
 
 
 @dataclass(frozen=True)

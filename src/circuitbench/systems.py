@@ -26,6 +26,7 @@ from .errors import (
     BudgetError,
     ParseError,
     capped_power,
+    charge,
     content_lines,
     parse_count,
 )
@@ -102,8 +103,7 @@ def build_language_system(n, accepted, skeleton):
     """
     if skeleton.num_vars != n:
         raise ValueError(f"skeleton must have {n} input variables")
-    if n > 12:
-        raise BudgetError(f"2^{n} substitutions refused", reached=n)
+    charge("language-system", 12, n, f"{n} input variables")
     accepted = {int(x) for x in accepted}
     if any(x < 0 or x >= 1 << n for x in accepted):
         raise ValueError("accepted word out of range")
@@ -200,14 +200,6 @@ def _solver_kernel(system):
     return namespace["kernel"]
 
 
-def check_assignment_budget(p, u, budget):
-    """Refuse a search over the p^u assignments of u unknowns when p^u
-    exceeds `budget`; `reached` is the capped power compared."""
-    work = capped_power(p, u, budget)
-    if work > budget:
-        raise BudgetError(f"{p}^{u} assignments exceed budget {budget}", reached=work)
-
-
 def solve_bruteforce(system, p, budget=DEFAULT_SOLVE_BUDGET):
     """Lexicographically first satisfying assignment over F_p, or None.
 
@@ -218,7 +210,8 @@ def solve_bruteforce(system, p, budget=DEFAULT_SOLVE_BUDGET):
     """
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
-    check_assignment_budget(p, system.unknown_count, budget)
+    u = system.unknown_count
+    charge("eval", budget, capped_power(p, u, budget), f"{p}^{u} assignments")
     witness = _solver_kernel(system)(p)
     if witness is not None:
         runs = [compile_mod_evaluator(eq, p) for eq in system.equations]

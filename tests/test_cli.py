@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -12,6 +13,8 @@ from circuitbench import cli, forge
 from circuitbench.cli import main
 
 SQUARE = "nvars 1\ng1 = in 1\ng2 = const -1\ng3 = add g1 g2\ng4 = mul g3 g3\nout g4\n"
+# every budget refusal: one stdout line naming what ran over which budget
+BUDGET_FORM = r"^error=budget: .+ exceed the [a-z -]+ budget \d+$"
 XSQ_PLUS_1 = (
     "unknowns 1\n"
     "nvars 0\nnparams 1\ng1 = param 1\ng2 = mul g1 g1\ng3 = const 1\ng4 = add g2 g3\nout g4\n"
@@ -147,9 +150,9 @@ def test_gs_sim_empty_set_without_matrices_is_small(capsys):
     "argv, message",
     [
         (["solve", "--system", "huge.sys", "--p", "101"],
-         "101^100000000 assignments exceed budget 100000000"),
+         "101^100000000 assignments exceed the eval budget 100000000"),
         (["forge", "--s", "400", "--d", "1", "--p", "5"],
-         "5^160400 assignments exceed budget 100000000"),
+         "5^160400 assignments exceed the eval budget 100000000"),
     ],
     ids=["solve", "forge"],
 )
@@ -162,6 +165,7 @@ def test_assignment_budget_refuses_at_once(capsys, tmp_path, monkeypatch, argv, 
     assert time.perf_counter() - start < 5
     assert code == 2
     assert out == f"error=budget: {message}\n"
+    assert re.match(BUDGET_FORM, out)
 
 
 @pytest.mark.parametrize(
@@ -180,7 +184,8 @@ def test_sieve_budget_refuses_before_allocating(capsys, tmp_path, monkeypatch, a
     code, out = run(capsys, argv)
     assert time.perf_counter() - start < 5
     assert code == 2
-    assert out == f"error=budget: sieve limit {limit} exceeds the sieve budget 10000000\n"
+    assert out == f"error=budget: the integers up to {limit} exceed the sieve budget 10000000\n"
+    assert re.match(BUDGET_FORM, out)
 
 
 @pytest.mark.parametrize(
@@ -202,12 +207,29 @@ def test_hashing_budget_refuses_before_drawing(capsys, argv, message):
     assert time.perf_counter() - start < 5
     assert code == 2
     assert out == f"error=budget: {message}\n"
+    assert re.match(BUDGET_FORM, out)
 
 
-def test_gs_sim_refuses_a_negative_size(capsys):
-    code, out = run(capsys, ["gs-sim", "--size", "-1"])
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gs-sim", "--size", "-1"], "--size must be >= 0, got -1"),
+        (["gs-sim", "--size", "4", "--bits", "-1"], "--bits must be >= 0, got -1"),
+        (["ama-sim", "--x", "0,2,3,0,1,2,2,3", "--i", "1", "--b", "0", "--bits", "-2"],
+         "--bits must be >= 0, got -2"),
+        (["density", "--system", "xsq_plus_1.sys", "--limit", "-5"],
+         "--limit must be >= 0, got -5"),
+    ],
+    ids=["gs-sim-size", "gs-sim-bits", "ama-sim-bits", "density-limit"],
+)
+def test_negative_option_is_named_in_the_error(capsys, tmp_path, monkeypatch, argv, message):
+    (tmp_path / "xsq_plus_1.sys").write_text(XSQ_PLUS_1)
+    monkeypatch.chdir(tmp_path)
+    code = main(argv)
+    captured = capsys.readouterr()
     assert code == 1
-    assert out == "error=--size must be >= 0, got -1\n"
+    assert captured.out == f"error={message}\n"
+    assert captured.err == ""
 
 
 def test_gs_sim_refuses_a_universe_it_cannot_sample(capsys):
@@ -326,6 +348,7 @@ def test_vnp_sum_charges_its_work_to_the_eval_budget(capsys, tmp_path, summed, b
     code, out = run(capsys, argv)
     assert code == 2
     assert out == f"error=budget: {message}\n"
+    assert re.match(BUDGET_FORM, out)
 
 
 @pytest.mark.parametrize(
@@ -469,13 +492,14 @@ def test_determinism_byte_identical(capsys, square_file, system_file, ones3_file
 def test_signcond_refuses_work_beyond_its_budget(capsys):
     # each circuit costs D + 1 bits: 2,000,000 // 20,001 leaves room for 99 circuits;
     # a D + 1 above the budget is refused before any circuit is enumerated
-    for cap in (20000, 10**9):
+    for cap, work in ((20000, 100 * 20001), (10**9, 10**9 + 1)):
         code, out = run(capsys, ["signcond", "--s", "5", "--D", str(cap)])
         assert code == 2
         assert out == (
-            f"error=budget: sign-condition budget 2000000 exceeded at cap + 1 = {cap + 1}"
-            " per circuit\n"
+            f"error=budget: {work} coefficient signs ({cap + 1} per circuit) exceed the"
+            " sign-condition budget 2000000\n"
         )
+        assert re.match(BUDGET_FORM, out)
 
 
 def _report_parts(capsys, argv):

@@ -108,12 +108,12 @@ def test_sweep_matches_level_tuple_walk():
 
 def test_sweep_budget():
     # the budget counts products formed, |V|(|V|+1)/2 per visited subspace
-    with pytest.raises(BudgetError, match="sweep-work budget") as info:
+    with pytest.raises(BudgetError, match="sweep budget") as info:
         realizable_vectors(3, 4, 11, budget=10**5)
     assert info.value.reached > 10**5
     assert realizable_vectors(3, 2, 5).vectors  # 8,555 products
     # s = 1 forms no products, but its 10007^2 level-1 values count too
-    with pytest.raises(BudgetError, match="sweep-work budget") as info:
+    with pytest.raises(BudgetError, match="sweep budget") as info:
         realizable_vectors(1, 2, 10007)
     assert info.value.reached == 10007**2
 
@@ -189,11 +189,11 @@ def test_find_hard_vector_refuses_before_building(monkeypatch):
 
     monkeypatch.setattr(forge, "build_hardness_system", never)
     monkeypatch.setattr(forge, "_sweep_image", never)
-    message = r"^5\^160400 assignments exceed budget 100000000$"
+    message = r"^5\^160400 assignments exceed the eval budget 100000000$"
     with pytest.raises(BudgetError, match=message) as info:
         find_hard_vector(400, 1, 5)
     assert info.value.reached == 5**27  # capped at the budget's bit length
-    with pytest.raises(BudgetError, match=r"^5\^2 assignments exceed budget 0$"):
+    with pytest.raises(BudgetError, match=r"^5\^2 assignments exceed the eval budget 0$"):
         find_hard_vector(1, 2, 5, solve_budget=0)
 
 
@@ -330,13 +330,14 @@ def test_sign_condition_charges_cap_plus_one_per_circuit(monkeypatch):
     with pytest.raises(BudgetError, match="budget") as info:
         sign_condition_search(4, 4, budget=5 * circuits - 1)
     assert str(info.value) == (
-        f"sign-condition budget {5 * circuits - 1} exceeded at cap + 1 = 5 per circuit"
+        f"{5 * circuits} coefficient signs (5 per circuit) exceed the sign-condition budget"
+        f" {5 * circuits - 1}"
     )
     assert info.value.reached == 5 * circuits  # budget units, the last circuit included
     # a cap whose one circuit exceeds the budget is refused before enumerating
     monkeypatch.setattr(forge, "enumerate_circuits", None)
     for s in (0, 4):
-        with pytest.raises(BudgetError, match="budget 2000000 exceeded") as info:
+        with pytest.raises(BudgetError, match="exceed the sign-condition budget 2000000") as info:
             sign_condition_search(s, 2_000_000)
         assert info.value.reached == 2_000_001
 

@@ -46,7 +46,7 @@ def test_solve_budget_never_forms_the_whole_power():
     # 101^(10^8) is a number of about 80 MB; the refusal compares 101^27,
     # the first power past the budget's bit length
     system = PolySystem(10**8, (y_squared_plus_one().equations[0],))
-    message = r"^101\^100000000 assignments exceed budget 100000000$"
+    message = r"^101\^100000000 assignments exceed the eval budget 100000000$"
     with pytest.raises(BudgetError, match=message) as info:
         solve_bruteforce(system, 101)
     assert info.value.reached == 101**27
