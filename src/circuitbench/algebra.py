@@ -7,7 +7,7 @@ serialization and iteration is graded lexicographic.
 """
 
 from .errors import ParseError, charge, content_lines, parse_count, parse_int
-from .primes import is_prime
+from .primes import is_prime, require_prime
 
 DEFAULT_MONOMIAL_BUDGET = 10**6
 
@@ -25,7 +25,7 @@ class SparsePoly:
 
     def __init__(self, coeffs, num_vars, modulus=None):
         if modulus is not None and not is_prime(modulus):
-            raise ValueError(f"modulus {modulus} is not prime")
+            require_prime(modulus)
         clean = {}
         for exps, c in coeffs.items():
             if len(exps) != num_vars:

@@ -10,7 +10,7 @@ gates are binary + and *.
 from dataclasses import dataclass
 
 from .algebra import DEFAULT_MONOMIAL_BUDGET
-from .errors import ParseError, charge, content_lines, parse_count, parse_int
+from .errors import ParseError, at_least, charge, content_lines, parse_count, parse_int
 from .rings import IntegerRing, PrimeField, TruncatedPolyRing
 
 
@@ -489,8 +489,7 @@ def weight_report(circuit, budget=DEFAULT_MONOMIAL_BUDGET):
 def random_circuit(rng, size, num_vars, num_params=0):
     """A random valid circuit with exactly `size` nodes (output = last); a
     later node is a gate with probability 3/4, a constant leaf is in -5..5."""
-    if size < 1:
-        raise ValueError("size must be >= 1")
+    at_least("size", size, 1)
     nodes = []
     for pos in range(size):
         want_gate = pos > 0 and (pos == size - 1 or rng.random() < 0.75)

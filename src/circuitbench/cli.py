@@ -22,7 +22,14 @@ from .circuits import (
     parse_circuits,
     weight_report,
 )
-from .errors import DEFAULT_SOLVE_BUDGET, BudgetError, ParseError, content_lines, parse_int
+from .errors import (
+    DEFAULT_SOLVE_BUDGET,
+    BudgetError,
+    ParseError,
+    at_least,
+    content_lines,
+    parse_int,
+)
 from .rings import IntegerRing, PrimeField
 
 SCHEMA = "circuitbench-report-v1"
@@ -270,8 +277,7 @@ def _cmd_poscoef(args):
 
 def _cmd_density(args):
     from . import systems
-    if args.limit < 0:
-        raise ValueError(f"--limit must be >= 0, got {args.limit}")
+    at_least("--limit", args.limit, 0)
     system = systems.parse_system(_read(args.system))
     report = systems.density_probe(system, args.limit, solve_budget=args.eval_budget)
     obj, lines = _report(
@@ -296,10 +302,8 @@ def _cmd_gs_sim(args):
     import random
     from . import protocols
 
-    if args.size < 0:
-        raise ValueError(f"--size must be >= 0, got {args.size}")
-    if args.bits < 0:
-        raise ValueError(f"--bits must be >= 0, got {args.bits}")
+    at_least("--size", args.size, 0)
+    at_least("--bits", args.bits, 0)
     universe = 1 << args.bits
     if universe > sys.maxsize:
         raise ValueError(
@@ -330,8 +334,7 @@ def _cmd_per_verify(args):
 
 def _cmd_ama_sim(args):
     from . import protocols
-    if args.bits < 0:
-        raise ValueError(f"--bits must be >= 0, got {args.bits}")
+    at_least("--bits", args.bits, 0)
     prover = (
         protocols.HonestProver()
         if args.prover == "honest"
@@ -393,6 +396,8 @@ def main(argv=None):
         parser.print_usage(sys.stderr)
         return 64
     try:
+        at_least("--eval-budget", args.eval_budget, 0)
+        at_least("--monomial-budget", args.monomial_budget, 0)
         obj, lines = args.handler(args)
     except BudgetError as exc:
         print(f"error=budget: {exc}")

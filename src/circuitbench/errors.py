@@ -1,4 +1,4 @@
-"""Shared exception types, budget helpers and the integer token readers."""
+"""Shared exception types, the argument and budget checks, and the integer token readers."""
 
 import re
 
@@ -48,6 +48,13 @@ def parse_count(tokens, keyword, line, expected, bad=None):
     if count < 0:
         raise ParseError(f"{keyword} must be >= 0", line)
     return count
+
+
+def at_least(name, value, low):
+    """The package's one lower-bound refusal: ValueError("<name> must be >=
+    <low>, got <value>") when `value` is below `low`."""
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 def capped_power(base, exp, budget):

@@ -13,6 +13,7 @@ from .circuits import Circuit, Const, InputVar, evaluate
 from .errors import (
     DEFAULT_SOLVE_BUDGET,
     ParseError,
+    at_least,
     capped_power,
     charge,
     content_lines,
@@ -31,8 +32,8 @@ def _check_square(matrix, mod):
     n = len(matrix)
     if n == 0 or any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square and non-empty")
-    if mod is not None and mod < 1:
-        raise ValueError(f"modulus must be >= 1, got {mod}")
+    if mod is not None:
+        at_least("modulus", mod, 1)
     return n
 
 
@@ -80,17 +81,6 @@ def hamiltonian_cycle_sum(matrix, mod=None):
         cycle = (0,) + rest
         total += math.prod(matrix[cycle[k]][cycle[(k + 1) % n]] for k in range(n))
     return total % mod if mod is not None else total
-
-
-def hamiltonian_cycle_sum_padded(values):
-    """Padding variant: on n values, evaluate the cycle polynomial of
-    dimension floor(sqrt(n)) on the first floor(sqrt(n))^2 of them."""
-    n = len(values)
-    k = math.isqrt(n)
-    if k < 2:
-        raise ValueError("need at least 4 values")
-    matrix = [[values[i * k + j] for j in range(k)] for i in range(k)]
-    return hamiltonian_cycle_sum(matrix)
 
 
 class TruthTable:

@@ -26,8 +26,8 @@ from itertools import product
 
 from .algebra import DEFAULT_MONOMIAL_BUDGET, SparsePoly
 from .circuits import enumerate_circuits, expand_circuit, is_constant_free
-from .errors import DEFAULT_SOLVE_BUDGET, capped_power, charge
-from .primes import is_prime
+from .errors import DEFAULT_SOLVE_BUDGET, at_least, capped_power, charge
+from .primes import require_prime
 from .rings import IntegerRing, PrimeField, TruncatedPolyRing
 from .systems import build_hardness_system, solve_bruteforce
 
@@ -112,10 +112,8 @@ def _sweep_image(s, d, p, budget):
     |V_j|(|V_j| + 1)/2 products, and at s = 1 the |span{1, x}| level-1
     values count instead; all are counted before they are formed.
     """
-    if s < 1:
-        raise ValueError("level count must be >= 1")
-    if d < 0:
-        raise ValueError("d must be >= 0")
+    at_least("level count", s, 1)
+    at_least("d", d, 0)
     one = (1,) + (0,) * d
     spans = [(one,)] + ([(one, (0, 1) + (0,) * (d - 1))] if d else [])
     if s == 1:
@@ -145,8 +143,7 @@ def _sweep_image(s, d, p, budget):
 def _vertex_bound(s, enum_size):
     """The enumeration oracles' vertex-count bound: `enum_size`, default s."""
     size = s if enum_size is None else enum_size
-    if size < 0:
-        raise ValueError(f"vertex bound must be >= 0, got {size}")
+    at_least("vertex bound", size, 0)
     return size
 
 
@@ -166,10 +163,8 @@ def realizable_vectors(
     p <= d; only the hard-vector search needs p > d.  `budget` defaults to
     the chosen oracle's own budget.
     """
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
-    if d < 0:
-        raise ValueError("d must be >= 0")
+    require_prime(p)
+    at_least("d", d, 0)
     if oracle == "parameter-sweep":
         image = _sweep_image(s, d, p, DEFAULT_SWEEP_BUDGET if budget is None else budget)
         zero_one = frozenset(v for v in image if all(x in (0, 1) for x in v))
@@ -209,12 +204,9 @@ def find_hard_vector(s, d, p, solve_budget=DEFAULT_SOLVE_BUDGET):
     system must be unsolvable exactly at the parameter-sweep image's
     lex-first missing vector, which the answer provably equals.
     """
-    if s < 1:
-        raise ValueError("level count must be >= 1")
-    if d < 0:
-        raise ValueError("d must be >= 0")
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
+    at_least("level count", s, 1)
+    at_least("d", d, 0)
+    require_prime(p)
     if p <= d:
         raise ValueError(f"need p > d for {d + 1} distinct interpolation points, got p={p}")
     u = s * (s + 1)
@@ -258,8 +250,7 @@ def poscoef(circuit, i, budget=DEFAULT_MONOMIAL_BUDGET):
         raise ValueError("poscoef requires a constant-free circuit")
     if circuit.num_vars > 1:
         raise ValueError("poscoef requires a one-variable circuit")
-    if i < 0:
-        raise ValueError("coefficient index must be >= 0")
+    at_least("coefficient index", i, 0)
     poly = expand_circuit(circuit, cap=i, budget=budget)
     if circuit.num_vars == 0:
         coeff = poly.coefficient(()) if i == 0 else 0
@@ -289,8 +280,8 @@ def sign_condition_search(s, cap, budget=DEFAULT_ENUM_ORACLE_BUDGET):
     Each circuit costs cap + 1 (its bit tuple) against `budget`; a cap
     whose one circuit exceeds it is refused before any enumeration.
     """
-    if s < 0 or cap < 0:
-        raise ValueError(f"s and cap must be >= 0, got s={s}, cap={cap}")
+    at_least("s", s, 0)
+    at_least("cap", cap, 0)
     cost = cap + 1
     what = f"coefficient signs ({cost} per circuit)"
     charge("sign-condition", budget, cost, f"{cost} {what}")

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .circuits import compile_mod_evaluator, formal_degree
-from .primes import is_prime
+from .primes import require_prime
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,7 @@ def pit_equal(c1, c2, p, trials=None, seed=0):
         raise ValueError("circuits must have the same variable count")
     if c1.num_params or c2.num_params:
         raise ValueError("bind parameter slots before identity testing")
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
+    require_prime(p)
     degree = max(formal_degree(c1), formal_degree(c2))
     if p <= degree:
         raise ValueError(

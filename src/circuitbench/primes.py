@@ -49,6 +49,13 @@ def is_prime(n):
     return True
 
 
+def require_prime(p):
+    """The package's one composite-modulus refusal: ValueError("modulus <p> is
+    not prime") unless `p` is prime."""
+    if not is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
+
+
 def sieve(limit):
     """All primes <= limit, ascending.  A limit above SIEVE_BUDGET is
     refused before the flag array is allocated."""

@@ -25,10 +25,10 @@ from .circuits import (
     compile_mod_evaluator,
     serialize_circuit,
 )
-from .errors import DEFAULT_SOLVE_BUDGET, charge
+from .errors import DEFAULT_SOLVE_BUDGET, at_least, charge
 from .families import permanent
 from .pit import pit_equal
-from .primes import is_prime, next_prime_at_least, sieve
+from .primes import is_prime, next_prime_at_least, require_prime, sieve
 from .systems import PolySystem, _substituted
 
 
@@ -190,8 +190,8 @@ def gs_estimate(elements, m, trials, seed, cols=12):
     at most 1/2, while size at least m 2^m forces it always; the verdict
     reflects which side the measured rate lands on, "small" up to 0.55.
     """
-    if trials < 0 or m < 0:
-        raise ValueError(f"trials and m must be >= 0, got trials={trials}, m={m}")
+    at_least("trials", trials, 0)
+    at_least("m", m, 0)
     elements = sorted(set(elements))
     for e in elements:
         if e < 0 or e >> cols:
@@ -309,15 +309,13 @@ def permanent_verify(chain, p, trials, seed):
     """
     if not chain:
         raise ValueError("empty chain")
-    if trials < 0:
-        raise ValueError("trials must be >= 0")
+    at_least("trials", trials, 0)
     for k, c in enumerate(chain, start=1):
         if c.num_vars != k * k:
             raise ValueError(f"chain circuit {k} must have {k * k} variables")
         if c.num_params:
             raise ValueError("bind chain parameters before verification")
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
+    require_prime(p)
     rng = random.Random(seed)
     base = Circuit((InputVar(1),), 0, 1, 0)
     verdict = pit_equal(chain[0], base, p, seed=rng.getrandbits(32))
@@ -474,12 +472,10 @@ def ama_simulate(
         raise ValueError("inputs must be nonnegative integers")
     if b not in (0, 1):
         raise ValueError("claimed bit must be 0 or 1")
-    if i < 0:
-        raise ValueError("bit position must be >= 0")
-    if verify_trials < 0:
-        raise ValueError("verify trials must be >= 0")
-    if m < 0 or k < 0:
-        raise ValueError(f"m and k must be >= 0, got m={m}, k={k}")
+    at_least("bit position", i, 0)
+    at_least("verify trials", verify_trials, 0)
+    at_least("m", m, 0)
+    at_least("k", k, 0)
     rng = random.Random(seed)
     rounds = []
 

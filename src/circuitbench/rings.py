@@ -11,7 +11,8 @@ import operator
 from itertools import repeat
 
 from .algebra import DEFAULT_MONOMIAL_BUDGET, SparsePoly
-from .primes import is_prime
+from .errors import at_least
+from .primes import require_prime
 
 
 class IntegerRing:
@@ -36,8 +37,7 @@ class PrimeField:
     """F_p with elements stored as int residues in [0, p)."""
 
     def __init__(self, p):
-        if not is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
+        require_prime(p)
         self.p = p
         self.modulus = p
 
@@ -101,8 +101,8 @@ class TruncatedPolyRing:
     """
 
     def __init__(self, base, var_count, cap, budget=DEFAULT_MONOMIAL_BUDGET):
-        if cap is not None and cap < 0:
-            raise ValueError("degree cap must be >= 0")
+        if cap is not None:
+            at_least("degree cap", cap, 0)
         self.base = base
         self.var_count = var_count
         self.cap = cap

@@ -25,12 +25,13 @@ from .errors import (
     DEFAULT_SOLVE_BUDGET,
     BudgetError,
     ParseError,
+    at_least,
     capped_power,
     charge,
     content_lines,
     parse_count,
 )
-from .primes import is_prime, sieve
+from .primes import require_prime, sieve
 from .universal import build_universal, template_series
 
 
@@ -40,8 +41,7 @@ class PolySystem:
     equations: tuple
 
     def __post_init__(self):
-        if self.unknown_count < 0:
-            raise ValueError("unknown_count must be >= 0")
+        at_least("unknown_count", self.unknown_count, 0)
         for eq in self.equations:
             if eq.num_vars != 0:
                 raise ValueError("system equations must not have free input variables")
@@ -208,8 +208,7 @@ def solve_bruteforce(system, p, budget=DEFAULT_SOLVE_BUDGET):
     assignment is re-checked against every original equation by
     `compile_mod_evaluator`, independently of the loop nest.
     """
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
+    require_prime(p)
     u = system.unknown_count
     charge("eval", budget, capped_power(p, u, budget), f"{p}^{u} assignments")
     witness = _solver_kernel(system)(p)

@@ -25,9 +25,9 @@ from .circuits import (
     serialize_circuit,
     simplify_constants,
 )
-from .errors import EmbeddingError
+from .errors import EmbeddingError, at_least
 from .pit import pit_equal
-from .primes import is_prime
+from .primes import require_prime
 from .rings import PrimeField, TruncatedPolyRing
 
 
@@ -63,8 +63,7 @@ def build_universal(s):
     """Construct the s-level template.  Parameter slots are numbered level by
     level, a-side coefficients before b-side.  Templates are immutable, so
     each level count is built once and the same object is shared."""
-    if s < 1:
-        raise ValueError("level count must be >= 1")
+    at_least("level count", s, 1)
     nodes = [InputVar(1)]
     x_node = 0
 
@@ -149,8 +148,7 @@ def template_series(template, d, ring, param):
 
 def truncated_coefficient_map(template, d, p, params):
     """Coefficients 0..d of the specialized template over F_p."""
-    if d < 0:
-        raise ValueError("degree cap must be >= 0")
+    at_least("degree cap", d, 0)
     field = PrimeField(p)
     if len(params) != template.param_count():
         raise ValueError(f"expected {template.param_count()} parameter values")
@@ -194,8 +192,8 @@ def embed(circuit, p=None, seed=0):
         raise ValueError("circuit must not have parameter slots")
     if circuit.num_vars > 1:
         raise ValueError("embedding targets one-variable circuits")
-    if p is not None and not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
+    if p is not None:
+        require_prime(p)
 
     def red(v):
         return v if p is None else v % p

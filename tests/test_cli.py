@@ -210,26 +210,68 @@ def test_hashing_budget_refuses_before_drawing(capsys, argv, message):
     assert re.match(BUDGET_FORM, out)
 
 
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["gs-sim", "--size", "-1"], "--size must be >= 0, got -1"),
-        (["gs-sim", "--size", "4", "--bits", "-1"], "--bits must be >= 0, got -1"),
-        (["ama-sim", "--x", "0,2,3,0,1,2,2,3", "--i", "1", "--b", "0", "--bits", "-2"],
-         "--bits must be >= 0, got -2"),
-        (["density", "--system", "xsq_plus_1.sys", "--limit", "-5"],
-         "--limit must be >= 0, got -5"),
-    ],
-    ids=["gs-sim-size", "gs-sim-bits", "ama-sim-bits", "density-limit"],
-)
-def test_negative_option_is_named_in_the_error(capsys, tmp_path, monkeypatch, argv, message):
-    (tmp_path / "xsq_plus_1.sys").write_text(XSQ_PLUS_1)
+AMA = ["ama-sim", "--x", "2,3,1,4,1,1,1,1", "--i", "0", "--b", "1"]
+# every count option: (argv without it, the option, its bound, the name its refusal gives)
+COUNT_OPTIONS = [
+    (["forge", "--d", "1", "--p", "5"], "--s", 1, "level count"),
+    (["forge", "--s", "1", "--p", "5"], "--d", 0, "d"),
+    (["forge", "--s", "1", "--d", "1", "--p", "5"], "--enum-size", 0, "vertex bound"),
+    (["signcond", "--D", "2"], "--s", 0, "s"),
+    (["signcond", "--s", "2"], "--D", 0, "cap"),
+    (["poscoef", "--circuit", "square.circ"], "--i", 0, "coefficient index"),
+    (["density", "--system", "xsq_plus_1.sys"], "--limit", 0, "--limit"),
+    (["gs-sim"], "--size", 0, "--size"),
+    (["gs-sim", "--size", "1"], "--bits", 0, "--bits"),
+    (["gs-sim", "--size", "8"], "--m", 0, "m"),
+    (["gs-sim", "--size", "8"], "--trials", 0, "trials"),
+    (["per-verify", "--chain", "chain.circs", "--p", "101"], "--trials", 0, "trials"),
+    (["ama-sim", "--x", "2,3,1,4,1,1,1,1", "--b", "1"], "--i", 0, "bit position"),
+    (AMA, "--k", 0, "k"),
+    (AMA, "--m", 0, "m"),
+    (AMA, "--bits", 0, "--bits"),
+    (AMA, "--trials", 0, "verify trials"),
+    (["per", "--matrix", "ones3.mat"], "--mod", 1, "modulus"),
+    (["hc", "--matrix", "ones3.mat"], "--mod", 1, "modulus"),
+] + [
+    (argv, budget, 0, budget)
+    for argv in (
+        ["solve", "--system", "xsq_plus_1.sys", "--p", "5"],
+        ["density", "--system", "xsq_plus_1.sys", "--limit", "20"],
+        ["weight", "--circuit", "square.circ"],
+        ["vnp-sum", "--circuit", "square.circ", "--summed", "1", "--x", ""],
+    )
+    for budget in ("--eval-budget", "--monomial-budget")
+]
+COUNT_IDS = [f"{argv[0]}-{option.lstrip('-')}" for argv, option, _, _ in COUNT_OPTIONS]
+# every argument refusal: one stdout line naming the argument, its bound and its value
+ARGUMENT_FORM = r"^error=(--)?[a-z][a-z _-]* must be >= -?\d+, got -?\d+$"
+
+
+@pytest.fixture
+def count_option_inputs(tmp_path, monkeypatch, square_file, system_file, ones3_file, chain_file):
+    """The input files COUNT_OPTIONS names, in the working directory."""
     monkeypatch.chdir(tmp_path)
-    code = main(argv)
+
+
+@pytest.mark.parametrize("argv, option, low, name", COUNT_OPTIONS, ids=COUNT_IDS)
+def test_negative_option_is_named_in_the_error(
+    capsys, count_option_inputs, argv, option, low, name
+):
+    code = main([*argv, option, str(low - 1)])
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.out == f"error={message}\n"
+    assert captured.out == f"error={name} must be >= {low}, got {low - 1}\n"
+    assert re.match(ARGUMENT_FORM, captured.out)
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("argv, option, low, name", COUNT_OPTIONS, ids=COUNT_IDS)
+def test_count_option_at_its_bound_passes_the_check(
+    capsys, count_option_inputs, argv, option, low, name
+):
+    # a budget of 0 is a budget: it refuses all work, in the budget form
+    code, out = run(capsys, [*argv, option, str(low)])
+    assert code == 0 or (code == 2 and re.match(BUDGET_FORM, out)), out
 
 
 def test_gs_sim_refuses_a_universe_it_cannot_sample(capsys):
@@ -401,7 +443,7 @@ def test_negative_count_exits_1(capsys, argv):
 def test_per_verify_negative_trials_exits_1(capsys, chain_file):
     code, out = run(capsys, ["per-verify", "--chain", chain_file, "--p", "101", "--trials", "-3"])
     assert code == 1
-    assert out == "error=trials must be >= 0\n"
+    assert out == "error=trials must be >= 0, got -3\n"
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,6 @@ from circuitbench.families import (
     apply_projection,
     boolean_sum,
     hamiltonian_cycle_sum,
-    hamiltonian_cycle_sum_padded,
     multilinear_extension,
     permanent,
     permanent_naive,
@@ -71,12 +70,6 @@ def test_hc_all_ones_factorial():
 def test_hc_needs_two_vertices():
     with pytest.raises(ValueError):
         hamiltonian_cycle_sum([[1]])
-
-
-def test_hc_padded():
-    values = list(range(1, 11))  # n=10 uses the first 9 as a 3x3 matrix
-    matrix = [values[0:3], values[3:6], values[6:9]]
-    assert hamiltonian_cycle_sum_padded(values) == hamiltonian_cycle_sum(matrix)
 
 
 def test_multilinear_parity():
