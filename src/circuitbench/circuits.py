@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from .algebra import DEFAULT_MONOMIAL_BUDGET
 from .errors import ParseError, at_least, charge, content_lines, parse_count, parse_int
+from .primes import require_prime
 from .rings import IntegerRing, PrimeField, TruncatedPolyRing
 
 
@@ -252,15 +253,49 @@ def evaluate(circuit, ring, inputs=(), params=()):
 
 
 def compile_mod_evaluator(circuit, p):
-    """`evaluate` over F_p bound to `circuit`: run(inputs, params) -> int.
+    """`evaluate` over F_p, lowered once for `circuit`: run(inputs, params) -> int.
 
+    Lowering turns each node into one step (op, left, right): a gate keeps
+    its operand positions, a constant is reduced mod p, and an input or
+    parameter leaf becomes its 0-based index.  `run` executes the steps with
+    inline `% p`, so no node is type-tested and no ring method is called.
     Only the first `circuit.num_params` params are read, because a system
     passes one unknown vector, which can be longer than an equation's slots.
     """
-    field = PrimeField(p)
+    require_prime(p)
+    steps = []
+    for node in circuit.nodes:
+        if isinstance(node, Mul):
+            steps.append((0, node.left, node.right))
+        elif isinstance(node, Add):
+            steps.append((1, node.left, node.right))
+        elif isinstance(node, Param):
+            steps.append((2, node.index - 1, None))
+        elif isinstance(node, InputVar):
+            steps.append((3, node.index - 1, None))
+        else:
+            steps.append((4, node.value % p, None))
+    num_vars, num_params, output = circuit.num_vars, circuit.num_params, circuit.output
 
     def run(inputs=(), params=()):
-        return evaluate(circuit, field, inputs, params[: circuit.num_params])
+        if len(inputs) != num_vars:
+            raise ValueError(f"expected {num_vars} input values, got {len(inputs)}")
+        if len(params) < num_params:
+            raise ValueError(f"expected {num_params} param values, got {len(params)}")
+        values = []
+        push = values.append
+        for op, a, b in steps:
+            if op == 0:
+                push(values[a] * values[b] % p)
+            elif op == 1:
+                push((values[a] + values[b]) % p)
+            elif op == 2:
+                push(params[a] % p)
+            elif op == 3:
+                push(inputs[a] % p)
+            else:
+                push(a)
+        return values[output]
 
     return run
 

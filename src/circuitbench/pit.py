@@ -48,6 +48,21 @@ def pit_equal(c1, c2, p, trials=None, seed=0):
         raise ValueError("bind parameter slots before identity testing")
     require_prime(p)
     degree = max(formal_degree(c1), formal_degree(c2))
+    run1 = compile_mod_evaluator(c1, p)
+    run2 = compile_mod_evaluator(c2, p)
+    return _random_trials(
+        lambda point: run1(point, ()), lambda point: run2(point, ()),
+        c1.num_vars, degree, p, trials, seed,
+    )
+
+
+def _random_trials(run1, run2, num_vars, degree, p, trials, seed):
+    """The one Schwartz-Zippel trial loop, behind `pit_equal` and `embed`.
+
+    Compares run1(point) and run2(point) at `trials` points of F_p^num_vars
+    drawn from `random.Random(seed)`, for polynomials of degree at most
+    `degree`; it refuses when p <= degree.
+    """
     if p <= degree:
         raise ValueError(
             f"p={p} does not exceed the formal degree bound {degree}; "
@@ -56,11 +71,8 @@ def pit_equal(c1, c2, p, trials=None, seed=0):
     if trials is None:
         trials = default_trials(degree, p)
     rng = random.Random(seed)
-    run1 = compile_mod_evaluator(c1, p)
-    run2 = compile_mod_evaluator(c2, p)
-    n = c1.num_vars
     for _ in range(trials):
-        point = tuple(rng.randrange(p) for _ in range(n))
-        if run1(point, ()) != run2(point, ()):
+        point = tuple(rng.randrange(p) for _ in range(num_vars))
+        if run1(point) != run2(point):
             return PitVerdict(False, point, trials, p)
     return PitVerdict(True, None, trials, p)

@@ -20,13 +20,15 @@ from .circuits import (
     InputVar,
     Mul,
     Param,
+    compile_mod_evaluator,
     evaluate,
     expand_circuit,
+    formal_degree,
     serialize_circuit,
     simplify_constants,
 )
 from .errors import EmbeddingError, at_least
-from .pit import pit_equal
+from .pit import _random_trials
 from .primes import require_prime
 from .rings import PrimeField, TruncatedPolyRing
 
@@ -183,10 +185,11 @@ def embed(circuit, p=None, seed=0):
     {level: 1}.  A product gate multiplies its operands' forms; a sum gate
     multiplies their sum by {0: 1}.  A constant output takes one synthetic
     level, (c) * (1).  The forms' coefficients are the level's parameters.
-    Over F_p the assignment is verified with pit_equal (which needs p above
-    the formal degree of the folded template); over the integers by exact
-    expansion.  A verification failure raises EmbeddingError since it can
-    only mean the construction is wrong.
+    Over F_p the template circuit itself is evaluated with the parameters at
+    random points, against the circuit (`_verify_mod_p`); over the integers
+    the folded template is checked by exact expansion.  A verification
+    failure raises EmbeddingError since it can only mean the construction is
+    wrong.
     """
     if circuit.num_params:
         raise ValueError("circuit must not have parameter slots")
@@ -228,21 +231,66 @@ def embed(circuit, p=None, seed=0):
                 params[template.param_slot(j, i, side) - 1] = c
 
     params = tuple(params)
-    bound = simplify_constants(template.circuit, params)
     target = circuit
     if target.num_vars == 0:
         target = Circuit(target.nodes, target.output, 1, 0)
     if p is None:
-        if expand_circuit(bound) != expand_circuit(target):
+        if expand_circuit(simplify_constants(template.circuit, params)) != expand_circuit(target):
             raise EmbeddingError(
                 "integer embedding verification failed; "
                 "this is a bug in the embedding construction"
             )
     else:
-        verdict = pit_equal(bound, target, p, seed=seed)
-        if not verdict.equal:
-            raise EmbeddingError(
-                f"embedding verification failed at witness {verdict.witness}; "
-                "this is a bug in the embedding construction"
-            )
+        _verify_mod_p(template, params, target, p, seed)
     return Embedding(levels, params, template)
+
+
+@functools.lru_cache(maxsize=8)
+def _template_evaluator(levels, p):
+    """The lowered F_p evaluator of the `levels`-level template.  The cache
+    is bounded because a template's lowering grows with levels squared."""
+    return compile_mod_evaluator(build_universal(levels).circuit, p)
+
+
+def _specialized_degree(circuit, params, p):
+    """An upper bound on the degree in x of `circuit` with its parameter
+    slots set to `params`, over F_p, from one pass without folding.
+
+    x has degree 1.  A constant or parameter has degree 0, or is zero (None)
+    when it is 0 mod p.  A product with a zero factor is zero, and a sum
+    drops its zero operands.  The zero polynomial gets 0.
+    """
+    deg = []
+    push = deg.append
+    for node in circuit.nodes:
+        kind = type(node)
+        if kind is Mul:
+            a, b = deg[node.left], deg[node.right]
+            push(None if a is None or b is None else a + b)
+        elif kind is Add:
+            a, b = deg[node.left], deg[node.right]
+            push(b if a is None else a if b is None else max(a, b))
+        elif kind is InputVar:
+            push(1)
+        else:
+            value = node.value if kind is Const else params[node.index - 1]
+            push(None if value % p == 0 else 0)
+    return deg[circuit.output] or 0
+
+
+def _verify_mod_p(template, params, target, p, seed):
+    """Check that the template circuit with `params` computes the
+    one-variable `target` over F_p, by Schwartz-Zippel trials on the
+    unfolded template; raise EmbeddingError naming a witness if not."""
+    degree = max(_specialized_degree(template.circuit, params, p), formal_degree(target))
+    run_template = _template_evaluator(template.levels, p)
+    run_target = compile_mod_evaluator(target, p)
+    verdict = _random_trials(
+        lambda point: run_template(point, params), lambda point: run_target(point, ()),
+        1, degree, p, None, seed,
+    )
+    if not verdict.equal:
+        raise EmbeddingError(
+            f"embedding verification failed at witness {verdict.witness}; "
+            "this is a bug in the embedding construction"
+        )

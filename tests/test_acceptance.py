@@ -79,7 +79,7 @@ def test_criterion_02_universality_suite():
         p = 101
         count = 0
         for c in enumerate_circuits(9, 1, (-1, 0, 1, 2), max_gates=4):
-            embed(c, p)  # raises EmbeddingError if pit_equal ever disagrees
+            embed(c, p)  # raises EmbeddingError if the F_p check ever disagrees
             count += 1
         elapsed = time.monotonic() - start
         details["note"] = f"{count} circuits, {elapsed:.1f}s"

@@ -216,6 +216,28 @@ def test_evaluate_missing_assignment():
         run((3,), (1,))
 
 
+def test_lowered_evaluator_matches_evaluate():
+    # constants from random_circuit lie in -5..5, so p in 2..5 sees negative
+    # constants and constants >= p; the shared params vector runs longer than
+    # the circuit's slots, and only its first num_params entries are read
+    rng = random.Random(97)
+    negative = at_least_p = 0
+    for _ in range(400):
+        p = rng.choice((2, 3, 5, 101))
+        num_vars, num_params = rng.randint(0, 2), rng.randint(1, 3)
+        c = random_circuit(rng, rng.randint(1, 16), num_vars, num_params)
+        consts = [n.value for n in c.nodes if isinstance(n, Const)]
+        negative += any(v < 0 for v in consts)
+        at_least_p += any(v >= p for v in consts)
+        run = compile_mod_evaluator(c, p)
+        for _ in range(4):
+            inputs = tuple(rng.randint(-200, 200) for _ in range(num_vars))
+            shared = tuple(rng.randint(-200, 200) for _ in range(num_params + rng.randint(0, 3)))
+            want = evaluate(c, PrimeField(p), inputs, shared[:num_params])
+            assert run(inputs, shared) == want
+    assert negative >= 50 and at_least_p >= 50
+
+
 def test_prime_field_rejects_composite():
     with pytest.raises(ValueError):
         PrimeField(10)

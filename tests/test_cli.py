@@ -247,6 +247,17 @@ COUNT_IDS = [f"{argv[0]}-{option.lstrip('-')}" for argv, option, _, _ in COUNT_O
 ARGUMENT_FORM = r"^error=(--)?[a-z][a-z _-]* must be >= -?\d+, got -?\d+$"
 
 
+def assert_argument_refusal(capsys, argv, message):
+    """`argv` exits 1 with exactly `message`, one line in ARGUMENT_FORM, and
+    nothing on stderr."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == f"error={message}\n"
+    assert re.match(ARGUMENT_FORM, captured.out)
+    assert captured.err == ""
+
+
 @pytest.fixture
 def count_option_inputs(tmp_path, monkeypatch, square_file, system_file, ones3_file, chain_file):
     """The input files COUNT_OPTIONS names, in the working directory."""
@@ -257,12 +268,9 @@ def count_option_inputs(tmp_path, monkeypatch, square_file, system_file, ones3_f
 def test_negative_option_is_named_in_the_error(
     capsys, count_option_inputs, argv, option, low, name
 ):
-    code = main([*argv, option, str(low - 1)])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == f"error={name} must be >= {low}, got {low - 1}\n"
-    assert re.match(ARGUMENT_FORM, captured.out)
-    assert captured.err == ""
+    assert_argument_refusal(
+        capsys, [*argv, option, str(low - 1)], f"{name} must be >= {low}, got {low - 1}"
+    )
 
 
 @pytest.mark.parametrize("argv, option, low, name", COUNT_OPTIONS, ids=COUNT_IDS)
@@ -410,34 +418,39 @@ def test_system_equation_refusals_name_the_line(capsys, tmp_path, text, line, me
     assert out == f"error=line {line}: {message}\n"
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["--s", "0", "--d", "2", "--p", "5"], ["--s", "-1", "--d", "2", "--p", "5"],
-     ["--s", "2", "--d", "-1", "--p", "5"]],
-)
-def test_forge_bad_level_count_or_degree_exits_1(capsys, argv):
-    code, out = run(capsys, ["forge", *argv])
-    assert code == 1
-    assert out.startswith("error=") and out.count("\n") == 1
+FORGE_REFUSALS = [
+    (["--s", "0", "--d", "2", "--p", "5"], "level count must be >= 1, got 0"),
+    (["--s", "-1", "--d", "2", "--p", "5"], "level count must be >= 1, got -1"),
+    (["--s", "2", "--d", "-1", "--p", "5"], "d must be >= 0, got -1"),
+]
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["forge", "--s", "1", "--d", "2", "--p", "5", "--enum-size", "-1"],
-        ["gs-sim", "--size", "8", "--trials", "-5"],
-        ["gs-sim", "--size", "8", "--m", "-2"],
-        ["ama-sim", "--x", "2,3,1,4,1,1,1,1", "--i", "0", "--b", "0", "--trials", "-1"],
-        ["ama-sim", "--x", "2,3,1,4,1,1,1,1", "--i", "0", "--b", "0", "--m", "-1"],
-        ["ama-sim", "--x", "2,3,1,4,1,1,1,1", "--i", "0", "--b", "0", "--k", "-1"],
-        ["signcond", "--s", "-1", "--D", "3"],
-        ["signcond", "--s", "0", "--D", "-1"],
-    ],
+    "argv, message", FORGE_REFUSALS, ids=[f"argv{i}" for i in range(len(FORGE_REFUSALS))]
 )
-def test_negative_count_exits_1(capsys, argv):
-    code, out = run(capsys, argv)
-    assert code == 1
-    assert out.startswith("error=") and out.count("\n") == 1
+def test_forge_bad_level_count_or_degree_exits_1(capsys, argv, message):
+    assert_argument_refusal(capsys, ["forge", *argv], message)
+
+
+AMA_B0 = ["ama-sim", "--x", "2,3,1,4,1,1,1,1", "--i", "0", "--b", "0"]
+NEGATIVE_COUNTS = [
+    (["forge", "--s", "1", "--d", "2", "--p", "5", "--enum-size", "-1"],
+     "vertex bound must be >= 0, got -1"),
+    (["gs-sim", "--size", "8", "--trials", "-5"], "trials must be >= 0, got -5"),
+    (["gs-sim", "--size", "8", "--m", "-2"], "m must be >= 0, got -2"),
+    ([*AMA_B0, "--trials", "-1"], "verify trials must be >= 0, got -1"),
+    ([*AMA_B0, "--m", "-1"], "m must be >= 0, got -1"),
+    ([*AMA_B0, "--k", "-1"], "k must be >= 0, got -1"),
+    (["signcond", "--s", "-1", "--D", "3"], "s must be >= 0, got -1"),
+    (["signcond", "--s", "0", "--D", "-1"], "cap must be >= 0, got -1"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", NEGATIVE_COUNTS, ids=[f"argv{i}" for i in range(len(NEGATIVE_COUNTS))]
+)
+def test_negative_count_exits_1(capsys, argv, message):
+    assert_argument_refusal(capsys, argv, message)
 
 
 def test_per_verify_negative_trials_exits_1(capsys, chain_file):
@@ -705,3 +718,31 @@ def test_help_text_is_unchanged(argv, digest):
     done = _fresh(["-m", "circuitbench.cli", *argv])
     assert (done.returncode, done.stderr) == (0, "")
     assert hashlib.sha256(done.stdout.encode()).hexdigest() == digest
+
+
+def _squarings(leaf, count):
+    """A one-variable circuit: `leaf`, then `count` gates each squaring the last."""
+    gates = [f"g{i} = mul g{i - 1} g{i - 1}" for i in range(2, count + 2)]
+    return "\n".join(["nvars 1", f"g1 = {leaf}", *gates, f"out g{count + 1}"]) + "\n"
+
+
+@pytest.mark.parametrize(
+    "leaf, count, code, lines",
+    [
+        # 2^(2^39): folding it over Z never finishes, and p is below its degree
+        ("const 2", 39, 1,
+         ["error=p=101 does not exceed the formal degree bound 549755813888; "
+          "the random-evaluation test would be unsound"]),
+        ("in 1", 6, 0, ["levels=7", "verified=true"]),
+    ],
+    ids=["const-2-squared-39-times", "x-squared-6-times"],
+)
+def test_embed_mod_p_of_repeated_squaring_answers_at_once(tmp_path, leaf, count, code, lines):
+    path = tmp_path / "squarings.circ"
+    path.write_text(_squarings(leaf, count))
+    start = time.perf_counter()
+    done = _fresh(["-m", "circuitbench.cli", "embed", "--circuit", str(path), "--p", "101"])
+    assert time.perf_counter() - start < 10
+    assert (done.returncode, done.stderr) == (code, "")
+    got = done.stdout.splitlines()
+    assert got == lines if code else set(lines) <= set(got)

@@ -4,16 +4,19 @@ import random
 import pytest
 
 from circuitbench.algebra import SparsePoly
+from circuitbench import universal
 from circuitbench.circuits import (
     bind_params,
     enumerate_circuits,
     evaluate,
     expand_circuit,
+    formal_degree,
     parse_circuit,
     random_circuit,
     serialize_circuit,
     simplify_constants,
 )
+from circuitbench.errors import EmbeddingError
 from circuitbench.rings import IntegerRing, PrimeField
 from circuitbench.universal import (
     build_universal,
@@ -174,6 +177,42 @@ def test_embed_exhaustive_two_gates():
         for _ in range(50):
             r = rng.randrange(p)
             assert evaluate(bound, field, [r]) == evaluate(c, field, [r])
+
+
+def test_verification_rejects_a_changed_parameter():
+    # x^2 embeds with level 1 = 0 + 1*x; a1.0 = 1 makes the template (x + 1)^2
+    c = parse_circuit("nvars 1\ng1 = in 1\ng2 = mul g1 g1\nout g2\n")
+    emb = embed(c, 101)
+    params = list(emb.params)
+    params[emb.template.param_slot(1, 0, "a") - 1] = 1
+    with pytest.raises(EmbeddingError, match=r"failed at witness \(\d+,\)"):
+        universal._verify_mod_p(emb.template, tuple(params), c, 101, 0)
+
+
+def test_embed_mod_p_does_not_fold(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("simplify_constants called")
+
+    monkeypatch.setattr(universal, "simplify_constants", refuse)
+    c = parse_circuit(
+        "nvars 1\ng1 = in 1\ng2 = const 7\ng3 = add g1 g2\ng4 = mul g3 g3\nout g4\n"
+    )
+    assert embed(c, 101).levels == 3
+    with pytest.raises(AssertionError, match="simplify_constants"):
+        embed(c)  # over the integers the folded template is still expanded
+
+
+@pytest.mark.parametrize("p", [5, 7, 101])
+def test_specialized_degree_bounds_the_true_degree(p):
+    # between the degree of the bound template over F_p and the target's
+    # formal degree; two gates keep every formal degree below 5, so embed
+    # accepts the whole corpus
+    for c in enumerate_circuits(5, 1, (-1, 0, 1, 2), max_gates=2):
+        emb = embed(c, p)
+        circuit = emb.template.circuit
+        bound = universal._specialized_degree(circuit, emb.params, p)
+        true = expand_circuit(bind_params(circuit, emb.params), modulus=p).total_degree()
+        assert true <= bound <= formal_degree(c)
 
 
 def test_embed_over_the_integers():
