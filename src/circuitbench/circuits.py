@@ -7,55 +7,103 @@ slots.  Leaves are variables x_j, integer constants, or parameter slots;
 gates are binary + and *.
 """
 
-from dataclasses import dataclass
-
+from ._record import Record, _set
 from .algebra import DEFAULT_MONOMIAL_BUDGET
 from .errors import ParseError, at_least, charge, content_lines, parse_count, parse_int
 from .primes import require_prime
 from .rings import IntegerRing, PrimeField, TruncatedPolyRing
 
-
-@dataclass(frozen=True)
-class InputVar:
-    index: int  # 1-based
+# Nodes and circuits are built by the hundred thousand, so each writes its own
+# __init__, __eq__ and __hash__ rather than running Record's generic loops.
 
 
-@dataclass(frozen=True)
-class Const:
-    value: int
+class InputVar(Record):
+    __slots__ = ("index",)  # 1-based
+
+    def __init__(self, index):
+        _set(self, "index", index)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.index == other.index
+
+    def __hash__(self):
+        return hash((self.index,))
 
 
-@dataclass(frozen=True)
-class Param:
-    index: int  # 1-based
+class Const(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        _set(self, "value", value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.value == other.value
+
+    def __hash__(self):
+        return hash((self.value,))
 
 
-@dataclass(frozen=True)
-class Add:
-    left: int  # node position, 0-based
-    right: int
+class Param(Record):
+    __slots__ = ("index",)  # 1-based
+    __init__, __eq__, __hash__ = InputVar.__init__, InputVar.__eq__, InputVar.__hash__
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: int
-    right: int
+class Add(Record):
+    __slots__ = ("left", "right")  # node positions, 0-based
+
+    def __init__(self, left, right):
+        _set(self, "left", left)
+        _set(self, "right", right)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.left == other.left and self.right == other.right
+
+    def __hash__(self):
+        return hash((self.left, self.right))
+
+
+class Mul(Record):
+    __slots__ = ("left", "right")
+    __init__, __eq__, __hash__ = Add.__init__, Add.__eq__, Add.__hash__
 
 
 _GATES = (Add, Mul)
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(Record):
     """Immutable circuit.  Node positions are 0-based; the text format shows
     them as g1, g2, ... in the same order."""
 
-    nodes: tuple
-    output: int
-    num_vars: int
-    num_params: int = 0
+    __slots__ = ("nodes", "output", "num_vars", "num_params")
+
+    def __init__(self, nodes, output, num_vars, num_params=0):
+        _set(self, "nodes", nodes)
+        _set(self, "output", output)
+        _set(self, "num_vars", num_vars)
+        _set(self, "num_params", num_params)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.nodes == other.nodes
+            and self.output == other.output
+            and self.num_vars == other.num_vars
+            and self.num_params == other.num_params
+        )
+
+    def __hash__(self):
+        return hash((self.nodes, self.output, self.num_vars, self.num_params))
 
     def __post_init__(self):
+        """Check the fields; a separate method so it can be timed alone."""
         if not self.nodes:
             raise ValueError("a circuit needs at least one node")
         if not 0 <= self.output < len(self.nodes):
@@ -471,12 +519,13 @@ def is_constant_free(circuit):
     return True
 
 
-@dataclass(frozen=True)
-class CircuitMetrics:
-    size: int  # all vertices, leaves included
-    gate_count: int  # gates only; both counts exposed since conventions differ
-    formal_degree: int
-    max_const_abs: int  # max(2, largest |constant|)
+class CircuitMetrics(Record):
+    __slots__ = (
+        "size",  # all vertices, leaves included
+        "gate_count",  # gates only; both counts exposed since conventions differ
+        "formal_degree",
+        "max_const_abs",  # max(2, largest |constant|)
+    )
 
 
 def metrics(circuit):
@@ -489,14 +538,15 @@ def metrics(circuit):
     )
 
 
-@dataclass(frozen=True)
-class WeightReport:
-    exact_weight: int
-    bound: int  # M ** (size * formal_degree)
-    bound_holds: bool
-    size: int
-    formal_degree: int
-    max_const_abs: int
+class WeightReport(Record):
+    __slots__ = (
+        "exact_weight",
+        "bound",  # M ** (size * formal_degree)
+        "bound_holds",
+        "size",
+        "formal_degree",
+        "max_const_abs",
+    )
 
 
 def weight_report(circuit, budget=DEFAULT_MONOMIAL_BUDGET):

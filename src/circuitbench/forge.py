@@ -21,9 +21,9 @@ search does the analogous thing for the signs of integer coefficients of
 constant-free circuits.
 """
 
-from dataclasses import dataclass
 from itertools import product
 
+from ._record import Record
 from .algebra import DEFAULT_MONOMIAL_BUDGET, SparsePoly
 from .circuits import enumerate_circuits, expand_circuit, is_constant_free
 from .errors import DEFAULT_SOLVE_BUDGET, at_least, capped_power, charge
@@ -88,12 +88,13 @@ def _span_with(basis, vec, p):
     return tuple(sorted(rows + [vec], reverse=True))
 
 
-@dataclass(frozen=True)
-class RealizableSet:
-    s: int
-    d: int
-    p: int
-    vectors: frozenset  # 0/1 vectors of length d+1
+class RealizableSet(Record):
+    __slots__ = (
+        "s",
+        "d",
+        "p",
+        "vectors",  # frozenset of 0/1 vectors of length d+1
+    )
 
 
 def _sweep_image(s, d, p, budget):
@@ -182,15 +183,16 @@ def realizable_vectors(
     raise ValueError(f"unknown oracle {oracle!r}")
 
 
-@dataclass(frozen=True)
-class HardVectorSearch:
-    s: int
-    d: int
-    p: int
-    gamma: tuple | None  # lex-first hard vector, None when saturated
-    saturated: bool
-    systems_checked: int
-    realized: frozenset  # 0/1 vectors in the parameter-sweep image
+class HardVectorSearch(Record):
+    __slots__ = (
+        "s",
+        "d",
+        "p",
+        "gamma",  # lex-first hard vector, None when saturated
+        "saturated",
+        "systems_checked",
+        "realized",  # frozenset of 0/1 vectors in the parameter-sweep image
+    )
 
 
 def find_hard_vector(s, d, p, solve_budget=DEFAULT_SOLVE_BUDGET):
@@ -259,14 +261,15 @@ def poscoef(circuit, i, budget=DEFAULT_MONOMIAL_BUDGET):
     return (coeff > 0) - (coeff < 0)
 
 
-@dataclass(frozen=True)
-class SignConditionSearch:
-    s: int
-    cap: int  # highest inspected coefficient index
-    bits: tuple | None  # lex-first unrealized sign condition
-    saturated: bool
-    realized: frozenset
-    circuits_enumerated: int
+class SignConditionSearch(Record):
+    __slots__ = (
+        "s",
+        "cap",  # highest inspected coefficient index
+        "bits",  # lex-first unrealized sign condition, None when saturated
+        "saturated",
+        "realized",
+        "circuits_enumerated",
+    )
 
 
 def sign_condition_search(s, cap, budget=DEFAULT_ENUM_ORACLE_BUDGET):

@@ -10,18 +10,19 @@ given it picks the smallest count driving the error below 1%.
 
 import math
 import random
-from dataclasses import dataclass
 
+from ._record import Record
 from .circuits import compile_mod_evaluator, formal_degree
 from .primes import require_prime
 
 
-@dataclass(frozen=True)
-class PitVerdict:
-    equal: bool
-    witness: tuple | None  # a point where values differ, when not equal
-    trials: int
-    p: int
+class PitVerdict(Record):
+    __slots__ = (
+        "equal",
+        "witness",  # a point where values differ, when not equal
+        "trials",
+        "p",
+    )
 
 
 def default_trials(degree, p):

@@ -14,9 +14,9 @@ Three layers, each usable on its own:
 
 import math
 import random
-from dataclasses import dataclass
 from itertools import product
 
+from ._record import Record
 from .circuits import (
     Circuit,
     CircuitBuilder,
@@ -36,12 +36,10 @@ from .systems import PolySystem, _substituted
 # Hashing over F_2
 
 
-@dataclass(frozen=True)
-class HashMatrix:
+class HashMatrix(Record):
     """A rows x cols bit matrix; rows are stored as cols-bit integers."""
 
-    rows: tuple
-    cols: int
+    __slots__ = ("rows", "cols")
 
     def apply(self, x):
         """Hash a cols-bit integer to a len(rows)-bit integer."""
@@ -171,16 +169,17 @@ def charge_hashing(rows, size, budget):
     charge("eval", budget, rows * size, f"{rows} hash rows over {size} elements")
 
 
-@dataclass(frozen=True)
-class GsReport:
-    set_size: int
-    m: int
-    cols: int
-    trials: int
-    seed: int
-    phi_count: int
-    rate: float
-    verdict: str  # "small" | "large" | "inconclusive"
+class GsReport(Record):
+    __slots__ = (
+        "set_size",
+        "m",
+        "cols",
+        "trials",
+        "seed",
+        "phi_count",
+        "rate",
+        "verdict",  # "small" | "large" | "inconclusive"
+    )
 
 
 def gs_estimate(elements, m, trials, seed, cols=12):
@@ -288,13 +287,8 @@ def permanent_agreement_system(chain):
     return PolySystem(unknowns, tuple(equations))
 
 
-@dataclass(frozen=True)
-class PermanentVerifyReport:
-    accepted: bool
-    reason: str
-    p: int
-    trials: int
-    seed: int
+class PermanentVerifyReport(Record):
+    __slots__ = ("accepted", "reason", "p", "trials", "seed")
 
 
 def permanent_verify(chain, p, trials, seed):
@@ -347,13 +341,14 @@ def permanent_verify(chain, p, trials, seed):
 # The evaluation protocol
 
 
-@dataclass(frozen=True)
-class ProverMessage:
-    chain: tuple  # skeleton circuits C_1..C_t, possibly with parameter slots
-    small_primes: tuple  # p_0..p_m, hash-collision candidates
-    small_constants: tuple  # per prime: a residue vector for the parameter slots
-    big_prime: int
-    big_constants: tuple
+class ProverMessage(Record):
+    __slots__ = (
+        "chain",  # skeleton circuits C_1..C_t, possibly with parameter slots
+        "small_primes",  # p_0..p_m, hash-collision candidates
+        "small_constants",  # per prime: a residue vector for the parameter slots
+        "big_prime",
+        "big_constants",
+    )
 
     def payload(self):
         def consts(vals):
@@ -402,12 +397,13 @@ def find_collision_primes(matrices, primes):
     return first_collision(matrices, primes)
 
 
-@dataclass(frozen=True)
-class ProtocolTranscript:
-    seed: int
-    rounds: tuple  # (round, sender, payload)
-    verdict: str  # "accept" | "reject"
-    answer: int | None
+class ProtocolTranscript(Record):
+    __slots__ = (
+        "seed",
+        "rounds",  # (round, sender, payload)
+        "verdict",  # "accept" | "reject"
+        "answer",  # int, or None
+    )
 
     def to_text(self):
         lines = [f"round={r} sender={s} payload={p}" for r, s, p in self.rounds]

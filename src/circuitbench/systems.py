@@ -8,9 +8,9 @@ language systems that force a circuit skeleton to decide a finite language.
 """
 
 import functools
-from dataclasses import dataclass
 from itertools import product
 
+from ._record import Record
 from .circuits import (
     Add,
     CircuitBuilder,
@@ -35,17 +35,16 @@ from .primes import require_prime, sieve
 from .universal import build_universal, template_series
 
 
-@dataclass(frozen=True)
-class PolySystem:
-    unknown_count: int
-    equations: tuple
+class PolySystem(Record):
+    __slots__ = ("unknown_count", "equations")
 
-    def __post_init__(self):
-        at_least("unknown_count", self.unknown_count, 0)
-        for eq in self.equations:
+    def __init__(self, unknown_count, equations):
+        super().__init__(unknown_count, equations)
+        at_least("unknown_count", unknown_count, 0)
+        for eq in equations:
             if eq.num_vars != 0:
                 raise ValueError("system equations must not have free input variables")
-            if eq.num_params > self.unknown_count:
+            if eq.num_params > unknown_count:
                 raise ValueError("equation references an unknown beyond the declared count")
 
 
@@ -219,16 +218,17 @@ def solve_bruteforce(system, p, budget=DEFAULT_SOLVE_BUDGET):
     return witness
 
 
-@dataclass(frozen=True)
-class DensityReport:
-    limit: int
-    pi: int  # primes up to the limit
-    pi_s: int  # of which the system is solvable
-    ratio: float
-    good_primes: tuple
-    witnesses: dict  # prime -> first witness
-    complete: bool
-    high_water: int  # last prime actually decided
+class DensityReport(Record):
+    __slots__ = (
+        "limit",
+        "pi",  # primes up to the limit
+        "pi_s",  # of which the system is solvable
+        "ratio",
+        "good_primes",
+        "witnesses",  # prime -> first witness
+        "complete",
+        "high_water",  # last prime actually decided
+    )
 
     def summary(self):
         return f"pi_S={self.pi_s} pi={self.pi} ratio={self.ratio!r}"

@@ -11,8 +11,8 @@ compute: one level per gate plus the base level for x.
 """
 
 import functools
-from dataclasses import dataclass
 
+from ._record import Record
 from .circuits import (
     Add,
     Circuit,
@@ -33,13 +33,14 @@ from .primes import require_prime
 from .rings import PrimeField, TruncatedPolyRing
 
 
-@dataclass(frozen=True)
-class UniversalTemplate:
-    levels: int
-    circuit: Circuit
-    # per level j (1-based): (a_slots, b_slots), each a tuple of parameter
-    # indices for coefficients 0..j-1
-    level_params: tuple
+class UniversalTemplate(Record):
+    __slots__ = (
+        "levels",
+        "circuit",
+        # per level j (1-based): (a_slots, b_slots), each a tuple of parameter
+        # indices for coefficients 0..j-1
+        "level_params",
+    )
 
     def param_slot(self, level, i, side):
         """Parameter slot (1-based) for coefficient i of the given side."""
@@ -100,14 +101,10 @@ def build_universal(s):
     return UniversalTemplate(s, circuit, tuple(level_params))
 
 
-@dataclass(frozen=True)
-class CoefficientVector:
+class CoefficientVector(Record):
     """The first d+1 coefficients of a template specialization, over F_p."""
 
-    entries: tuple
-    levels: int
-    cap: int
-    p: int
+    __slots__ = ("entries", "levels", "cap", "p")
 
 
 def template_series(template, d, ring, param):
@@ -168,11 +165,12 @@ def truncated_coefficient_map_reference(template, d, p, params):
     return CoefficientVector(entries, template.levels, d, p)
 
 
-@dataclass(frozen=True)
-class Embedding:
-    levels: int
-    params: tuple  # full parameter vector for the template, slot order
-    template: UniversalTemplate
+class Embedding(Record):
+    __slots__ = (
+        "levels",
+        "params",  # full parameter vector for the template, slot order
+        "template",
+    )
 
 
 def embed(circuit, p=None, seed=0):

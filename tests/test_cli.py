@@ -678,6 +678,16 @@ def test_cli_import_loads_no_command_layer():
     assert loaded & LAYERS == set()
 
 
+def test_no_layer_imports_dataclasses_or_inspect():
+    # records are plain slotted classes; `dataclasses` alone costs ~10 ms per command
+    imports = "\n".join(f"import circuitbench.{name}" for name in ["cli", *sorted(LAYERS)])
+    done = _fresh(["-c", f"import sys\n{imports}\nprint(*sorted(sys.modules))"])
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "circuitbench.families" in loaded
+    assert loaded & {"dataclasses", "inspect"} == set()
+
+
 COMMAND_LAYERS = [
     (["degree", "--circuit", "square.circ"], LAYERS - {"families"}),
     (["eval", "--circuit", "square.circ", "--vars", "3"], LAYERS - {"families"}),

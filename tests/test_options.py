@@ -6,13 +6,16 @@ passes is surface without a use: it only widens what a reader has to
 consider.  This test walks `src/circuitbench` with `ast`, keys functions by
 name and class `__init__`s by class name (other methods are skipped), and
 looks for a call that passes each defaulted parameter by keyword or by
-position.  A dataclass field that nothing reads is the same kind of
+position.  A record field that nothing reads is the same kind of
 surface: it is computed and carried, and it takes part in equality, but
 no answer depends on it.
 """
 
 import ast
+import importlib
 from pathlib import Path
+
+from circuitbench._record import Record
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "circuitbench"
@@ -86,23 +89,19 @@ def test_every_default_is_set_by_a_caller():
     assert unset == []
 
 
-def _is_dataclass(cls):
-    for deco in cls.decorator_list:
-        target = deco.func if isinstance(deco, ast.Call) else deco
-        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
-            return True
-    return False
-
-
 def record_fields():
-    """{(class, field)} for every annotated field of a package dataclass."""
+    """{(class, field)} for every `__slots__` field of a package record,
+    a class built on `Record`."""
     return {
-        (cls.name, item.target.id)
+        (cls.name, field.value)
         for tree in _trees(PACKAGE)
         for cls in ast.walk(tree)
-        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+        if isinstance(cls, ast.ClassDef)
+        and any(getattr(base, "id", None) == "Record" for base in cls.bases)
         for item in cls.body
-        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+        if isinstance(item, ast.Assign)
+        and [getattr(target, "id", None) for target in item.targets] == ["__slots__"]
+        for field in item.value.elts
     }
 
 
@@ -127,3 +126,18 @@ def test_every_record_field_is_read():
     read = read_names()
     unread = sorted(f"{cls}.{field}" for cls, field in record_fields() if field not in read)
     assert unread == []
+
+
+def test_record_fields_cover_every_record_class():
+    # the scan above must see every record the package defines, or it checks nothing
+    for name in ("circuits", "forge", "pit", "protocols", "systems", "universal"):
+        importlib.import_module(f"circuitbench.{name}")
+    defined, stack = set(), [Record]
+    while stack:
+        for cls in stack.pop().__subclasses__():
+            defined.add((cls.__name__, cls.__slots__))
+            stack.append(cls)
+    scanned = {}
+    for cls, field in record_fields():
+        scanned.setdefault(cls, set()).add(field)
+    assert {name: set(slots) for name, slots in defined} == scanned

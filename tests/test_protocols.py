@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import hashlib
 import inspect
 import random
@@ -439,32 +438,38 @@ def _degenerate_base(circuit):
     return b.finish(node)
 
 
+def replaced(msg, **changes):
+    """`msg` rebuilt through its constructor with some fields changed."""
+    fields = {name: getattr(msg, name) for name in type(msg).__slots__}
+    return type(msg)(**{**fields, **changes})
+
+
 def _with_chain(msg, position, change):
     chain = list(msg.chain)
     chain[position] = change(chain[position])
-    return dataclasses.replace(msg, chain=tuple(chain))
+    return replaced(msg, chain=tuple(chain))
 
 
 # one corruption of the honest message per refusal site of ama_simulate,
 # as (reason, corruption); x = [2, 3, 1, 4, 1, 1, 1, 1] gives t = 2, n = 8
 _REFUSALS = [
     ("no prover message", lambda msg: None),
-    ("malformed message", lambda msg: dataclasses.replace(msg, chain=msg.chain[:1])),
+    ("malformed message", lambda msg: replaced(msg, chain=msg.chain[:1])),
     ("malformed constants",
-     lambda msg: dataclasses.replace(msg, small_constants=msg.small_constants[1:])),
+     lambda msg: replaced(msg, small_constants=msg.small_constants[1:])),
     ("inconsistent parameter counts",
      lambda msg: _with_chain(msg, 0, lambda c: Circuit(c.nodes, c.output, c.num_vars, 1))),
-    ("wrong chain arity", lambda msg: dataclasses.replace(msg, chain=msg.chain[::-1])),
+    ("wrong chain arity", lambda msg: replaced(msg, chain=msg.chain[::-1])),
     ("skeleton too large", lambda msg: _with_chain(msg, 1, _bloated)),
     ("constant vector length mismatch",
-     lambda msg: dataclasses.replace(msg, small_constants=((0,),) * len(msg.small_primes))),
-    ("constant vector length mismatch", lambda msg: dataclasses.replace(msg, big_constants=(0,))),
+     lambda msg: replaced(msg, small_constants=((0,),) * len(msg.small_primes))),
+    ("constant vector length mismatch", lambda msg: replaced(msg, big_constants=(0,))),
     ("prime does not fit the encoding",
-     lambda msg: dataclasses.replace(msg, small_primes=msg.small_primes[:-1] + (4099,))),
+     lambda msg: replaced(msg, small_primes=msg.small_primes[:-1] + (4099,))),
     ("no hash collision",
-     lambda msg: dataclasses.replace(msg, small_primes=msg.small_primes[:1] * 5)),
-    ("evaluation prime too small", lambda msg: dataclasses.replace(msg, big_prime=2)),
-    ("composite modulus ", lambda msg: dataclasses.replace(msg, big_prime=msg.big_prime * 3)),
+     lambda msg: replaced(msg, small_primes=msg.small_primes[:1] * 5)),
+    ("evaluation prime too small", lambda msg: replaced(msg, big_prime=2)),
+    ("composite modulus ", lambda msg: replaced(msg, big_prime=msg.big_prime * 3)),
     ("chain not verifiable mod ", lambda msg: _with_chain(msg, 0, _degenerate_base)),
     ("chain is not the permanent mod ", lambda msg: _with_chain(msg, 1, _plus_one)),
 ]
