@@ -32,7 +32,6 @@ _HOMES = {
     "parse_circuit": "circuits",
     "random_circuit": "circuits",
     "serialize_circuit": "circuits",
-    "simplify_constants": "circuits",
     "weight_report": "circuits",
     "BudgetError": "errors",
     "EmbeddingError": "errors",

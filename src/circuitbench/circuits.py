@@ -382,57 +382,6 @@ def bind_params(circuit, values):
     return Circuit(nodes, circuit.output, circuit.num_vars, 0)
 
 
-def simplify_constants(circuit, params=None):
-    """Fold constant subexpressions and drop unreachable nodes.
-
-    Rewrites 0+f -> f, 0*f -> 0, 1*f -> f and evaluates gates whose children
-    are both constants.  The computed polynomial is unchanged; the formal
-    degree can only drop.  With `params`, every parameter slot is bound to
-    its integer value and folds in the same pass, giving exactly
-    `simplify_constants(bind_params(circuit, params))`.
-    """
-    num_params = circuit.num_params
-    if params is not None:
-        if len(params) != num_params:
-            raise ValueError(f"expected {num_params} parameter values")
-        num_params = 0
-    builder = CircuitBuilder(circuit.num_vars, num_params)
-    # per old position: ("const", v) or ("node", builder position)
-    desc = []
-    for node in circuit.nodes:
-        if isinstance(node, Const):
-            desc.append(("const", node.value))
-        elif params is not None and isinstance(node, Param):
-            desc.append(("const", int(params[node.index - 1])))
-        elif isinstance(node, (InputVar, Param)):
-            desc.append(("node", builder._emit(node)))
-        else:
-            lk, lv = desc[node.left]
-            rk, rv = desc[node.right]
-            is_add = isinstance(node, Add)
-            if lk == "const" and rk == "const":
-                desc.append(("const", lv + rv if is_add else lv * rv))
-            elif is_add and lk == "const" and lv == 0:
-                desc.append(("node", rv))
-            elif is_add and rk == "const" and rv == 0:
-                desc.append(("node", lv))
-            elif not is_add and (lk == "const" and lv == 0 or rk == "const" and rv == 0):
-                desc.append(("const", 0))
-            elif not is_add and lk == "const" and lv == 1:
-                desc.append(("node", rv))
-            elif not is_add and rk == "const" and rv == 1:
-                desc.append(("node", lv))
-            else:
-                a = lv if lk == "node" else builder.const(lv)
-                b = rv if rk == "node" else builder.const(rv)
-                desc.append(("node", builder.add(a, b) if is_add else builder.mul(a, b)))
-
-    kind, val = desc[circuit.output]
-    out = builder.const(val) if kind == "const" else val
-    packed = CircuitBuilder(circuit.num_vars, num_params)
-    return packed.finish(packed.inline(builder.finish(out)))
-
-
 class CircuitBuilder:
     """Incremental hash-consing constructor for circuits.
 

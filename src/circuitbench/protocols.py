@@ -235,6 +235,8 @@ def _expansion_nodes(builder, rows, sign):
 
 
 def _chain(t, sign):
+    if not 1 <= t <= 6:
+        raise ValueError("chains supported for 1 <= t <= 6")
     circuits = []
     for k in range(1, t + 1):
         builder = CircuitBuilder(num_vars=k * k)
@@ -246,15 +248,11 @@ def _chain(t, sign):
 def build_permanent_chain(t):
     """Minor-expansion circuits for the 1x1 up to the t x t permanent.
     Matrix entry (i, j) is variable (i-1)*k + j, 1-based."""
-    if not 1 <= t <= 6:
-        raise ValueError("chains supported for 1 <= t <= 6")
     return _chain(t, +1)
 
 
 def build_determinant_chain(t):
     """Same shape computing determinants: the canonical wrong answer."""
-    if not 1 <= t <= 6:
-        raise ValueError("chains supported for 1 <= t <= 6")
     return _chain(t, -1)
 
 

@@ -11,8 +11,10 @@ compute: one level per gate plus the base level for x.
 """
 
 import functools
+import operator
 
 from ._record import Record
+from .algebra import SparsePoly
 from .circuits import (
     Add,
     Circuit,
@@ -25,7 +27,6 @@ from .circuits import (
     expand_circuit,
     formal_degree,
     serialize_circuit,
-    simplify_constants,
 )
 from .errors import EmbeddingError, at_least
 from .pit import _random_trials
@@ -183,11 +184,11 @@ def embed(circuit, p=None, seed=0):
     {level: 1}.  A product gate multiplies its operands' forms; a sum gate
     multiplies their sum by {0: 1}.  A constant output takes one synthetic
     level, (c) * (1).  The forms' coefficients are the level's parameters.
-    Over F_p the template circuit itself is evaluated with the parameters at
-    random points, against the circuit (`_verify_mod_p`); over the integers
-    the folded template is checked by exact expansion.  A verification
-    failure raises EmbeddingError since it can only mean the construction is
-    wrong.
+    Both checks read the unfolded template circuit: over F_p it is evaluated
+    with the parameters at random points (`_verify_mod_p`), over the
+    integers expanded exactly by one zero-aware walk (`_verify_over_z`), and
+    compared with the circuit.  A verification failure raises EmbeddingError
+    since it can only mean the construction is wrong.
     """
     if circuit.num_params:
         raise ValueError("circuit must not have parameter slots")
@@ -233,11 +234,7 @@ def embed(circuit, p=None, seed=0):
     if target.num_vars == 0:
         target = Circuit(target.nodes, target.output, 1, 0)
     if p is None:
-        if expand_circuit(simplify_constants(template.circuit, params)) != expand_circuit(target):
-            raise EmbeddingError(
-                "integer embedding verification failed; "
-                "this is a bug in the embedding construction"
-            )
+        _verify_over_z(template, params, target)
     else:
         _verify_mod_p(template, params, target, p, seed)
     return Embedding(levels, params, template)
@@ -250,30 +247,52 @@ def _template_evaluator(levels, p):
     return compile_mod_evaluator(build_universal(levels).circuit, p)
 
 
-def _specialized_degree(circuit, params, p):
-    """An upper bound on the degree in x of `circuit` with its parameter
-    slots set to `params`, over F_p, from one pass without folding.
-
-    x has degree 1.  A constant or parameter has degree 0, or is zero (None)
-    when it is 0 mod p.  A product with a zero factor is zero, and a sum
-    drops its zero operands.  The zero polynomial gets 0.
-    """
-    deg = []
-    push = deg.append
+def _specialized_walk(circuit, slots, x, add, mul):
+    """A template circuit's value with its input read as `x` and parameter
+    slot k as `slots[k - 1]`, None standing for zero: a product with a zero
+    factor is zero, and a sum drops its zero operands.  Templates hold only
+    inputs, parameters, sums and products; any other node is refused."""
+    val = []
+    push = val.append
     for node in circuit.nodes:
         kind = type(node)
         if kind is Mul:
-            a, b = deg[node.left], deg[node.right]
-            push(None if a is None or b is None else a + b)
+            a, b = val[node.left], val[node.right]
+            push(None if a is None or b is None else mul(a, b))
         elif kind is Add:
-            a, b = deg[node.left], deg[node.right]
-            push(b if a is None else a if b is None else max(a, b))
+            a, b = val[node.left], val[node.right]
+            push(b if a is None else a if b is None else add(a, b))
+        elif kind is Param:
+            push(slots[node.index - 1])
         elif kind is InputVar:
-            push(1)
+            push(x)
         else:
-            value = node.value if kind is Const else params[node.index - 1]
-            push(None if value % p == 0 else 0)
-    return deg[circuit.output] or 0
+            raise ValueError(f"a template circuit has no {kind.__name__} node")
+    return val[circuit.output]
+
+
+def _specialized_degree(circuit, params, p):
+    """An upper bound on the degree in x of the template with `params` over
+    F_p: the walk over degrees, a parameter 0 mod p being zero; zero gets 0."""
+    slots = [None if v % p == 0 else 0 for v in params]
+    return _specialized_walk(circuit, slots, 1, max, operator.add) or 0
+
+
+def _specialized_poly(circuit, params):
+    """The template with `params` over Z[x]: the walk over SparsePoly."""
+    slots = [SparsePoly.const(v, 1) if v else None for v in params]
+    x = SparsePoly.variable(1, 1)
+    value = _specialized_walk(circuit, slots, x, operator.add, operator.mul)
+    return SparsePoly({}, 1) if value is None else value
+
+
+def _verify_over_z(template, params, target):
+    """Check by exact expansion that the template circuit with `params`
+    computes the one-variable `target` over Z; raise EmbeddingError if not."""
+    if _specialized_poly(template.circuit, params) != expand_circuit(target):
+        raise EmbeddingError(
+            "integer embedding verification failed; this is a bug in the embedding construction"
+        )
 
 
 def _verify_mod_p(template, params, target, p, seed):

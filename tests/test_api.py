@@ -14,7 +14,7 @@ PUBLIC = {
         "Add", "Circuit", "CircuitBuilder", "Const", "InputVar", "Mul", "Param", "bind_params",
         "enumerate_circuits", "evaluate", "expand_circuit", "formal_degree",
         "is_constant_free", "metrics", "parse_circuit", "random_circuit", "serialize_circuit",
-        "simplify_constants", "weight_report",
+        "weight_report",
     ],
     "errors": ["BudgetError", "EmbeddingError", "ParseError"],
     "families": [
@@ -42,7 +42,7 @@ NAMES = sorted(name for names in PUBLIC.values() for name in names)
 
 
 def test_all_lists_the_public_names():
-    assert len(NAMES) == 61
+    assert len(NAMES) == 60
     assert circuitbench.__all__ == NAMES
     assert circuitbench.__version__ == "0.1.0"
 
@@ -67,3 +67,8 @@ def test_dir_lists_the_public_names():
 def test_unknown_attribute_names_the_module():
     with pytest.raises(AttributeError, match="module 'circuitbench' has no attribute 'nope'"):
         circuitbench.nope
+
+
+def test_removed_fold_is_not_a_public_name():
+    with pytest.raises(AttributeError, match="no attribute 'simplify_constants'"):
+        circuitbench.simplify_constants

@@ -24,7 +24,6 @@ from circuitbench.circuits import (
     parse_circuits,
     random_circuit,
     serialize_circuit,
-    simplify_constants,
     weight_report,
 )
 from circuitbench.errors import BudgetError, ParseError
@@ -538,15 +537,6 @@ def test_truncated_evaluation_random_to_eight_vertices():
         ring = TruncatedPolyRing(IntegerRing(), 2, cap)
         truncated = evaluate(c, ring, [ring.gen(1), ring.gen(2)])
         assert truncated == expand_circuit(c).truncate(cap)
-
-
-def test_simplify_constants_preserves_polynomial():
-    rng = random.Random(41)
-    for _ in range(300):
-        c = random_circuit(rng, rng.randint(1, 10), num_vars=2)
-        s = simplify_constants(c)
-        assert expand_circuit(s) == expand_circuit(c)
-        assert s.size() <= c.size()
 
 
 def test_bind_params():

@@ -739,7 +739,7 @@ def _squarings(leaf, count):
 @pytest.mark.parametrize(
     "leaf, count, code, lines",
     [
-        # 2^(2^39): folding it over Z never finishes, and p is below its degree
+        # 2^(2^39): p is below its degree bound; the check never leaves F_p
         ("const 2", 39, 1,
          ["error=p=101 does not exceed the formal degree bound 549755813888; "
           "the random-evaluation test would be unsound"]),

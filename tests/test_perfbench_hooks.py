@@ -27,12 +27,22 @@ def resolve(short, attr):
 
 
 LAYERS = load_tracer().LAYERS
+# traced layers whose function was deleted from the package on purpose
+# (`simplify_constants`: embed no longer folds); the tracer reports them
+# absent until its layer table drops them, and then this set must go too
+RETIRED = {"circuits.simplify"}
 
 
-@pytest.mark.parametrize("layer", sorted(LAYERS))
+@pytest.mark.parametrize("layer", sorted(set(LAYERS) - RETIRED))
 def test_traced_layer_resolves(layer):
     short, attr, _counters = LAYERS[layer]
     assert callable(resolve(short, attr)), f"{layer}: circuitbench.{short}.{attr} is missing"
+
+
+@pytest.mark.parametrize("layer", sorted(RETIRED))
+def test_retired_layer_is_absent(layer):
+    short, attr, _counters = LAYERS[layer]
+    assert resolve(short, attr) is None, f"{layer}: circuitbench.{short}.{attr} is back"
 
 
 @pytest.mark.parametrize("attr", ["compile_mod_evaluator", "bind_params", "evaluate"])

@@ -232,6 +232,13 @@ def test_permanent_chain_circuits_compute_permanents():
             assert run(flat, ()) == permanent(m) % 10007
 
 
+@pytest.mark.parametrize("build", [build_permanent_chain, build_determinant_chain])
+@pytest.mark.parametrize("t", [0, 7])
+def test_chain_length_outside_1_to_6_is_refused(build, t):
+    with pytest.raises(ValueError, match=r"^chains supported for 1 <= t <= 6$"):
+        build(t)
+
+
 def test_honest_chain_always_accepted():
     chain = build_permanent_chain(3)
     for seed in range(40):

@@ -1,10 +1,11 @@
 import hashlib
 import random
+import time
 
 import pytest
 
 from circuitbench.algebra import SparsePoly
-from circuitbench import universal
+from circuitbench import circuits, universal
 from circuitbench.circuits import (
     bind_params,
     enumerate_circuits,
@@ -12,9 +13,6 @@ from circuitbench.circuits import (
     expand_circuit,
     formal_degree,
     parse_circuit,
-    random_circuit,
-    serialize_circuit,
-    simplify_constants,
 )
 from circuitbench.errors import EmbeddingError
 from circuitbench.rings import IntegerRing, PrimeField
@@ -189,17 +187,38 @@ def test_verification_rejects_a_changed_parameter():
         universal._verify_mod_p(emb.template, tuple(params), c, 101, 0)
 
 
-def test_embed_mod_p_does_not_fold(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("simplify_constants called")
+def test_verification_over_z_rejects_a_changed_parameter():
+    # the same changed x^2 embedding, checked by exact expansion
+    c = parse_circuit("nvars 1\ng1 = in 1\ng2 = mul g1 g1\nout g2\n")
+    emb = embed(c)
+    params = list(emb.params)
+    params[emb.template.param_slot(1, 0, "a") - 1] = 1
+    with pytest.raises(EmbeddingError, match="integer embedding verification failed"):
+        universal._verify_over_z(emb.template, tuple(params), c)
 
-    monkeypatch.setattr(universal, "simplify_constants", refuse)
+
+def test_neither_path_folds(monkeypatch):
+    # a fold builds a new circuit through CircuitBuilder; both checks read the template as emitted
+    def refuse(*args):
+        raise AssertionError("CircuitBuilder.finish called")
+
+    monkeypatch.setattr(circuits.CircuitBuilder, "finish", refuse)
     c = parse_circuit(
         "nvars 1\ng1 = in 1\ng2 = const 7\ng3 = add g1 g2\ng4 = mul g3 g3\nout g4\n"
     )
     assert embed(c, 101).levels == 3
-    with pytest.raises(AssertionError, match="simplify_constants"):
-        embed(c)  # over the integers the folded template is still expanded
+    assert embed(c).levels == 3
+
+
+def test_embed_over_z_of_repeated_squaring_stays_sparse():
+    # x squared 39 times is one monomial of degree 2^39: a check whose work
+    # grew with the degree (dense coefficients, or D + 1 evaluation points)
+    # would never finish
+    gates = "".join(f"g{i} = mul g{i - 1} g{i - 1}\n" for i in range(2, 41))
+    c = parse_circuit(f"nvars 1\ng1 = in 1\n{gates}out g40\n")
+    start = time.perf_counter()
+    assert embed(c).levels == 40
+    assert time.perf_counter() - start < 2
 
 
 @pytest.mark.parametrize("p", [5, 7, 101])
@@ -258,12 +277,16 @@ def test_embedding_parameters_are_pinned(p, digest):
     assert h.hexdigest() == digest
 
 
-def _random_param_cases():
+def _random_template_cases():
     rng = random.Random(83)
     for _ in range(400):
-        num_params = rng.randint(1, 3)
-        c = random_circuit(rng, rng.randint(1, 14), rng.randint(0, 2), num_params=num_params)
-        yield c, tuple(rng.randint(-2, 3) for _ in range(num_params))
+        template = build_universal(rng.randint(1, 5))
+        zeros = rng.random()
+        params = tuple(
+            0 if rng.random() < zeros else rng.randint(-2, 3)
+            for _ in range(template.param_count())
+        )
+        yield template.circuit, params
 
 
 def _embedding_cases(p):
@@ -274,24 +297,25 @@ def _embedding_cases(p):
 
 @pytest.mark.parametrize(
     "cases",
-    [_random_param_cases, lambda: _embedding_cases(101), lambda: _embedding_cases(None)],
+    [_random_template_cases, lambda: _embedding_cases(101), lambda: _embedding_cases(None)],
     ids=["random", "embed-p101", "embed-z"],
 )
-def test_simplify_with_params_matches_bind_then_simplify(cases):
+def test_specialized_poly_matches_bind_then_expand(cases):
     count = 0
-    for c, params in cases():
-        fused = serialize_circuit(simplify_constants(c, params))
-        assert fused == serialize_circuit(simplify_constants(bind_params(c, params)))
+    for circuit, params in cases():
+        want = expand_circuit(bind_params(circuit, params))
+        assert universal._specialized_poly(circuit, params) == want
         count += 1
     assert count >= 400
 
 
-def test_simplify_with_params_rejects_wrong_length():
-    t = build_universal(2)
-    with pytest.raises(ValueError):
-        simplify_constants(t.circuit, (0,) * (t.param_count() - 1))
-    with pytest.raises(ValueError):
-        simplify_constants(t.circuit, (0,) * (t.param_count() + 1))
+def test_specialized_walk_refuses_a_constant():
+    # template circuits have no constants; a walk that read one would misread it
+    c = parse_circuit("nvars 1\nnparams 1\ng1 = const 0\ng2 = param 1\ng3 = mul g1 g2\nout g3\n")
+    for walk in (lambda: universal._specialized_degree(c, (1,), 101),
+                 lambda: universal._specialized_poly(c, (1,))):
+        with pytest.raises(ValueError, match="has no Const node"):
+            walk()
 
 
 def test_templates_are_shared():
