@@ -573,26 +573,33 @@ def enumerate_circuits(
     `max_gates` additionally bounds the gate count.  The stream is
     deterministic; exceeding `budget` yielded circuits raises BudgetError.
 
-    With a `ring` (e.g. a TruncatedPolyRing in `num_vars` variables), it
-    yields (circuit, value) pairs, value being `evaluate` at the ring's
-    generators.  Each node's value is computed when the node is pushed, so a
-    ring's own budget applies before `budget` counts the circuit.  For the
-    forge's one-variable rings the monomial budget cannot come first: n
-    vertices give at most 2**(n - 1) + 1 monomials, so it needs 21, and the
-    depth-first walk spends the enumeration budget on low-degree prefixes.
+    With a `ring` (e.g. a DenseSeriesRing, or a TruncatedPolyRing in
+    `num_vars` variables), it yields each circuit's value instead, `evaluate`
+    at the ring's generators, in the order the ring-free stream yields the
+    circuits; no Circuit is built.  Each node's value is computed once, when
+    the node is pushed, and shared by every circuit on that prefix, so a
+    TruncatedPolyRing's monomial budget applies before `budget` counts the
+    circuit.  A DenseSeriesRing has no such budget: its elements have a
+    fixed length.
     """
     pool = sorted({int(v) for v in constant_pool})
-    # (node, key, value) in key order: variables by index, then constants by
-    # value; a gate's key is (2 or 3, left key, right key), above every leaf.
-    leaves = [
-        (InputVar(i), (0, i), ring.gen(i) if ring else None) for i in range(1, num_vars + 1)
-    ]
-    leaves += [(Const(v), (1, v), ring.from_int(v) if ring else None) for v in pool]
-    add, mul = (ring.add, ring.mul) if ring else (None, None)
+    # values[i] is node i without a ring, its ring value with one
+    var, const = (InputVar, Const) if ring is None else (ring.gen, ring.from_int)
+    # (key, value) in key order: variables by index, then constants by value;
+    # a gate's key is (2 or 3, left key, right key), above every leaf.
+    leaves = [((0, i), var(i)) for i in range(1, num_vars + 1)]
+    leaves += [((1, v), const(v)) for v in pool]
+    if ring is None:
+        ops = ((2, Add), (3, Mul))
+    else:
+        add, mul = ring.add, ring.mul
+        ops = (
+            (2, lambda a, b: add(values[a], values[b])),
+            (3, lambda a, b: mul(values[a], values[b])),
+        )
 
-    nodes = []
-    keys = []
     values = []
+    keys = []
     refcount = []
     unused = 0  # nodes no gate reads yet; the last node is always one
     yielded = 0
@@ -603,9 +610,8 @@ def enumerate_circuits(
             yielded += 1
             if yielded > budget:
                 charge("enumeration", budget, yielded, f"{yielded} circuits")
-            circuit = Circuit(tuple(nodes), len(nodes) - 1, num_vars, 0)
-            yield circuit if ring is None else (circuit, values[-1])
-        n = len(nodes)
+            yield values[-1] if ring else Circuit(tuple(values), len(values) - 1, num_vars, 0)
+        n = len(values)
         if n == max_size:
             return
         gate_room = max_size - n
@@ -616,23 +622,21 @@ def enumerate_circuits(
         if max_gates is not None:
             room = min(room, max_gates)
         if gates == 0 and unused <= room:
-            for leaf, key, value in leaves:
+            for key, value in leaves:
                 if keys and key <= keys[-1]:
                     continue
-                nodes.append(leaf)
-                keys.append(key)
                 values.append(value)
+                keys.append(key)
                 refcount.append(0)
                 unused += 1
                 yield from rec(0, leaf_count + 1)
                 unused -= 1
                 refcount.pop()
-                values.pop()
                 keys.pop()
-                nodes.pop()
+                values.pop()
         if gate_room < 1:
             return
-        for tag, cls, op in ((2, Add, add), (3, Mul, mul)):
+        for tag, make in ops:
             for a in range(n):
                 for b in range(a, n):
                     delta = (refcount[a] == 0) + (b != a and refcount[b] == 0)
@@ -644,9 +648,8 @@ def enumerate_circuits(
                     start = max(b + 1, leaf_count)
                     if start < n and max(keys[start:n]) >= key:
                         continue
-                    nodes.append(cls(a, b))
+                    values.append(make(a, b))
                     keys.append(key)
-                    values.append(op(values[a], values[b]) if op else None)
                     refcount.append(0)
                     refcount[a] += 1
                     refcount[b] += 1
@@ -656,9 +659,8 @@ def enumerate_circuits(
                     refcount[b] -= 1
                     refcount[a] -= 1
                     refcount.pop()
-                    values.pop()
                     keys.pop()
-                    nodes.pop()
+                    values.pop()
 
     if max_size >= 1:
         yield from rec(0, 0)

@@ -6,8 +6,10 @@ of something a small device can compute?  Two oracles answer that question:
   * parameter sweep: the image of the universal template's truncated
     coefficient map over all parameter assignments in F_p;
   * circuit enumeration: the truncated coefficient vectors of every
-    canonical circuit of bounded size with constants in F_p, computed by
-    exact arithmetic carried down the enumeration (an independent path).
+    canonical circuit of bounded size with constants in F_p, computed in a
+    dense series ring carried down the enumeration, which yields the values
+    alone and builds no circuit (an independent path: its product is not
+    the sweep's).
 
 The sweep never walks parameter assignments or tuples of level values.  Level
 j of the template multiplies two elements of V_j = span{1, L_1, ..., L_{j-1}},
@@ -21,14 +23,14 @@ search does the analogous thing for the signs of integer coefficients of
 constant-free circuits.
 """
 
-from itertools import product
+from itertools import islice, product
 
 from ._record import Record
 from .algebra import DEFAULT_MONOMIAL_BUDGET, SparsePoly
 from .circuits import enumerate_circuits, expand_circuit, is_constant_free
 from .errors import DEFAULT_SOLVE_BUDGET, at_least, capped_power, charge
 from .primes import require_prime
-from .rings import IntegerRing, PrimeField, TruncatedPolyRing
+from .rings import DenseSeriesRing, IntegerRing, PrimeField, TruncatedPolyRing
 from .systems import build_hardness_system, solve_bruteforce
 
 DEFAULT_SWEEP_BUDGET = 10**7
@@ -172,14 +174,11 @@ def realizable_vectors(
         return RealizableSet(s, d, p, zero_one)
     if oracle == "circuit-enumeration":
         size = _vertex_bound(s, enum_size)
-        found = set()
-        ring = TruncatedPolyRing(PrimeField(p), 1, d)
+        ring = DenseSeriesRing(PrimeField(p), d)
         budget = DEFAULT_ENUM_ORACLE_BUDGET if budget is None else budget
-        for _, poly in enumerate_circuits(size, 1, range(p), budget=budget, ring=ring):
-            vec = tuple(poly.coefficient((i,)) for i in range(d + 1))
-            if all(x in (0, 1) for x in vec):
-                found.add(vec)
-        return RealizableSet(s, d, p, frozenset(found))
+        vectors = set(enumerate_circuits(size, 1, range(p), budget=budget, ring=ring))
+        # residues are >= 0, so a vector is 0/1 when its largest entry is at most 1
+        return RealizableSet(s, d, p, frozenset(v for v in vectors if max(v) <= 1))
     raise ValueError(f"unknown oracle {oracle!r}")
 
 
@@ -231,16 +230,18 @@ def hardness_certificate(s, d, p, gamma, enum_size=None):
     """Exhaustively confirm that no enumerated circuit of bounded size over
     F_p computes the polynomial sum_i gamma_i x^i exactly.
 
-    Returns (True, None) or (False, offending circuit).
+    Returns (True, None) or (False, offending circuit).  The search reads
+    values alone; on a match at position k of the stream, the offending
+    circuit is the k-th circuit of the same enumeration without a ring.
     """
     size = _vertex_bound(s, enum_size)
     target = SparsePoly({(i,): g for i, g in enumerate(gamma)}, 1, modulus=p)
     ring = TruncatedPolyRing(PrimeField(p), 1, None)
-    for circuit, poly in enumerate_circuits(
-        size, 1, range(p), budget=DEFAULT_ENUM_ORACLE_BUDGET, ring=ring
-    ):
+    budget = DEFAULT_ENUM_ORACLE_BUDGET
+    for k, poly in enumerate(enumerate_circuits(size, 1, range(p), budget=budget, ring=ring)):
         if poly == target:
-            return False, circuit
+            circuits = enumerate_circuits(size, 1, range(p), budget=budget)
+            return False, next(islice(circuits, k, None))
     return True, None
 
 
@@ -288,18 +289,16 @@ def sign_condition_search(s, cap, budget=DEFAULT_ENUM_ORACLE_BUDGET):
     cost = cap + 1
     what = f"coefficient signs ({cost} per circuit)"
     charge("sign-condition", budget, cost, f"{cost} {what}")
-    realized = set()
+    vectors = set()
     count = 0
-    ring = TruncatedPolyRing(IntegerRing(), 1, cap)
+    ring = DenseSeriesRing(IntegerRing(), cap)
     # one circuit more than the sign-condition budget allows, so that budget refuses
-    for _, poly in enumerate_circuits(s, 1, (-1,), budget=budget // cost + 1, ring=ring):
+    for vec in enumerate_circuits(s, 1, (-1,), budget=budget // cost + 1, ring=ring):
         count += 1
         if count * cost > budget:
             charge("sign-condition", budget, count * cost, f"{count * cost} {what}")
-        bits = tuple(
-            1 if poly.coefficient((i,)) > 0 else 0 for i in range(cap + 1)
-        )
-        realized.add(bits)
+        vectors.add(vec)
+    realized = {tuple(int(c > 0) for c in vec) for vec in vectors}
     bits = lex_first_missing(realized, cap)
     return SignConditionSearch(
         s=s,

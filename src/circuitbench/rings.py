@@ -1,10 +1,12 @@
 """Evaluation domains for circuits.
 
-Four ring flavours cover everything the workbench needs: exact integers,
+Five ring flavours cover everything the workbench needs: exact integers,
 prime fields with plain int residues, lanes of many points of either of
-those, and rings of degree-truncated sparse polynomials over either of the
-first two.  A ring object knows how to build elements from ints and how to
-add and multiply them; circuit evaluation is generic over that interface.
+those, rings of degree-truncated sparse polynomials over either of the
+first two, and rings of degree-truncated dense one-variable series over
+either of them.  A ring object knows how to build elements from ints and
+how to add and multiply them; circuit evaluation is generic over that
+interface.
 """
 
 import operator
@@ -124,3 +126,50 @@ class TruncatedPolyRing:
 
     def __repr__(self):
         return f"TruncatedPolyRing({self.base!r}, vars={self.var_count}, cap={self.cap})"
+
+
+class DenseSeriesRing:
+    """One-variable polynomials over a base ring with degrees above `cap`
+    discarded, stored densely.
+
+    An element is a tuple of cap + 1 coefficients, the constant term first,
+    reduced mod p when the base ring is a PrimeField.  `mul` is one
+    truncated convolution: each nonzero term c*x^i of the first factor adds
+    c times the second factor, shifted up i degrees and cut at degree cap.
+    An element never holds more than cap + 1 coefficients, so the ring needs
+    no monomial budget.
+    """
+
+    def __init__(self, base, cap):
+        at_least("degree cap", cap, 0)
+        self.base = base
+        self.cap = cap
+        self.modulus = base.modulus
+
+    def from_int(self, v):
+        return (self.base.from_int(v),) + (0,) * self.cap
+
+    def gen(self, index):
+        """x, truncated to 0 when cap is 0; the ring has one variable."""
+        if index != 1:
+            raise ValueError(f"a one-variable ring has no variable {index}")
+        return tuple(int(k == 1) for k in range(self.cap + 1))
+
+    def add(self, a, b):
+        p = self.modulus
+        if p is None:
+            return tuple(map(operator.add, a, b))
+        return tuple([(x + y) % p for x, y in zip(a, b)])
+
+    def mul(self, a, b):
+        top = self.cap + 1
+        out = [0] * top
+        for i, c in enumerate(a):
+            if c:
+                for j in range(top - i):
+                    out[i + j] += c * b[j]
+        p = self.modulus
+        return tuple(out) if p is None else tuple([x % p for x in out])
+
+    def __repr__(self):
+        return f"DenseSeriesRing({self.base!r}, cap={self.cap})"

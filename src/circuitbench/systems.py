@@ -234,10 +234,15 @@ class DensityReport(Record):
         return f"pi_S={self.pi_s} pi={self.pi} ratio={self.ratio!r}"
 
 
+DENSITY_BUDGET = 10**8  # solver assignments one probe may spend over all its primes
+
+
 def density_probe(system, limit, solve_budget=DEFAULT_SOLVE_BUDGET):
     """Decide solvability of the system over F_p for every prime p <= limit.
 
-    On a per-prime budget overrun the probe stops and returns the partial
+    Each prime's p^u assignments are charged against `solve_budget`, and
+    their running total against DENSITY_BUDGET, before that prime is
+    solved.  On either overrun the probe stops and returns the partial
     counts with `complete=False` and the high-water prime reached.
     """
     primes = sieve(limit)
@@ -245,8 +250,12 @@ def density_probe(system, limit, solve_budget=DEFAULT_SOLVE_BUDGET):
     witnesses = {}
     complete = True
     high_water = 0
+    u = system.unknown_count
+    total = 0
     for p in primes:
+        total += capped_power(p, u, DENSITY_BUDGET)
         try:
+            charge("density", DENSITY_BUDGET, total, f"{total} assignments")
             witness = solve_bruteforce(system, p, budget=solve_budget)
         except BudgetError:
             complete = False

@@ -28,7 +28,7 @@ from circuitbench.circuits import (
 )
 from circuitbench.errors import BudgetError, ParseError
 from circuitbench.families import TruthTable
-from circuitbench.rings import IntegerRing, PrimeField, TruncatedPolyRing
+from circuitbench.rings import DenseSeriesRing, IntegerRing, PrimeField, TruncatedPolyRing
 from circuitbench.systems import parse_system
 
 SQUARE_TEXT = "nvars 1\ng1 = in 1\ng2 = const -1\ng3 = add g1 g2\ng4 = mul g3 g3\nout g4\n"
@@ -460,20 +460,60 @@ def test_enumerate_matches_yield_time_order_check(args, max_gates):
     assert list(enumerate_circuits(*args, max_gates=max_gates)) == want
 
 
+def _coefficients(poly, cap):
+    return tuple(poly.coefficient((i,)) for i in range(cap + 1))
+
+
 @pytest.mark.parametrize(
-    "size, pool, cap, base",
+    "size, pool, ring",
     [
-        (5, range(5), 3, PrimeField(5)),
-        (5, range(5), None, PrimeField(5)),
-        (6, (-1,), 6, IntegerRing()),
+        (5, range(5), TruncatedPolyRing(PrimeField(5), 1, 3)),
+        (5, range(5), TruncatedPolyRing(PrimeField(5), 1, None)),
+        (6, (-1,), TruncatedPolyRing(IntegerRing(), 1, 6)),
+        (5, range(5), DenseSeriesRing(PrimeField(5), 3)),
+        (5, range(5), DenseSeriesRing(PrimeField(5), 0)),
+        (6, (-1,), DenseSeriesRing(IntegerRing(), 6)),
+    ],
+    ids=[
+        "poly-mod5-cap3",
+        "poly-mod5-exact",
+        "poly-int-cap6",
+        "dense-mod5-cap3",
+        "dense-mod5-cap0",
+        "dense-int-cap6",
     ],
 )
-def test_enumerate_carries_expansions(size, pool, cap, base):
-    ring = TruncatedPolyRing(base, 1, cap)
-    pairs = list(enumerate_circuits(size, 1, pool, ring=ring))
-    assert [c for c, _ in pairs] == list(enumerate_circuits(size, 1, pool))
-    for c, value in pairs:
-        assert value == expand_circuit(c, cap=cap, modulus=base.modulus)
+def test_enumerate_ring_stream_follows_the_circuit_stream(size, pool, ring):
+    # with a ring the stream yields values alone, one per circuit of the
+    # ring-free stream and in its order
+    values = list(enumerate_circuits(size, 1, pool, ring=ring))
+    circuits = list(enumerate_circuits(size, 1, pool))
+    assert len(values) == len(circuits) > 0
+    dense = isinstance(ring, DenseSeriesRing)
+    for c, value in zip(circuits, values):
+        poly = expand_circuit(c, cap=ring.cap, modulus=ring.modulus)
+        assert value == (_coefficients(poly, ring.cap) if dense else poly)
+
+
+@pytest.mark.parametrize("base", [IntegerRing(), PrimeField(2), PrimeField(5), PrimeField(101)])
+def test_dense_series_ring_matches_truncated_poly_ring(base):
+    # independent of forge._series_mul, the sweep's product; a DenseSeriesRing.mul
+    # that drops the mod-p reduction, or truncates one degree early, fails here.
+    # random_circuit's constants lie in -5..5: negative, and >= p for p in 2..5
+    rng = random.Random(131)
+    for cap in range(7):
+        dense, poly = DenseSeriesRing(base, cap), TruncatedPolyRing(base, 1, cap)
+        top_nonzero = 0
+        for _ in range(60):
+            c = random_circuit(rng, rng.randint(1, 16), 1)
+            for output in range(c.size()):  # every node, dead ones included
+                node = Circuit(c.nodes, output, 1)
+                got = evaluate(node, dense, [dense.gen(1)])
+                want = _coefficients(evaluate(node, poly, [poly.gen(1)]), cap)
+                assert got == want
+                top_nonzero += want[-1] != 0
+        assert top_nonzero >= 1  # the coefficient of x^cap is exercised
+    assert DenseSeriesRing(base, 0).gen(1) == (0,)
 
 
 @pytest.mark.parametrize("ring", [None, TruncatedPolyRing(IntegerRing(), 1, None)])

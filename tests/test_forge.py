@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from circuitbench import forge
+from circuitbench import circuits, forge
 from circuitbench.algebra import SparsePoly
 from circuitbench.circuits import enumerate_circuits, expand_circuit, parse_circuit
 from circuitbench.errors import BudgetError
@@ -271,6 +271,27 @@ def test_hardness_certificate_witness_matches_per_circuit_expansion():
         ok, witness = hardness_certificate(s, d, p, gamma)
         assert not ok
         assert (ok, witness) == _certificate_reference(s, p, gamma)
+
+
+def test_enumeration_oracles_build_no_circuit(monkeypatch):
+    # every Circuit is validated by __post_init__ when it is built; the
+    # oracles read values alone, and the certificate builds circuits only to
+    # recover its counterexample: the ring-free stream up to and including it
+    built = []
+    validate = circuits.Circuit.__post_init__
+    monkeypatch.setattr(
+        circuits.Circuit, "__post_init__", lambda c: built.append(c) or validate(c)
+    )
+    realizable_vectors(2, 3, 5, oracle="circuit-enumeration", enum_size=5)
+    sign_condition_search(5, 6)
+    assert built == []
+    assert hardness_certificate(1, 2, 5, (0, 0, 1)) == (True, None)
+    assert built == []
+    ok, witness = hardness_certificate(3, 2, 5, (1, 1, 0))
+    assert not ok
+    stream = built[:]
+    assert stream == list(enumerate_circuits(3, 1, range(5)))[: len(stream)]
+    assert stream[-1] is witness
 
 
 def test_lex_first_missing():

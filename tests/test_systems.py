@@ -9,6 +9,7 @@ from circuitbench.circuits import (
     parse_circuit,
     random_circuit,
 )
+from circuitbench import systems
 from circuitbench.errors import BudgetError, ParseError
 from circuitbench.systems import (
     PolySystem,
@@ -266,6 +267,28 @@ def test_partial_report_on_budget():
     report = density_probe(system, 30, solve_budget=200)  # 13^2 = 169 fits, 17^2 doesn't
     assert not report.complete
     assert report.high_water == 13
+
+
+def test_density_budget_bounds_the_whole_probe(monkeypatch):
+    # y^2 + 1 has one unknown, so prime p costs p assignments: the running
+    # total after 2, 3, 5, 7, 11, 13 is 41, and 17 would take it to 58
+    solved = []
+    solve = systems.solve_bruteforce
+
+    def counted(system, p, **kwargs):
+        solved.append(p)
+        return solve(system, p, **kwargs)
+
+    monkeypatch.setattr(systems, "solve_bruteforce", counted)
+    monkeypatch.setattr(systems, "DENSITY_BUDGET", 41)
+    report = density_probe(y_squared_plus_one(), 30)
+    assert solved == [2, 3, 5, 7, 11, 13]
+    assert not report.complete
+    assert report.high_water == 13
+    assert (report.pi, report.pi_s, report.good_primes) == (10, 3, (2, 5, 13))
+    assert report.witnesses == {2: (1,), 5: (2,), 13: (5,)}
+    monkeypatch.setattr(systems, "DENSITY_BUDGET", 40)
+    assert density_probe(y_squared_plus_one(), 30).high_water == 11
 
 
 def test_system_text_roundtrip():
