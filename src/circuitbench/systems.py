@@ -223,7 +223,7 @@ class DensityReport(Record):
         "limit",
         "pi",  # primes up to the limit
         "pi_s",  # of which the system is solvable
-        "ratio",
+        "ratio",  # pi_s over the primes decided, those up to high_water
         "good_primes",
         "witnesses",  # prime -> first witness
         "complete",
@@ -243,13 +243,16 @@ def density_probe(system, limit, solve_budget=DEFAULT_SOLVE_BUDGET):
     Each prime's p^u assignments are charged against `solve_budget`, and
     their running total against DENSITY_BUDGET, before that prime is
     solved.  On either overrun the probe stops and returns the partial
-    counts with `complete=False` and the high-water prime reached.
+    counts with `complete=False` and the high-water prime reached; `pi`
+    still counts every prime up to the limit, but `ratio` is taken over
+    the primes decided.
     """
     primes = sieve(limit)
     good = []
     witnesses = {}
     complete = True
     high_water = 0
+    decided = 0
     u = system.unknown_count
     total = 0
     for p in primes:
@@ -261,12 +264,13 @@ def density_probe(system, limit, solve_budget=DEFAULT_SOLVE_BUDGET):
             complete = False
             break
         high_water = p
+        decided += 1
         if witness is not None:
             good.append(p)
             witnesses[p] = witness
     pi = len(primes)
     pi_s = len(good)
-    ratio = pi_s / pi if pi else 0.0
+    ratio = pi_s / decided if decided else 0.0
     return DensityReport(
         limit=limit,
         pi=pi,

@@ -291,6 +291,18 @@ def test_density_budget_bounds_the_whole_probe(monkeypatch):
     assert density_probe(y_squared_plus_one(), 30).high_water == 11
 
 
+def test_density_ratio_counts_only_decided_primes(monkeypatch):
+    # the budget stops the probe after 13: of the 6 primes decided, 2, 5
+    # and 13 are good, while pi still counts the 10 primes up to 30
+    monkeypatch.setattr(systems, "DENSITY_BUDGET", 41)
+    report = density_probe(y_squared_plus_one(), 30)
+    assert (report.pi, report.pi_s, report.high_water) == (10, 3, 13)
+    assert report.ratio == 0.5
+    monkeypatch.setattr(systems, "DENSITY_BUDGET", 1)
+    report = density_probe(y_squared_plus_one(), 30)
+    assert (report.pi, report.pi_s, report.high_water, report.ratio) == (10, 0, 0, 0.0)
+
+
 def test_system_text_roundtrip():
     system = build_hardness_system(1, 1, (1, 0))
     text = serialize_system(system)

@@ -1,11 +1,13 @@
 import hashlib
 import random
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from circuitbench.algebra import SparsePoly
-from circuitbench import circuits, universal
+from circuitbench import circuits, pit, universal
 from circuitbench.circuits import (
     bind_params,
     enumerate_circuits,
@@ -324,3 +326,29 @@ def test_templates_are_shared():
     for _ in range(2):
         with pytest.raises(ValueError):
             build_universal(0)
+
+
+def test_concurrent_embedding_matches_serial():
+    corpus = list(enumerate_circuits(7, 1, (-1, 0, 1), max_gates=3))
+    pairs = list(zip(corpus, corpus[1:]))
+
+    def embed_all():
+        return [embed(c, 101, seed=22) for c in corpus]
+
+    def witnesses():
+        return [pit.pit_equal(a, b, 101, seed=k % 7) for k, (a, b) in enumerate(pairs)]
+
+    serial = embed_all(), witnesses()
+    assert any(not verdict.equal for verdict in serial[1])
+    pit._cached_points.cache_clear()
+    pit.default_trials.cache_clear()
+    barrier = threading.Barrier(4)
+
+    def job():
+        barrier.wait()
+        return embed_all(), witnesses()
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        results = [f.result() for f in [pool.submit(job) for _ in range(4)]]
+    for result in results:
+        assert result == serial
