@@ -68,7 +68,6 @@ _HOMES = {
     "build_language_system": "systems",
     "density_probe": "systems",
     "parse_system": "systems",
-    "serialize_system": "systems",
     "solve_bruteforce": "systems",
     "UniversalTemplate": "universal",
     "build_universal": "universal",

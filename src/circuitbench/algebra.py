@@ -3,10 +3,10 @@
 Polynomials are stored as a map from exponent vectors (dense per-variable
 degree tuples) to nonzero coefficients.  Coefficients are arbitrary-precision
 integers, or residues when a prime modulus is attached.  Monomial order for
-serialization and iteration is graded lexicographic.
+iteration is graded lexicographic.
 """
 
-from .errors import ParseError, charge, content_lines, parse_count, parse_int
+from .errors import charge
 from .primes import is_prime, require_prime
 
 DEFAULT_MONOMIAL_BUDGET = 10**6
@@ -166,44 +166,3 @@ class SparsePoly:
             parts.append("*".join(factors))
         tail = f" mod {self.modulus}" if self.modulus is not None else ""
         return f"SparsePoly({' + '.join(parts)}{tail})"
-
-    def to_text(self):
-        """Serialize: header line, then one 'coeff e1 .. en' line per monomial."""
-        head = f"npoly-vars {self.num_vars}"
-        if self.modulus is not None:
-            head += f" mod {self.modulus}"
-        lines = [head]
-        for e, c in self.monomials():
-            lines.append(" ".join([str(c)] + [str(k) for k in e]))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text):
-        rows = list(content_lines(text.splitlines()))
-        if not rows:
-            raise ParseError("empty polynomial text")
-        head_line, head = rows[0]
-        parts = head.split()
-        expected = "expected header 'npoly-vars <n> [mod <p>]'"
-        if len(parts) not in (2, 4):
-            raise ParseError(expected, head_line)
-        num_vars = parse_count(parts[:2], "npoly-vars", head_line, expected, "bad variable count")
-        modulus = None
-        if len(parts) == 4:
-            if parts[2] != "mod":
-                raise ParseError("expected 'mod <p>'", head_line)
-            modulus = parse_int(parts[3], "bad modulus", head_line)
-        coeffs = {}
-        for lineno, ln in rows[1:]:
-            toks = ln.split()
-            if len(toks) != num_vars + 1:
-                raise ParseError(f"expected {num_vars + 1} fields", lineno)
-            c, *e = (parse_int(t, "bad integer", lineno) for t in toks)
-            if any(k < 0 for k in e):
-                raise ParseError("exponents must be >= 0", lineno)
-            e = tuple(e)
-            coeffs[e] = coeffs.get(e, 0) + c
-        try:
-            return cls(coeffs, num_vars, modulus)
-        except ValueError as exc:  # the modulus is not a prime in the Miller-Rabin range
-            raise ParseError(str(exc), head_line) from None

@@ -6,7 +6,7 @@ _DECIMAL = re.compile(r"-?[0-9]+")
 
 
 class ParseError(ValueError):
-    """Malformed circuit, system, or table text.  Carries the 1-based line number."""
+    """Malformed circuit, system, chain or matrix text.  Carries the 1-based line number."""
 
     def __init__(self, message, line=None):
         if line is not None:
@@ -38,13 +38,12 @@ def parse_int(token, message, line):
     raise ParseError(message, line)
 
 
-def parse_count(tokens, keyword, line, expected, bad=None):
+def parse_count(tokens, keyword, line, expected):
     """The k >= 0 of the `<keyword> <k>` header split into `tokens`; a header
-    of another shape raises `expected`, a non-integer k `bad` (by default
-    "bad <keyword> count")."""
+    of another shape raises `expected`, a non-integer k "bad <keyword> count"."""
     if len(tokens) != 2 or tokens[0] != keyword:
         raise ParseError(expected, line)
-    count = parse_int(tokens[1], bad or f"bad {keyword} count", line)
+    count = parse_int(tokens[1], f"bad {keyword} count", line)
     if count < 0:
         raise ParseError(f"{keyword} must be >= 0", line)
     return count

@@ -10,15 +10,7 @@ from itertools import permutations
 
 from .algebra import SparsePoly
 from .circuits import Circuit, Const, InputVar, evaluate
-from .errors import (
-    DEFAULT_SOLVE_BUDGET,
-    ParseError,
-    at_least,
-    capped_power,
-    charge,
-    content_lines,
-    parse_int,
-)
+from .errors import DEFAULT_SOLVE_BUDGET, at_least, capped_power, charge
 from .rings import LaneRing
 
 PERMANENT_CAP = 12
@@ -91,42 +83,11 @@ class TruthTable:
     """
 
     def __init__(self, n, values):
-        if n < 0 or len(values) != 1 << n:
+        at_least("n", n, 0)
+        if len(values) != 1 << n:
             raise ValueError(f"expected {1 << n} values for n={n}")
         self.n = n
         self.values = [int(v) for v in values]
-
-    @classmethod
-    def from_text(cls, text):
-        """One line per point: '<bits> <value>', bits listed x1 first."""
-        entries = {}
-        n = None
-        for lineno, line in content_lines(text.splitlines()):
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError("expected '<bits> <value>'", lineno)
-            bits, value = parts
-            if n is None:
-                n = len(bits)
-            if len(bits) != n or any(c not in "01" for c in bits):
-                raise ParseError(f"bad bit string {bits!r}", lineno)
-            mask = sum(1 << i for i, c in enumerate(bits) if c == "1")
-            value = parse_int(value, f"bad value {value!r}", lineno)
-            if mask in entries:
-                raise ParseError(f"duplicate point {bits}", lineno)
-            entries[mask] = value
-        if n is None:
-            raise ParseError("empty truth table")
-        if len(entries) != 1 << n:
-            raise ParseError(f"table incomplete: {len(entries)} of {1 << n} points")
-        return cls(n, [entries[m] for m in range(1 << n)])
-
-    def to_text(self):
-        lines = []
-        for mask in range(1 << self.n):
-            bits = "".join("1" if mask >> i & 1 else "0" for i in range(self.n))
-            lines.append(f"{bits} {self.values[mask]}")
-        return "\n".join(lines) + "\n"
 
 
 def multilinear_extension(table):

@@ -25,7 +25,7 @@ from .circuits import (
     compile_mod_evaluator,
     serialize_circuit,
 )
-from .errors import DEFAULT_SOLVE_BUDGET, at_least, charge
+from .errors import DEFAULT_SOLVE_BUDGET, at_least, capped_power, charge
 from .families import permanent
 from .pit import pit_equal
 from .primes import is_prime, next_prime_at_least, require_prime, sieve
@@ -214,6 +214,8 @@ def gs_estimate(elements, m, trials, seed, cols=12):
 # ---------------------------------------------------------------------------
 # Permanent chains
 
+AGREEMENT_BUDGET = 10**5  # equations: a chain of length 3 needs 19,767, length 4 about 43 million
+
 
 def _minor_rows(rows, col):
     return [r[:col] + r[col + 1 :] for r in rows[1:]]
@@ -264,12 +266,15 @@ def permanent_agreement_system(chain):
     The primes at which this system is solvable form the pool the evaluation
     protocol's collision test is probing, so a density probe over it makes
     that set explicit; for a constant-free honest chain it is every prime,
-    for the determinant chain it is exactly {2}.
+    for the determinant chain it is exactly {2}.  The sum of 3^(k*k) over the
+    chain is charged to the agreement budget before any equation is built.
     """
     num_params = {c.num_params for c in chain}
     if len(num_params) != 1:
         raise ValueError("chain circuits must share one parameter-slot count")
     (unknowns,) = num_params
+    total = sum(capped_power(3, k * k, AGREEMENT_BUDGET) for k in range(1, len(chain) + 1))
+    charge("agreement", AGREEMENT_BUDGET, total, f"the grid points of {len(chain)} chain circuits")
     equations = []
     for k, skeleton in enumerate(chain, start=1):
         if skeleton.num_vars != k * k:

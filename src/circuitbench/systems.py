@@ -19,7 +19,6 @@ from .circuits import (
     _parse_rows,
     _sections,
     compile_mod_evaluator,
-    serialize_circuit,
 )
 from .errors import (
     DEFAULT_SOLVE_BUDGET,
@@ -305,9 +304,3 @@ def parse_system(text):
             message = "equation references an unknown beyond the declared count"
             raise ParseError(message, rows[1][0])
     return PolySystem(unknowns, tuple(equations))
-
-
-def serialize_system(system):
-    parts = [f"unknowns {system.unknown_count}\n"]
-    texts = [serialize_circuit(eq) for eq in system.equations]
-    return parts[0] + "---\n".join(texts)

@@ -26,7 +26,6 @@ from .circuits import (
     evaluate,
     expand_circuit,
     formal_degree,
-    serialize_circuit,
 )
 from .errors import EmbeddingError, at_least
 from .pit import _random_trials
@@ -50,16 +49,6 @@ class UniversalTemplate(Record):
 
     def param_count(self):
         return self.circuit.num_params
-
-    def to_text(self):
-        """Circuit serialization with a header comment and a slot legend."""
-        lines = [f"# universal s={self.levels}"]
-        for j in range(1, self.levels + 1):
-            a_slots, b_slots = self.level_params[j - 1]
-            a_leg = ",".join(f"a{j}.{i}=p{s}" for i, s in enumerate(a_slots))
-            b_leg = ",".join(f"b{j}.{i}=p{s}" for i, s in enumerate(b_slots))
-            lines.append(f"# level {j}: {a_leg} {b_leg}")
-        return "\n".join(lines) + "\n" + serialize_circuit(self.circuit)
 
 
 @functools.cache

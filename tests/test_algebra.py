@@ -3,7 +3,7 @@ import random
 import pytest
 
 from circuitbench.algebra import SparsePoly
-from circuitbench.errors import BudgetError, ParseError
+from circuitbench.errors import BudgetError
 
 
 def poly(coeffs, n, mod=None):
@@ -150,20 +150,3 @@ def test_evaluate():
 def test_graded_lex_order():
     f = poly({(0, 2): 1, (1, 0): 2, (0, 0): 3, (2, 0): 4}, 2)
     assert [e for e, _ in f.monomials()] == [(0, 0), (1, 0), (0, 2), (2, 0)]
-
-
-def test_text_roundtrip():
-    rng = random.Random(17)
-    for _ in range(50):
-        n = rng.randint(1, 3)
-        f = random_poly(rng, n, 6)
-        assert SparsePoly.from_text(f.to_text()) == f
-    g = poly({(1,): 2}, 1, mod=7)
-    assert SparsePoly.from_text(g.to_text()) == g
-
-
-def test_from_text_rejects_garbage():
-    with pytest.raises(ParseError):
-        SparsePoly.from_text("")
-    with pytest.raises(ParseError):
-        SparsePoly.from_text("npoly-vars 2\n3 1\n")

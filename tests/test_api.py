@@ -34,7 +34,7 @@ PUBLIC = {
     "rings": ["IntegerRing", "PrimeField", "TruncatedPolyRing"],
     "systems": [
         "PolySystem", "build_hardness_system", "build_language_system", "density_probe",
-        "parse_system", "serialize_system", "solve_bruteforce",
+        "parse_system", "solve_bruteforce",
     ],
     "universal": ["UniversalTemplate", "build_universal", "embed", "truncated_coefficient_map"],
 }
@@ -42,7 +42,7 @@ NAMES = sorted(name for names in PUBLIC.values() for name in names)
 
 
 def test_all_lists_the_public_names():
-    assert len(NAMES) == 60
+    assert len(NAMES) == 59
     assert circuitbench.__all__ == NAMES
     assert circuitbench.__version__ == "0.1.0"
 
@@ -72,3 +72,8 @@ def test_unknown_attribute_names_the_module():
 def test_removed_fold_is_not_a_public_name():
     with pytest.raises(AttributeError, match="no attribute 'simplify_constants'"):
         circuitbench.simplify_constants
+
+
+def test_removed_system_writer_is_not_a_public_name():
+    with pytest.raises(AttributeError, match="no attribute 'serialize_system'"):
+        circuitbench.serialize_system

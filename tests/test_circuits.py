@@ -3,7 +3,6 @@ import random
 import pytest
 
 from circuitbench import cli
-from circuitbench.algebra import SparsePoly
 from circuitbench.circuits import (
     Add,
     Circuit,
@@ -27,7 +26,6 @@ from circuitbench.circuits import (
     weight_report,
 )
 from circuitbench.errors import BudgetError, ParseError
-from circuitbench.families import TruthTable
 from circuitbench.rings import DenseSeriesRing, IntegerRing, PrimeField, TruncatedPolyRing
 from circuitbench.systems import parse_system
 
@@ -83,16 +81,10 @@ def parse_chain(text):
         (parse_system, "unknowns 1\nnvars 0\ng1 = const 2\nout g1\n---\nnvars 0\nbogus\n", 7),
         (parse_chain, "nvars 1\ng1 = in 1\nout g1\n---\nnvars 1\ng1 = in 1\ng2 = mul g1 g9\nout g2\n", 7),
         (parse_chain, "\n\n---\nnvars 1\n\ng1 = in 1\nout g2\n", 7),
-        (SparsePoly.from_text, "npoly-vars 1 mod x\n1 0\n", 1),
-        (TruthTable.from_text, "0 1\n1 z\n", 2),
         # an equation with free input variables names its nvars line
         (parse_system, "unknowns 1\n---\nnvars 1\ng1 = in 1\nout g1\n", 3),
         # a parameter slot past `unknowns` names the equation's nparams line
         (parse_system, "unknowns 1\n---\nnvars 0\nnparams 2\ng1 = param 2\nout g1\n", 4),
-        (SparsePoly.from_text, "npoly-vars 1 mod 4\n1 0\n", 1),
-        (SparsePoly.from_text, "npoly-vars -1\n", 1),
-        (SparsePoly.from_text, "npoly-vars 1\n1 0\n3 -2\n", 3),
-        (TruthTable.from_text, "0 1\n1 2\n0 3\n", 3),
         # a row whose entry count is not the row count
         (cli._read_matrix, "1 2\n3\n", 2),
         # integer tokens are <signed decimal>, -?[0-9]+ in ASCII digits
@@ -116,9 +108,6 @@ WHOLE_FILE_ERRORS = (
     "empty circuit text",
     "empty system text",
     "system has no equations",
-    "empty polynomial text",
-    "empty truth table",
-    "table incomplete: ",
 )
 
 
@@ -133,8 +122,6 @@ def test_mutated_texts_parse_or_name_the_line(monkeypatch):
          "g3 = add g1 g2\nout g3\n"),
         (parse_chain, "nvars 1\ng1 = in 1\nout g1\n---\nnvars 4\ng1 = in 1\ng2 = in 4\n"
          "g3 = mul g1 g2\nout g3\n"),
-        (SparsePoly.from_text, "npoly-vars 2 mod 7\n3 2 0\n-1 0 1\n5 0 0\n"),
-        (TruthTable.from_text, "00 1\n10 2\n01 -3\n11 4\n"),
         (cli._read_matrix, "1 2 0\n-3 4 5\n6 7 8\n"),
     ]
     extra = ["---", "-1", "0", "2", "g0", "g9", "x", "=", "nvars", "nparams", "mod", "1e3"]

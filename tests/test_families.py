@@ -12,7 +12,7 @@ from circuitbench.circuits import (
     parse_circuit,
     random_circuit,
 )
-from circuitbench.errors import BudgetError, ParseError
+from circuitbench.errors import BudgetError
 from circuitbench import families
 from circuitbench.families import (
     LANE_BITS,
@@ -72,6 +72,13 @@ def test_hc_needs_two_vertices():
         hamiltonian_cycle_sum([[1]])
 
 
+def test_truth_table_refuses_negative_n():
+    with pytest.raises(ValueError, match=r"^n must be >= 0, got -1$"):
+        TruthTable(-1, [])
+    with pytest.raises(ValueError, match=r"^expected 4 values for n=2$"):
+        TruthTable(2, [0, 1, 1])
+
+
 def test_multilinear_parity():
     parity = TruthTable(2, [0, 1, 1, 0])
     assert multilinear_extension(parity) == SparsePoly(
@@ -110,13 +117,6 @@ def test_multilinear_matches_table_sampled():
             for mask in range(1 << n):
                 point = tuple(mask >> i & 1 for i in range(n))
                 assert ext.evaluate(point) == values[mask]
-
-
-def test_truth_table_text():
-    t = TruthTable(2, [3, -1, 0, 7])
-    assert TruthTable.from_text(t.to_text()).values == t.values
-    with pytest.raises(ParseError):
-        TruthTable.from_text("01 3\n")  # incomplete
 
 
 def test_boolean_sum_examples():

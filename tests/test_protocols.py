@@ -9,6 +9,7 @@ import pytest
 
 from circuitbench import protocols
 from circuitbench.circuits import Circuit, CircuitBuilder, compile_mod_evaluator
+from circuitbench.errors import BudgetError
 from circuitbench.families import permanent
 from circuitbench.primes import sieve
 from circuitbench.protocols import (
@@ -286,6 +287,21 @@ def test_permanent_agreement_prime_pools():
     det = permanent_agreement_system(build_determinant_chain(2))
     report = density_probe(det, 60)
     assert report.good_primes == (2,)
+
+
+def test_agreement_system_is_charged_before_it_is_built(monkeypatch):
+    from circuitbench.protocols import permanent_agreement_system
+
+    with pytest.raises(BudgetError) as info:
+        permanent_agreement_system(build_permanent_chain(4))
+    assert str(info.value) == "the grid points of 4 chain circuits exceed the agreement budget 100000"
+    assert info.value.reached == 3 + 3**4 + 3**9 + 3**16
+    # the budget counts equations: 3 + 81 for a chain of length 2
+    monkeypatch.setattr(protocols, "AGREEMENT_BUDGET", 84)
+    assert len(permanent_agreement_system(build_permanent_chain(2)).equations) == 84
+    monkeypatch.setattr(protocols, "AGREEMENT_BUDGET", 83)
+    with pytest.raises(BudgetError, match="agreement budget 83$"):
+        permanent_agreement_system(build_permanent_chain(2))
 
 
 def test_split_input():

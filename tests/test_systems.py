@@ -8,6 +8,7 @@ from circuitbench.circuits import (
     compile_mod_evaluator,
     parse_circuit,
     random_circuit,
+    serialize_circuit,
 )
 from circuitbench import systems
 from circuitbench.errors import BudgetError, ParseError
@@ -17,7 +18,6 @@ from circuitbench.systems import (
     build_language_system,
     density_probe,
     parse_system,
-    serialize_system,
     solve_bruteforce,
 )
 
@@ -305,7 +305,9 @@ def test_density_ratio_counts_only_decided_primes(monkeypatch):
 
 def test_system_text_roundtrip():
     system = build_hardness_system(1, 1, (1, 0))
-    text = serialize_system(system)
+    text = f"unknowns {system.unknown_count}\n" + "---\n".join(
+        serialize_circuit(eq) for eq in system.equations
+    )
     again = parse_system(text)
     assert again.unknown_count == system.unknown_count
     assert again.equations == system.equations

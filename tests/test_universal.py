@@ -15,6 +15,7 @@ from circuitbench.circuits import (
     expand_circuit,
     formal_degree,
     parse_circuit,
+    serialize_circuit,
 )
 from circuitbench.errors import EmbeddingError
 from circuitbench.rings import IntegerRing, PrimeField
@@ -118,7 +119,7 @@ def test_coefficient_degree_bound_symbolically():
 
 def test_template_serialization_reparses():
     t = build_universal(3)
-    again = parse_circuit(t.to_text())
+    again = parse_circuit(serialize_circuit(t.circuit))
     assert again == t.circuit
 
 
