@@ -8,6 +8,7 @@ functions, exponential Boolean sums of circuits, and variable projections.
 import math
 from itertools import permutations
 
+from ._record import Record
 from .algebra import SparsePoly
 from .circuits import Circuit, Const, InputVar, evaluate
 from .errors import DEFAULT_SOLVE_BUDGET, at_least, capped_power, charge
@@ -75,19 +76,20 @@ def hamiltonian_cycle_sum(matrix, mod=None):
     return total % mod if mod is not None else total
 
 
-class TruthTable:
-    """An integer-valued function on {0,1}^n, stored densely.
+class TruthTable(Record):
+    """An integer-valued function on {0,1}^n, stored densely as a tuple.
 
     Index masks use bit j-1 for the j-th argument, so mask 0b01 means
     x1=1, x2=0.
     """
 
+    __slots__ = ("n", "values")
+
     def __init__(self, n, values):
         at_least("n", n, 0)
         if len(values) != 1 << n:
             raise ValueError(f"expected {1 << n} values for n={n}")
-        self.n = n
-        self.values = [int(v) for v in values]
+        super().__init__(n, tuple(int(v) for v in values))
 
 
 def multilinear_extension(table):

@@ -7,6 +7,7 @@ scale).
 """
 
 import functools
+from itertools import compress
 
 from .errors import charge
 
@@ -56,12 +57,12 @@ def require_prime(p):
         raise ValueError(f"modulus {p} is not prime")
 
 
-def sieve(limit):
-    """All primes <= limit, ascending.  A limit above SIEVE_BUDGET is
-    refused before the flag array is allocated."""
+def _prime_flags(limit):
+    """The sieve's flags: entry i is 1 exactly when i <= limit is prime.  A
+    limit above SIEVE_BUDGET is refused before they are allocated."""
     charge("sieve", SIEVE_BUDGET, limit, f"the integers up to {limit}")
     if limit < 2:
-        return []
+        return bytearray()
     flags = bytearray([1]) * (limit + 1)
     flags[0] = flags[1] = 0
     i = 2
@@ -69,7 +70,12 @@ def sieve(limit):
         if flags[i]:
             flags[i * i :: i] = bytearray((limit - i * i) // i + 1)
         i += 1
-    return [i for i in range(2, limit + 1) if flags[i]]
+    return flags
+
+
+def sieve(limit):
+    """All primes <= limit, ascending."""
+    return list(compress(range(limit + 1), _prime_flags(limit)))
 
 
 def next_prime_at_least(n):

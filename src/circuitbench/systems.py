@@ -8,7 +8,7 @@ language systems that force a circuit skeleton to decide a finite language.
 """
 
 import functools
-from itertools import product
+from itertools import compress, product
 
 from ._record import Record
 from .circuits import (
@@ -30,7 +30,7 @@ from .errors import (
     content_lines,
     parse_count,
 )
-from .primes import require_prime, sieve
+from .primes import _prime_flags, require_prime
 from .universal import build_universal, template_series
 
 
@@ -246,7 +246,7 @@ def density_probe(system, limit, solve_budget=DEFAULT_SOLVE_BUDGET):
     still counts every prime up to the limit, but `ratio` is taken over
     the primes decided.
     """
-    primes = sieve(limit)
+    flags = _prime_flags(limit)
     good = []
     witnesses = {}
     complete = True
@@ -254,7 +254,7 @@ def density_probe(system, limit, solve_budget=DEFAULT_SOLVE_BUDGET):
     decided = 0
     u = system.unknown_count
     total = 0
-    for p in primes:
+    for p in compress(range(limit + 1), flags):
         total += capped_power(p, u, DENSITY_BUDGET)
         try:
             charge("density", DENSITY_BUDGET, total, f"{total} assignments")
@@ -267,7 +267,7 @@ def density_probe(system, limit, solve_budget=DEFAULT_SOLVE_BUDGET):
         if witness is not None:
             good.append(p)
             witnesses[p] = witness
-    pi = len(primes)
+    pi = flags.count(1)
     pi_s = len(good)
     ratio = pi_s / decided if decided else 0.0
     return DensityReport(

@@ -173,11 +173,11 @@ def embed(circuit, p=None, seed=0):
     {level: 1}.  A product gate multiplies its operands' forms; a sum gate
     multiplies their sum by {0: 1}.  A constant output takes one synthetic
     level, (c) * (1).  The forms' coefficients are the level's parameters.
-    Both checks read the unfolded template circuit: over F_p it is evaluated
-    with the parameters at random points (`_verify_mod_p`), over the
-    integers expanded exactly by one zero-aware walk (`_verify_over_z`), and
-    compared with the circuit.  A verification failure raises EmbeddingError
-    since it can only mean the construction is wrong.
+    Both checks read the template through one zero-aware walk: over F_p it
+    emits the pruned template, evaluated with the parameters at random
+    points (`_verify_mod_p`), over Z it expands it exactly (`_verify_over_z`),
+    and each is compared with the circuit.  A verification failure raises
+    EmbeddingError since it can only mean the construction is wrong.
     """
     if circuit.num_params:
         raise ValueError("circuit must not have parameter slots")
@@ -229,13 +229,6 @@ def embed(circuit, p=None, seed=0):
     return Embedding(levels, params, template)
 
 
-@functools.lru_cache(maxsize=8)
-def _template_evaluator(levels, p):
-    """The lowered F_p evaluator of the `levels`-level template.  The cache
-    is bounded because a template's lowering grows with levels squared."""
-    return compile_mod_evaluator(build_universal(levels).circuit, p)
-
-
 def _specialized_walk(circuit, slots, x, add, mul):
     """A template circuit's value with its input read as `x` and parameter
     slot k as `slots[k - 1]`, None standing for zero: a product with a zero
@@ -275,6 +268,28 @@ def _specialized_poly(circuit, params):
     return SparsePoly({}, 1) if value is None else value
 
 
+@functools.lru_cache(maxsize=1024)
+def _template_check(levels, p, nonzero):
+    """The degree bound and the lowered F_p evaluator of the `levels`-level
+    template whose slot k is nonzero mod p exactly when bit k-1 of `nonzero`
+    is set: the template as the walk prunes it, exact as x * 0 = 0 and
+    x + 0 = x.  Zero patterns repeat across embeddings: each is lowered once."""
+    circuit = build_universal(levels).circuit
+    bits = [nonzero >> k & 1 for k in range(circuit.num_params)]
+    nodes = [InputVar(1)]
+
+    def emit(kind, *args):
+        nodes.append(kind(*args))
+        return len(nodes) - 1
+
+    slots = [emit(Param, k) if bit else None for k, bit in enumerate(bits, start=1)]
+    add, mul = (functools.partial(emit, kind) for kind in (Add, Mul))
+    out = _specialized_walk(circuit, slots, 0, add, mul)
+    out = emit(Const, 0) if out is None else out
+    pruned = Circuit(tuple(nodes), out, 1, len(bits))
+    return _specialized_degree(circuit, bits, p), compile_mod_evaluator(pruned, p)
+
+
 def _verify_over_z(template, params, target):
     """Check by exact expansion that the template circuit with `params`
     computes the one-variable `target` over Z; raise EmbeddingError if not."""
@@ -286,10 +301,11 @@ def _verify_over_z(template, params, target):
 
 def _verify_mod_p(template, params, target, p, seed):
     """Check that the template circuit with `params` computes the
-    one-variable `target` over F_p, by Schwartz-Zippel trials on the
-    unfolded template; raise EmbeddingError naming a witness if not."""
-    degree = max(_specialized_degree(template.circuit, params, p), formal_degree(target))
-    run_template = _template_evaluator(template.levels, p)
+    one-variable `target` over F_p, by Schwartz-Zippel trials on the template
+    pruned of its zero slots; raise EmbeddingError naming a witness if not."""
+    nonzero = sum(1 << k for k, v in enumerate(params) if v % p)
+    template_degree, run_template = _template_check(template.levels, p, nonzero)
+    degree = max(template_degree, formal_degree(target))
     run_target = compile_mod_evaluator(target, p)
     verdict = _random_trials(
         lambda point: run_template(point, params), lambda point: run_target(point, ()),

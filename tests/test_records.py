@@ -12,7 +12,7 @@ import pytest
 from circuitbench._record import Record
 from circuitbench.circuits import Add, Circuit, Const, InputVar, Mul, Param
 
-MODULES = ("circuits", "forge", "pit", "protocols", "systems", "universal")
+MODULES = ("circuits", "families", "forge", "pit", "protocols", "systems", "universal")
 for _name in MODULES:
     importlib.import_module(f"circuitbench.{_name}")
 
@@ -45,6 +45,7 @@ SAMPLES = {
     "PermanentVerifyReport": (True, "ok", 101, 3, 0),
     "ProverMessage": ((CIRCUIT,), (5, 7), ((1,), (2,)), 101, (3,)),
     "ProtocolTranscript": (0, ((1, "A", "x"),), "accept", 1),
+    "TruthTable": (1, (0, 1)),
 }
 
 
@@ -62,7 +63,7 @@ CLASSES = record_classes()
 
 def test_every_record_class_has_a_sample():
     assert sorted(CLASSES) == sorted(SAMPLES)
-    assert len(CLASSES) == 22
+    assert len(CLASSES) == 23
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLES))

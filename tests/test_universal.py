@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import random
 import threading
@@ -10,6 +11,7 @@ from circuitbench.algebra import SparsePoly
 from circuitbench import circuits, pit, universal
 from circuitbench.circuits import (
     bind_params,
+    compile_mod_evaluator,
     enumerate_circuits,
     evaluate,
     expand_circuit,
@@ -201,7 +203,9 @@ def test_verification_over_z_rejects_a_changed_parameter():
 
 
 def test_neither_path_folds(monkeypatch):
-    # a fold builds a new circuit through CircuitBuilder; both checks read the template as emitted
+    # a fold builds a new circuit through CircuitBuilder; neither check does:
+    # over Z the zero-aware walk expands the template as emitted, and over
+    # F_p the same walk emits the pruned template into a plain node list
     def refuse(*args):
         raise AssertionError("CircuitBuilder.finish called")
 
@@ -211,6 +215,32 @@ def test_neither_path_folds(monkeypatch):
     )
     assert embed(c, 101).levels == 3
     assert embed(c).levels == 3
+
+
+def test_verification_rejects_a_nonzero_parameter_changed_to_another():
+    # b1.0 = 2 makes the x^2 embedding's template 4x^2: the same zero
+    # pattern as x^2's, so the check runs on the evaluator already cached
+    c = parse_circuit("nvars 1\ng1 = in 1\ng2 = mul g1 g1\nout g2\n")
+    emb = embed(c, 101)
+    params = list(emb.params)
+    params[emb.template.param_slot(1, 0, "b") - 1] = 2
+    before = universal._template_check.cache_info()
+    with pytest.raises(EmbeddingError, match=r"failed at witness \(\d+,\)"):
+        universal._verify_mod_p(emb.template, tuple(params), c, 101, 0)
+    assert universal._template_check.cache_info().hits == before.hits + 1
+
+
+def test_a_multiple_of_p_reads_as_zero_in_the_pattern():
+    # a1.0 = 202 makes the template (x + 202)^2, which is x^2 over F_101:
+    # the check passes on the evaluator embedding x^2 already cached
+    c = parse_circuit("nvars 1\ng1 = in 1\ng2 = mul g1 g1\nout g2\n")
+    emb = embed(c, 101)
+    params = list(emb.params)
+    params[emb.template.param_slot(1, 0, "a") - 1] = 202
+    before = universal._template_check.cache_info()
+    universal._verify_mod_p(emb.template, tuple(params), c, 101, 0)
+    after = universal._template_check.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 def test_embed_over_z_of_repeated_squaring_stays_sparse():
@@ -292,8 +322,12 @@ def _random_template_cases():
         yield template.circuit, params
 
 
+def _corpus():
+    return enumerate_circuits(6, 1, (-1, 0, 1, 2), max_gates=3)
+
+
 def _embedding_cases(p):
-    for c in enumerate_circuits(6, 1, (-1, 0, 1, 2), max_gates=3):
+    for c in _corpus():
         emb = embed(c, p)
         yield emb.template.circuit, emb.params
 
@@ -353,3 +387,65 @@ def test_concurrent_embedding_matches_serial():
         results = [f.result() for f in [pool.submit(job) for _ in range(4)]]
     for result in results:
         assert result == serial
+
+
+@functools.cache
+def _corpus_vectors():
+    """The distinct (levels, params) of the `_embedding_cases` corpus over
+    Z; reduced mod p they are its parameters over F_p."""
+    return sorted({(emb.levels, emb.params) for emb in map(embed, _corpus())})
+
+
+def _random_vectors(p):
+    # zeros, nonzero multiples of p and other values, in random proportions
+    rng = random.Random(89)
+    for _ in range(400):
+        levels = rng.randint(1, 5)
+        zeros, multiples = rng.random(), rng.random()
+        yield levels, tuple(
+            0 if rng.random() < zeros
+            else p * rng.choice((-2, -1, 1, 2)) if rng.random() < multiples
+            else rng.randint(-2 * p, 2 * p)
+            for _ in range(build_universal(levels).param_count())
+        )
+
+
+@pytest.mark.parametrize("p", [5, 7, 101])
+def test_pruned_template_matches_the_template(p):
+    # the cached evaluator of a zero pattern against the unfolded template,
+    # at every point of F_p, and its degree against the specialized walk's
+    count = 0
+    for levels, params in [*_corpus_vectors(), *_random_vectors(p)]:
+        circuit = build_universal(levels).circuit
+        nonzero = sum(1 << k for k, v in enumerate(params) if v % p)
+        degree, run = universal._template_check(levels, p, nonzero)
+        full = compile_mod_evaluator(circuit, p)
+        for x in range(p):
+            assert run((x,), params) == full((x,), params)
+        assert degree == universal._specialized_degree(circuit, params, p)
+        count += 1
+    assert count >= 4000 + 400  # 4,440 distinct corpus vectors and 400 random ones
+
+
+def test_each_zero_pattern_is_lowered_once(monkeypatch):
+    # a template is lowered on a cache miss only, so the lowering count is
+    # at most the number of distinct (levels, zero pattern) keys; targets
+    # have no parameter slots and are lowered once per embed
+    lowered = []
+    lower = universal.compile_mod_evaluator
+
+    def counting(circuit, p):
+        if circuit.num_params:
+            lowered.append(p)
+        return lower(circuit, p)
+
+    monkeypatch.setattr(universal, "compile_mod_evaluator", counting)
+    universal._template_check.cache_clear()
+    cache = universal._template_check.cache_info
+    patterns = set()
+    for c in _corpus():
+        emb = embed(c, 101)
+        patterns.add((emb.levels, tuple(v % 101 != 0 for v in emb.params)))
+        assert cache().currsize <= cache().maxsize
+    assert 0 < len(lowered) <= len(patterns)
+    assert cache().hits + cache().misses == 5705
