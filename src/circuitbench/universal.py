@@ -11,10 +11,8 @@ compute: one level per gate plus the base level for x.
 """
 
 import functools
-import operator
 
 from ._record import Record
-from .algebra import SparsePoly
 from .circuits import (
     Add,
     Circuit,
@@ -27,10 +25,10 @@ from .circuits import (
     expand_circuit,
     formal_degree,
 )
-from .errors import EmbeddingError, at_least
+from .errors import EmbeddingError, at_least, charge
 from .pit import _random_trials
 from .primes import require_prime
-from .rings import PrimeField, TruncatedPolyRing
+from .rings import IntegerRing, PrimeField, TruncatedPolyRing
 
 
 class UniversalTemplate(Record):
@@ -51,44 +49,70 @@ class UniversalTemplate(Record):
         return self.circuit.num_params
 
 
+TEMPLATE_BUDGET = 10**5  # parameter slots: s levels carry s(s+1), so s = 315 is the last allowed
+
+
 @functools.cache
 def build_universal(s):
     """Construct the s-level template.  Parameter slots are numbered level by
     level, a-side coefficients before b-side.  Templates are immutable, so
     each level count is built once and the same object is shared."""
     at_least("level count", s, 1)
+    charge("template", TEMPLATE_BUDGET, s * (s + 1), f"{s * (s + 1)} template parameters")
+    return _template_circuit(s, b"\1" * (s * (s + 1)))
+
+
+@functools.lru_cache(maxsize=1024)
+def _template_circuit(s, nonzero):
+    """The one template construction: the s-level template with slot k left
+    out when byte k-1 of `nonzero` is 0.  A zero slot emits no node, a
+    product with a zero factor is zero, a sum keeps its nonzero operands, and
+    a zero template is `Const(0)`; with every slot nonzero nothing is left
+    out.  Zero patterns repeat across embeddings: each is built once."""
     nodes = [InputVar(1)]
-    x_node = 0
 
     def emit(node):
         nodes.append(node)
         return len(nodes) - 1
 
-    slot = 0
-    level_params = []
+    def param(k):
+        return emit(Param(k)) if nonzero[k - 1] else None
+
+    def add(a, b):
+        return b if a is None else a if b is None else emit(Add(a, b))
+
+    def mul(a, b):
+        return None if a is None or b is None else emit(Mul(a, b))
+
     level_nodes = []
-    for j in range(1, s + 1):
-        a_slots = tuple(range(slot + 1, slot + j + 1))
-        b_slots = tuple(range(slot + j + 1, slot + 2 * j + 1))
-        slot += 2 * j
-        level_params.append((a_slots, b_slots))
+    for j, (a_slots, b_slots) in enumerate(_level_params(s), start=1):
         if j == 1:
-            a0 = emit(Param(a_slots[0]))
-            b0 = emit(Param(b_slots[0]))
-            bx = emit(Mul(b0, x_node))
-            level_nodes.append(emit(Add(a0, bx)))
+            a0 = param(a_slots[0])
+            level_nodes.append(add(a0, mul(param(b_slots[0]), 0)))  # node 0 is x
             continue
         sides = []
         for slots in (a_slots, b_slots):
-            acc = emit(Param(slots[0]))
+            acc = param(slots[0])
             for i in range(1, j):
-                sel = emit(Param(slots[i]))
-                prod = emit(Mul(sel, level_nodes[i - 1]))
-                acc = emit(Add(acc, prod))
+                if level_nodes[i - 1] is not None:  # a zero level reads no slot
+                    acc = add(acc, mul(param(slots[i]), level_nodes[i - 1]))
             sides.append(acc)
-        level_nodes.append(emit(Mul(sides[0], sides[1])))
-    circuit = Circuit(tuple(nodes), level_nodes[-1], 1, slot)
-    return UniversalTemplate(s, circuit, tuple(level_params))
+        level_nodes.append(mul(*sides))
+    out = level_nodes[-1]
+    if out is None:
+        out = emit(Const(0))
+    circuit = Circuit(tuple(nodes), out, 1, s * (s + 1))
+    return UniversalTemplate(s, circuit, _level_params(s))
+
+
+@functools.cache
+def _level_params(s):
+    """Per level j: its a-side and b-side slots, j each, numbered level by
+    level from 1, a before b; shared by every template of s levels."""
+    return tuple(
+        (tuple(range(j * j - j + 1, j * j + 1)), tuple(range(j * j + 1, j * j + j + 1)))
+        for j in range(1, s + 1)
+    )
 
 
 class CoefficientVector(Record):
@@ -173,11 +197,13 @@ def embed(circuit, p=None, seed=0):
     {level: 1}.  A product gate multiplies its operands' forms; a sum gate
     multiplies their sum by {0: 1}.  A constant output takes one synthetic
     level, (c) * (1).  The forms' coefficients are the level's parameters.
-    Both checks read the template through one zero-aware walk: over F_p it
-    emits the pruned template, evaluated with the parameters at random
-    points (`_verify_mod_p`), over Z it expands it exactly (`_verify_over_z`),
-    and each is compared with the circuit.  A verification failure raises
-    EmbeddingError since it can only mean the construction is wrong.
+    Both checks run one circuit, the template built without its zero slots
+    (those 0 mod p over F_p): over F_p it is lowered and evaluated with the
+    parameters at random points (`_verify_mod_p`), over Z it is expanded
+    exactly (`_verify_over_z`), and each is compared with the circuit.  The
+    template's s(s+1) parameters are charged against `TEMPLATE_BUDGET`
+    before it is built.  A verification failure raises EmbeddingError since
+    it can only mean the construction is wrong.
     """
     if circuit.num_params:
         raise ValueError("circuit must not have parameter slots")
@@ -229,71 +255,20 @@ def embed(circuit, p=None, seed=0):
     return Embedding(levels, params, template)
 
 
-def _specialized_walk(circuit, slots, x, add, mul):
-    """A template circuit's value with its input read as `x` and parameter
-    slot k as `slots[k - 1]`, None standing for zero: a product with a zero
-    factor is zero, and a sum drops its zero operands.  Templates hold only
-    inputs, parameters, sums and products; any other node is refused."""
-    val = []
-    push = val.append
-    for node in circuit.nodes:
-        kind = type(node)
-        if kind is Mul:
-            a, b = val[node.left], val[node.right]
-            push(None if a is None or b is None else mul(a, b))
-        elif kind is Add:
-            a, b = val[node.left], val[node.right]
-            push(b if a is None else a if b is None else add(a, b))
-        elif kind is Param:
-            push(slots[node.index - 1])
-        elif kind is InputVar:
-            push(x)
-        else:
-            raise ValueError(f"a template circuit has no {kind.__name__} node")
-    return val[circuit.output]
-
-
-def _specialized_degree(circuit, params, p):
-    """An upper bound on the degree in x of the template with `params` over
-    F_p: the walk over degrees, a parameter 0 mod p being zero; zero gets 0."""
-    slots = [None if v % p == 0 else 0 for v in params]
-    return _specialized_walk(circuit, slots, 1, max, operator.add) or 0
-
-
-def _specialized_poly(circuit, params):
-    """The template with `params` over Z[x]: the walk over SparsePoly."""
-    slots = [SparsePoly.const(v, 1) if v else None for v in params]
-    x = SparsePoly.variable(1, 1)
-    value = _specialized_walk(circuit, slots, x, operator.add, operator.mul)
-    return SparsePoly({}, 1) if value is None else value
-
-
 @functools.lru_cache(maxsize=1024)
-def _template_check(levels, p, nonzero):
-    """The degree bound and the lowered F_p evaluator of the `levels`-level
-    template whose slot k is nonzero mod p exactly when bit k-1 of `nonzero`
-    is set: the template as the walk prunes it, exact as x * 0 = 0 and
-    x + 0 = x.  Zero patterns repeat across embeddings: each is lowered once."""
-    circuit = build_universal(levels).circuit
-    bits = [nonzero >> k & 1 for k in range(circuit.num_params)]
-    nodes = [InputVar(1)]
-
-    def emit(kind, *args):
-        nodes.append(kind(*args))
-        return len(nodes) - 1
-
-    slots = [emit(Param, k) if bit else None for k, bit in enumerate(bits, start=1)]
-    add, mul = (functools.partial(emit, kind) for kind in (Add, Mul))
-    out = _specialized_walk(circuit, slots, 0, add, mul)
-    out = emit(Const, 0) if out is None else out
-    pruned = Circuit(tuple(nodes), out, 1, len(bits))
-    return _specialized_degree(circuit, bits, p), compile_mod_evaluator(pruned, p)
+def _template_evaluator(levels, p, nonzero):
+    """The pruned template of the zero pattern `nonzero`, lowered over F_p."""
+    return compile_mod_evaluator(_template_circuit(levels, nonzero).circuit, p)
 
 
 def _verify_over_z(template, params, target):
     """Check by exact expansion that the template circuit with `params`
     computes the one-variable `target` over Z; raise EmbeddingError if not."""
-    if _specialized_poly(template.circuit, params) != expand_circuit(target):
+    pruned = _template_circuit(template.levels, bytes(map(bool, params))).circuit
+    ring = TruncatedPolyRing(IntegerRing(), 1, None)
+    slots = [ring.from_int(v) if v else None for v in params]  # a zero slot is never read
+    value = evaluate(pruned, ring, [ring.gen(1)], slots)
+    if value != expand_circuit(target):
         raise EmbeddingError(
             "integer embedding verification failed; this is a bug in the embedding construction"
         )
@@ -302,14 +277,15 @@ def _verify_over_z(template, params, target):
 def _verify_mod_p(template, params, target, p, seed):
     """Check that the template circuit with `params` computes the
     one-variable `target` over F_p, by Schwartz-Zippel trials on the template
-    pruned of its zero slots; raise EmbeddingError naming a witness if not."""
-    nonzero = sum(1 << k for k, v in enumerate(params) if v % p)
-    template_degree, run_template = _template_check(template.levels, p, nonzero)
-    degree = max(template_degree, formal_degree(target))
+    pruned of its zero slots; raise EmbeddingError naming a witness if not.
+    The target's formal degree bounds the degree of both sides, since each
+    template level's degree is at most its gate's formal degree."""
+    nonzero = bytes(v % p != 0 for v in params)
+    run_template = _template_evaluator(template.levels, p, nonzero)
     run_target = compile_mod_evaluator(target, p)
     verdict = _random_trials(
         lambda point: run_template(point, params), lambda point: run_target(point, ()),
-        1, degree, p, None, seed,
+        1, formal_degree(target), p, None, seed,
     )
     if not verdict.equal:
         raise EmbeddingError(

@@ -756,3 +756,26 @@ def test_embed_mod_p_of_repeated_squaring_answers_at_once(tmp_path, leaf, count,
     assert (done.returncode, done.stderr) == (code, "")
     got = done.stdout.splitlines()
     assert got == lines if code else set(lines) <= set(got)
+
+
+@pytest.mark.parametrize(
+    "count, code, lines",
+    [
+        # 400 gates take 401 levels, 401 * 402 parameter slots
+        (400, 2, ["error=budget: 161202 template parameters exceed the template budget 100000"]),
+        (1000, 2, ["error=budget: 1003002 template parameters exceed the template budget 100000"]),
+        (300, 0, ["levels=301", "verified=true"]),
+    ],
+    ids=["400-gates", "1000-gates", "300-gates"],
+)
+def test_embed_charges_the_template_before_building_it(tmp_path, count, code, lines):
+    # x + x + ... + x: one level per gate, so the template grows as the square
+    gates = [f"g{i} = add g{i - 1} g1" for i in range(2, count + 2)]
+    path = tmp_path / "chain.circ"
+    path.write_text("\n".join(["nvars 1", "g1 = in 1", *gates, f"out g{count + 1}"]) + "\n")
+    start = time.perf_counter()
+    done = _fresh(["-m", "circuitbench.cli", "embed", "--circuit", str(path), "--p", "101"])
+    assert time.perf_counter() - start < 5
+    assert (done.returncode, done.stderr) == (code, "")
+    got = done.stdout.splitlines()
+    assert got == lines if code else set(lines) <= set(got)

@@ -1,6 +1,6 @@
 """Every defaulted parameter of the package is set by some caller, every
-record field is read by someone, and every public function and method has
-a caller outside the tests.
+record field is read by someone, and every public function and method, and
+every private helper, has a caller outside the tests.
 
 An option that no call in the package, its tests or its benchmark ever
 passes is surface without a use: it only widens what a reader has to
@@ -241,3 +241,38 @@ def test_public_definitions_cover_every_module():
             and getattr(value, "__name__", None) == key
         }
         assert defined == {public for public in scanned[name] if "." not in public}, name
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_definitions():
+    """Every private top-level function of the package, and every private
+    method of any of its classes as `Class.method`; dunders are not private."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef) and _is_private(node.name):
+                found.add(node.name)
+            elif isinstance(node, ast.ClassDef):
+                found.update(
+                    f"{node.name}.{item.name}"
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and _is_private(item.name)
+                )
+    return found
+
+
+def test_every_private_helper_has_a_caller():
+    """A private helper that no code in the package or the benchmark reads
+    is kept alive only by its tests; it goes, and its tests move to what
+    replaced it.  No exemptions: a private name is no one's surface.
+
+    Known limits: as above, names are matched bare, and a helper read only
+    in its own body (a recursion) counts as read."""
+    read = called_names()
+    private = private_definitions()
+    # the scan must see top-level helpers and methods, or it checks nothing
+    assert {"_template_circuit", "CircuitBuilder._emit", "Record._values"} <= private
+    assert sorted(name for name in private if name.rsplit(".", 1)[-1] not in read) == []

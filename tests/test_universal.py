@@ -19,7 +19,7 @@ from circuitbench.circuits import (
     parse_circuit,
     serialize_circuit,
 )
-from circuitbench.errors import EmbeddingError
+from circuitbench.errors import BudgetError, EmbeddingError
 from circuitbench.rings import IntegerRing, PrimeField
 from circuitbench.universal import (
     build_universal,
@@ -117,6 +117,28 @@ def test_coefficient_degree_bound_symbolically():
             per_i[i] = max(per_i.get(i, 0), par_deg)
         for i, deg in per_i.items():
             assert deg <= (i + 1) << (2 * s)
+
+
+def test_template_construction_is_pinned():
+    # SHA-256 of every template's text and slot numbering for s = 1..12,
+    # recorded when `build_universal` had its own emit loop: the zero-aware
+    # construction with every slot nonzero emits the same nodes in order
+    h = hashlib.sha256()
+    for s in range(1, 13):
+        t = build_universal(s)
+        h.update(serialize_circuit(t.circuit).encode() + repr(t.level_params).encode() + b"\n")
+    assert h.hexdigest() == "c8c040d428ae386e15553797805a2fdd5eb6534dd7e2927150be303ba2b32c86"
+
+
+def test_template_budget_is_charged_before_building():
+    # s = 316 is the first level count over the budget (315 levels carry
+    # 99,540 slots); the refusal comes before any node is emitted
+    message = "^100172 template parameters exceed the template budget 100000$"
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match=message) as err:
+        build_universal(316)
+    assert err.value.reached == 100172
+    assert time.perf_counter() - start < 0.1
 
 
 def test_template_serialization_reparses():
@@ -224,22 +246,24 @@ def test_verification_rejects_a_nonzero_parameter_changed_to_another():
     emb = embed(c, 101)
     params = list(emb.params)
     params[emb.template.param_slot(1, 0, "b") - 1] = 2
-    before = universal._template_check.cache_info()
+    before = universal._template_evaluator.cache_info()
     with pytest.raises(EmbeddingError, match=r"failed at witness \(\d+,\)"):
         universal._verify_mod_p(emb.template, tuple(params), c, 101, 0)
-    assert universal._template_check.cache_info().hits == before.hits + 1
+    assert universal._template_evaluator.cache_info().hits == before.hits + 1
 
 
 def test_a_multiple_of_p_reads_as_zero_in_the_pattern():
     # a1.0 = 202 makes the template (x + 202)^2, which is x^2 over F_101:
-    # the check passes on the evaluator embedding x^2 already cached
+    # the check passes on the evaluator embedding x^2 already cached; the
+    # cache starts empty, so no earlier pattern with a1.0 nonzero is a hit
+    universal._template_evaluator.cache_clear()
     c = parse_circuit("nvars 1\ng1 = in 1\ng2 = mul g1 g1\nout g2\n")
     emb = embed(c, 101)
     params = list(emb.params)
     params[emb.template.param_slot(1, 0, "a") - 1] = 202
-    before = universal._template_check.cache_info()
+    before = universal._template_evaluator.cache_info()
     universal._verify_mod_p(emb.template, tuple(params), c, 101, 0)
-    after = universal._template_check.cache_info()
+    after = universal._template_evaluator.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
@@ -254,17 +278,21 @@ def test_embed_over_z_of_repeated_squaring_stays_sparse():
     assert time.perf_counter() - start < 2
 
 
-@pytest.mark.parametrize("p", [5, 7, 101])
-def test_specialized_degree_bounds_the_true_degree(p):
-    # between the degree of the bound template over F_p and the target's
-    # formal degree; two gates keep every formal degree below 5, so embed
-    # accepts the whole corpus
+@pytest.mark.parametrize("p", [5, 7, 101, None], ids=["5", "7", "101", "z"])
+def test_formal_degree_bounds_the_specialized_degree(p):
+    # the check over F_p takes the target's formal degree as the degree of
+    # both sides, so the bound pruned template's true degree must not exceed
+    # it; two gates keep every formal degree below 5, so embed accepts the
+    # whole corpus
+    count = 0
     for c in enumerate_circuits(5, 1, (-1, 0, 1, 2), max_gates=2):
         emb = embed(c, p)
-        circuit = emb.template.circuit
-        bound = universal._specialized_degree(circuit, emb.params, p)
-        true = expand_circuit(bind_params(circuit, emb.params), modulus=p).total_degree()
-        assert true <= bound <= formal_degree(c)
+        nonzero = bytes(bool(v if p is None else v % p) for v in emb.params)
+        pruned = universal._template_circuit(emb.levels, nonzero).circuit
+        true = expand_circuit(bind_params(pruned, emb.params), modulus=p).total_degree()
+        assert true <= formal_degree(c)
+        count += 1
+    assert count == 395
 
 
 def test_embed_over_the_integers():
@@ -319,7 +347,7 @@ def _random_template_cases():
             0 if rng.random() < zeros else rng.randint(-2, 3)
             for _ in range(template.param_count())
         )
-        yield template.circuit, params
+        yield template, params
 
 
 def _corpus():
@@ -329,7 +357,7 @@ def _corpus():
 def _embedding_cases(p):
     for c in _corpus():
         emb = embed(c, p)
-        yield emb.template.circuit, emb.params
+        yield emb.template, emb.params
 
 
 @pytest.mark.parametrize(
@@ -338,21 +366,14 @@ def _embedding_cases(p):
     ids=["random", "embed-p101", "embed-z"],
 )
 def test_specialized_poly_matches_bind_then_expand(cases):
+    # the check over Z expands the pruned template; its target here is the
+    # full template with the parameters bound, so it passes only when the
+    # two expansions agree
     count = 0
-    for circuit, params in cases():
-        want = expand_circuit(bind_params(circuit, params))
-        assert universal._specialized_poly(circuit, params) == want
+    for template, params in cases():
+        universal._verify_over_z(template, params, bind_params(template.circuit, params))
         count += 1
     assert count >= 400
-
-
-def test_specialized_walk_refuses_a_constant():
-    # template circuits have no constants; a walk that read one would misread it
-    c = parse_circuit("nvars 1\nnparams 1\ng1 = const 0\ng2 = param 1\ng3 = mul g1 g2\nout g3\n")
-    for walk in (lambda: universal._specialized_degree(c, (1,), 101),
-                 lambda: universal._specialized_poly(c, (1,))):
-        with pytest.raises(ValueError, match="has no Const node"):
-            walk()
 
 
 def test_templates_are_shared():
@@ -412,17 +433,14 @@ def _random_vectors(p):
 
 @pytest.mark.parametrize("p", [5, 7, 101])
 def test_pruned_template_matches_the_template(p):
-    # the cached evaluator of a zero pattern against the unfolded template,
-    # at every point of F_p, and its degree against the specialized walk's
+    # the cached evaluator of a zero pattern against the full template, at
+    # every point of F_p
     count = 0
     for levels, params in [*_corpus_vectors(), *_random_vectors(p)]:
-        circuit = build_universal(levels).circuit
-        nonzero = sum(1 << k for k, v in enumerate(params) if v % p)
-        degree, run = universal._template_check(levels, p, nonzero)
-        full = compile_mod_evaluator(circuit, p)
+        run = universal._template_evaluator(levels, p, bytes(v % p != 0 for v in params))
+        full = compile_mod_evaluator(build_universal(levels).circuit, p)
         for x in range(p):
             assert run((x,), params) == full((x,), params)
-        assert degree == universal._specialized_degree(circuit, params, p)
         count += 1
     assert count >= 4000 + 400  # 4,440 distinct corpus vectors and 400 random ones
 
@@ -440,8 +458,9 @@ def test_each_zero_pattern_is_lowered_once(monkeypatch):
         return lower(circuit, p)
 
     monkeypatch.setattr(universal, "compile_mod_evaluator", counting)
-    universal._template_check.cache_clear()
-    cache = universal._template_check.cache_info
+    universal._template_evaluator.cache_clear()
+    universal._template_circuit.cache_clear()
+    cache = universal._template_evaluator.cache_info
     patterns = set()
     for c in _corpus():
         emb = embed(c, 101)
@@ -449,3 +468,5 @@ def test_each_zero_pattern_is_lowered_once(monkeypatch):
         assert cache().currsize <= cache().maxsize
     assert 0 < len(lowered) <= len(patterns)
     assert cache().hits + cache().misses == 5705
+    # each pruned template is built for an evaluator's miss, at most once
+    assert universal._template_circuit.cache_info().misses <= len(lowered)
