@@ -56,7 +56,6 @@ _HOMES = {
     "build_determinant_chain": "protocols",
     "build_permanent_chain": "protocols",
     "gs_estimate": "protocols",
-    "permanent_agreement_system": "protocols",
     "permanent_verify": "protocols",
     "phi": "protocols",
     "psi": "protocols",
@@ -68,6 +67,7 @@ _HOMES = {
     "build_language_system": "systems",
     "density_probe": "systems",
     "parse_system": "systems",
+    "permanent_agreement_system": "systems",
     "solve_bruteforce": "systems",
     "UniversalTemplate": "universal",
     "build_universal": "universal",

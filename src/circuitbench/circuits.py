@@ -7,6 +7,8 @@ slots.  Leaves are variables x_j, integer constants, or parameter slots;
 gates are binary + and *.
 """
 
+from itertools import compress
+
 from ._record import Record, _set
 from .algebra import DEFAULT_MONOMIAL_BUDGET
 from .errors import ParseError, at_least, charge, content_lines, parse_count, parse_int
@@ -129,19 +131,15 @@ class Circuit(Record):
         return sum(1 for n in self.nodes if isinstance(n, _GATES))
 
     def reachable(self):
-        """Positions of nodes reachable from the output, ascending."""
-        seen = set()
-        stack = [self.output]
-        while stack:
-            i = stack.pop()
-            if i in seen:
-                continue
-            seen.add(i)
-            node = self.nodes[i]
-            if isinstance(node, _GATES):
-                stack.append(node.left)
-                stack.append(node.right)
-        return sorted(seen)
+        """Positions of nodes reachable from the output, ascending.  Nodes
+        come in topological order, so one downward sweep from the output
+        marks every reachable node before it is visited."""
+        nodes, live = self.nodes, bytearray(self.output + 1)
+        live[-1] = 1
+        for i in range(self.output, 0, -1):  # node 0 has no earlier node, so it is a leaf
+            if live[i] and isinstance(nodes[i], _GATES):
+                live[nodes[i].left] = live[nodes[i].right] = 1
+        return list(compress(range(self.output + 1), live))
 
 
 # ---------------------------------------------------------------------------

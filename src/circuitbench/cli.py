@@ -328,6 +328,7 @@ def _cmd_gs_sim(args):
 def _cmd_per_verify(args):
     from . import protocols
     chain = parse_circuits(_read(args.chain).splitlines())
+    protocols.charge_verification(chain, args.trials, args.eval_budget)
     report = protocols.permanent_verify(chain, args.p, args.trials, args.seed)
     return _report(accepted=report.accepted, reason=report.reason)
 

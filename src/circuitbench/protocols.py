@@ -14,7 +14,6 @@ Three layers, each usable on its own:
 
 import math
 import random
-from itertools import product
 
 from ._record import Record
 from .circuits import (
@@ -25,11 +24,9 @@ from .circuits import (
     compile_mod_evaluator,
     serialize_circuit,
 )
-from .errors import DEFAULT_SOLVE_BUDGET, at_least, capped_power, charge
-from .families import permanent
+from .errors import DEFAULT_SOLVE_BUDGET, at_least, charge
 from .pit import pit_equal
 from .primes import is_prime, next_prime_at_least, require_prime, sieve
-from .systems import PolySystem, _substituted
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +166,17 @@ def charge_hashing(rows, size, budget):
     charge("eval", budget, rows * size, f"{rows} hash rows over {size} elements")
 
 
+def charge_verification(chain, trials, budget):
+    """Charge the node evaluations of `trials` self-reduction rounds over
+    `chain`, each C_k once and C_{k-1} k times for k >= 2, to the eval
+    budget, before any matrix is drawn."""
+    per_round = sum(
+        c.size() + k * prev.size() for k, (prev, c) in enumerate(zip(chain, chain[1:]), start=2)
+    )
+    work = trials * per_round
+    charge("eval", budget, work, f"{work} node evaluations of {trials} verification trials")
+
+
 class GsReport(Record):
     __slots__ = (
         "set_size",
@@ -214,9 +222,6 @@ def gs_estimate(elements, m, trials, seed, cols=12):
 # ---------------------------------------------------------------------------
 # Permanent chains
 
-AGREEMENT_BUDGET = 10**5  # equations: a chain of length 3 needs 19,767, length 4 about 43 million
-
-
 def _minor_rows(rows, col):
     return [r[:col] + r[col + 1 :] for r in rows[1:]]
 
@@ -256,38 +261,6 @@ def build_permanent_chain(t):
 def build_determinant_chain(t):
     """Same shape computing determinants: the canonical wrong answer."""
     return _chain(t, -1)
-
-
-def permanent_agreement_system(chain):
-    """The system forcing a skeleton chain to compute permanents: one
-    equation per circuit and grid point, C_k(e) - per(e) = 0 with e ranging
-    over {0, 1, 2}^(k*k).  Unknowns are the chain's parameter slots.
-
-    The primes at which this system is solvable form the pool the evaluation
-    protocol's collision test is probing, so a density probe over it makes
-    that set explicit; for a constant-free honest chain it is every prime,
-    for the determinant chain it is exactly {2}.  The sum of 3^(k*k) over the
-    chain is charged to the agreement budget before any equation is built.
-    """
-    num_params = {c.num_params for c in chain}
-    if len(num_params) != 1:
-        raise ValueError("chain circuits must share one parameter-slot count")
-    (unknowns,) = num_params
-    total = sum(capped_power(3, k * k, AGREEMENT_BUDGET) for k in range(1, len(chain) + 1))
-    charge("agreement", AGREEMENT_BUDGET, total, f"the grid points of {len(chain)} chain circuits")
-    equations = []
-    for k, skeleton in enumerate(chain, start=1):
-        if skeleton.num_vars != k * k:
-            raise ValueError(f"chain circuit {k} must have {k * k} variables")
-        for point in product(range(3), repeat=k * k):
-            matrix = [list(point[r * k : (r + 1) * k]) for r in range(k)]
-            target = permanent(matrix)
-            builder = CircuitBuilder(num_params=unknowns)
-            out = _substituted(builder, skeleton, point)
-            if target:
-                out = builder.add(out, builder.const(-target))
-            equations.append(builder.finish(out))
-    return PolySystem(unknowns, tuple(equations))
 
 
 class PermanentVerifyReport(Record):
@@ -539,6 +512,7 @@ def ama_simulate(
         if not is_prime(q):
             return fail(f"composite modulus {q}")
 
+    charge_verification(chain, verify_trials * len(primes), budget)  # each prime's rounds
     checks = []
     for q, consts in zip(primes, (*msg.small_constants, msg.big_constants)):
         bound_chain = [bind_params(c, consts) for c in chain]

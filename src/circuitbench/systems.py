@@ -2,9 +2,10 @@
 
 A system is a list of circuits over a shared set of parameter slots (the
 unknowns) with no free input variables; an assignment satisfies it when
-every equation evaluates to zero.  Two constructions are provided: the
-coefficient-hardness systems tied to the universal template, and the
-language systems that force a circuit skeleton to decide a finite language.
+every equation evaluates to zero.  Three constructions are provided: the
+coefficient-hardness systems tied to the universal template, the language
+systems that force a circuit skeleton to decide a finite language, and the
+agreement systems that force a circuit chain to compute permanents.
 """
 
 import functools
@@ -30,6 +31,7 @@ from .errors import (
     content_lines,
     parse_count,
 )
+from .families import permanent
 from .primes import _prime_flags, require_prime
 from .universal import build_universal, template_series
 
@@ -125,6 +127,41 @@ def build_language_system(n, accepted, skeleton):
     else:
         value = builder.add(builder.param(z_slot), builder.const(-1))
     equations.append(builder.finish(value))
+    return PolySystem(unknowns, tuple(equations))
+
+
+AGREEMENT_BUDGET = 10**5  # equations: a chain of length 3 needs 19,767, length 4 about 43 million
+
+
+def permanent_agreement_system(chain):
+    """The system forcing a skeleton chain to compute permanents: one
+    equation per circuit and grid point, C_k(e) - per(e) = 0 with e ranging
+    over {0, 1, 2}^(k*k).  Unknowns are the chain's parameter slots.
+
+    The primes at which this system is solvable form the pool the evaluation
+    protocol's collision test is probing, so a density probe over it makes
+    that set explicit; for a constant-free honest chain it is every prime,
+    for the determinant chain it is exactly {2}.  The sum of 3^(k*k) over the
+    chain is charged to the agreement budget before any equation is built.
+    """
+    num_params = {c.num_params for c in chain}
+    if len(num_params) != 1:
+        raise ValueError("chain circuits must share one parameter-slot count")
+    (unknowns,) = num_params
+    total = sum(capped_power(3, k * k, AGREEMENT_BUDGET) for k in range(1, len(chain) + 1))
+    charge("agreement", AGREEMENT_BUDGET, total, f"the grid points of {len(chain)} chain circuits")
+    equations = []
+    for k, skeleton in enumerate(chain, start=1):
+        if skeleton.num_vars != k * k:
+            raise ValueError(f"chain circuit {k} must have {k * k} variables")
+        for point in product(range(3), repeat=k * k):
+            matrix = [list(point[r * k : (r + 1) * k]) for r in range(k)]
+            target = permanent(matrix)
+            builder = CircuitBuilder(num_params=unknowns)
+            out = _substituted(builder, skeleton, point)
+            if target:
+                out = builder.add(out, builder.const(-target))
+            equations.append(builder.finish(out))
     return PolySystem(unknowns, tuple(equations))
 
 

@@ -32,18 +32,7 @@ from .rings import IntegerRing, PrimeField, TruncatedPolyRing
 
 
 class UniversalTemplate(Record):
-    __slots__ = (
-        "levels",
-        "circuit",
-        # per level j (1-based): (a_slots, b_slots), each a tuple of parameter
-        # indices for coefficients 0..j-1
-        "level_params",
-    )
-
-    def param_slot(self, level, i, side):
-        """Parameter slot (1-based) for coefficient i of the given side."""
-        a_slots, b_slots = self.level_params[level - 1]
-        return a_slots[i] if side == "a" else b_slots[i]
+    __slots__ = ("levels", "circuit")
 
     def param_count(self):
         return self.circuit.num_params
@@ -55,11 +44,18 @@ TEMPLATE_BUDGET = 10**5  # parameter slots: s levels carry s(s+1), so s = 315 is
 @functools.cache
 def build_universal(s):
     """Construct the s-level template.  Parameter slots are numbered level by
-    level, a-side coefficients before b-side.  Templates are immutable, so
-    each level count is built once and the same object is shared."""
+    level, a-side coefficients before b-side (`_slots`).  Templates are
+    immutable, so each level count is built once and the same object is
+    shared."""
     at_least("level count", s, 1)
     charge("template", TEMPLATE_BUDGET, s * (s + 1), f"{s * (s + 1)} template parameters")
-    return _template_circuit(s, b"\1" * (s * (s + 1)))
+    return UniversalTemplate(s, _template_circuit(s, b"\1" * (s * (s + 1))))
+
+
+def _slots(j):
+    """Level j's a-side and b-side parameter slots (1-based), j each: the
+    levels before it carry (j - 1) j slots, and a comes before b."""
+    return range(j * j - j + 1, j * j + 1), range(j * j + 1, j * j + j + 1)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -84,14 +80,10 @@ def _template_circuit(s, nonzero):
     def mul(a, b):
         return None if a is None or b is None else emit(Mul(a, b))
 
-    level_nodes = []
-    for j, (a_slots, b_slots) in enumerate(_level_params(s), start=1):
-        if j == 1:
-            a0 = param(a_slots[0])
-            level_nodes.append(add(a0, mul(param(b_slots[0]), 0)))  # node 0 is x
-            continue
+    level_nodes = [add(param(1), mul(param(2), 0))]  # level 1 is a_0 + b_0 x; node 0 is x
+    for j in range(2, s + 1):
         sides = []
-        for slots in (a_slots, b_slots):
+        for slots in _slots(j):
             acc = param(slots[0])
             for i in range(1, j):
                 if level_nodes[i - 1] is not None:  # a zero level reads no slot
@@ -101,18 +93,7 @@ def _template_circuit(s, nonzero):
     out = level_nodes[-1]
     if out is None:
         out = emit(Const(0))
-    circuit = Circuit(tuple(nodes), out, 1, s * (s + 1))
-    return UniversalTemplate(s, circuit, _level_params(s))
-
-
-@functools.cache
-def _level_params(s):
-    """Per level j: its a-side and b-side slots, j each, numbered level by
-    level from 1, a before b; shared by every template of s levels."""
-    return tuple(
-        (tuple(range(j * j - j + 1, j * j + 1)), tuple(range(j * j + 1, j * j + j + 1)))
-        for j in range(1, s + 1)
-    )
+    return Circuit(tuple(nodes), out, 1, s * (s + 1))
 
 
 class CoefficientVector(Record):
@@ -131,17 +112,12 @@ def template_series(template, d, ring, param):
     it gives circuit nodes for the hardness systems.
     """
     add, mul = ring.add, ring.mul
-    series = []
-    for j in range(1, template.levels + 1):
-        a_slots, b_slots = template.level_params[j - 1]
-        if j == 1:
-            first = {0: param(a_slots[0])}
-            if d >= 1:
-                first[1] = param(b_slots[0])
-            series.append(first)
-            continue
+    series = [{0: param(1)}]  # level 1 is a_0 + b_0 x
+    if d >= 1:
+        series[0][1] = param(2)
+    for j in range(2, template.levels + 1):
         sides = []
-        for slots in (a_slots, b_slots):
+        for slots in _slots(j):
             acc = {0: param(slots[0])}
             for i in range(1, j):
                 sel = param(slots[i])
@@ -197,8 +173,9 @@ def embed(circuit, p=None, seed=0):
     {level: 1}.  A product gate multiplies its operands' forms; a sum gate
     multiplies their sum by {0: 1}.  A constant output takes one synthetic
     level, (c) * (1).  The forms' coefficients are the level's parameters.
-    Both checks run one circuit, the template built without its zero slots
-    (those 0 mod p over F_p): over F_p it is lowered and evaluated with the
+    Both checks run one circuit, the template built without the slots whose
+    parameters are zero (over F_p they are already reduced mod p), with that
+    pattern read once: over F_p it is lowered and evaluated with the
     parameters at random points (`_verify_mod_p`), over Z it is expanded
     exactly (`_verify_over_z`), and each is compared with the circuit.  The
     template's s(s+1) parameters are charged against `TEMPLATE_BUDGET`
@@ -238,50 +215,51 @@ def embed(circuit, p=None, seed=0):
     levels = len(sides) + 1
     template = build_universal(levels)
     params = [0] * template.param_count()
-    params[template.param_slot(1, 0, "b") - 1] = 1
+    params[1] = 1  # level 1 is 0 + 1 x
     for j, pair in enumerate(sides, start=2):
-        for side, form in zip("ab", pair):
+        for slots, form in zip(_slots(j), pair):
             for i, c in form.items():
-                params[template.param_slot(j, i, side) - 1] = c
+                params[slots[i] - 1] = c
 
     params = tuple(params)
+    nonzero = bytes(map(bool, params))  # over F_p each parameter is already in [0, p)
     target = circuit
     if target.num_vars == 0:
         target = Circuit(target.nodes, target.output, 1, 0)
     if p is None:
-        _verify_over_z(template, params, target)
+        _verify_over_z(levels, nonzero, params, target)
     else:
-        _verify_mod_p(template, params, target, p, seed)
+        _verify_mod_p(levels, nonzero, params, target, p, seed)
     return Embedding(levels, params, template)
 
 
 @functools.lru_cache(maxsize=1024)
 def _template_evaluator(levels, p, nonzero):
     """The pruned template of the zero pattern `nonzero`, lowered over F_p."""
-    return compile_mod_evaluator(_template_circuit(levels, nonzero).circuit, p)
+    return compile_mod_evaluator(_template_circuit(levels, nonzero), p)
 
 
-def _verify_over_z(template, params, target):
-    """Check by exact expansion that the template circuit with `params`
-    computes the one-variable `target` over Z; raise EmbeddingError if not."""
-    pruned = _template_circuit(template.levels, bytes(map(bool, params))).circuit
+def _verify_over_z(levels, nonzero, params, target):
+    """Check by exact expansion that the template circuit with `params`,
+    pruned of the slots `nonzero` marks zero, computes the one-variable
+    `target` over Z; raise EmbeddingError if not."""
     ring = TruncatedPolyRing(IntegerRing(), 1, None)
     slots = [ring.from_int(v) if v else None for v in params]  # a zero slot is never read
-    value = evaluate(pruned, ring, [ring.gen(1)], slots)
+    value = evaluate(_template_circuit(levels, nonzero), ring, [ring.gen(1)], slots)
     if value != expand_circuit(target):
         raise EmbeddingError(
             "integer embedding verification failed; this is a bug in the embedding construction"
         )
 
 
-def _verify_mod_p(template, params, target, p, seed):
+def _verify_mod_p(levels, nonzero, params, target, p, seed):
     """Check that the template circuit with `params` computes the
     one-variable `target` over F_p, by Schwartz-Zippel trials on the template
-    pruned of its zero slots; raise EmbeddingError naming a witness if not.
-    The target's formal degree bounds the degree of both sides, since each
-    template level's degree is at most its gate's formal degree."""
-    nonzero = bytes(v % p != 0 for v in params)
-    run_template = _template_evaluator(template.levels, p, nonzero)
+    pruned of the slots `nonzero` marks zero; raise EmbeddingError naming a
+    witness if not.  The target's formal degree bounds the degree of both
+    sides, since each template level's degree is at most its gate's formal
+    degree."""
+    run_template = _template_evaluator(levels, p, nonzero)
     run_target = compile_mod_evaluator(target, p)
     verdict = _random_trials(
         lambda point: run_template(point, params), lambda point: run_target(point, ()),

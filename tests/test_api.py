@@ -28,13 +28,13 @@ PUBLIC = {
     "pit": ["pit_equal"],
     "protocols": [
         "CheatingProver", "HashMatrix", "HonestProver", "ama_simulate",
-        "build_determinant_chain", "build_permanent_chain", "gs_estimate",
-        "permanent_agreement_system", "permanent_verify", "phi", "psi",
+        "build_determinant_chain", "build_permanent_chain", "gs_estimate", "permanent_verify",
+        "phi", "psi",
     ],
     "rings": ["IntegerRing", "PrimeField", "TruncatedPolyRing"],
     "systems": [
         "PolySystem", "build_hardness_system", "build_language_system", "density_probe",
-        "parse_system", "solve_bruteforce",
+        "parse_system", "permanent_agreement_system", "solve_bruteforce",
     ],
     "universal": ["UniversalTemplate", "build_universal", "embed", "truncated_coefficient_map"],
 }

@@ -178,6 +178,35 @@ def test_roundtrip_identity():
         assert parse_circuit(serialize_circuit(c)) == c
 
 
+def _reachable_by_search(circuit):
+    """Reference for `Circuit.reachable`: a depth-first search from the output."""
+    seen, stack = set(), [circuit.output]
+    while stack:
+        pos = stack.pop()
+        if pos not in seen:
+            seen.add(pos)
+            node = circuit.nodes[pos]
+            if isinstance(node, Add | Mul):
+                stack += [node.left, node.right]
+    return sorted(seen)
+
+
+def test_reachable_matches_a_search():
+    # random circuits leave some nodes dead; re-parsed with an earlier
+    # output, everything after it is dead too
+    rng = random.Random(97)
+    dead = 0
+    for _ in range(300):
+        c = random_circuit(rng, rng.randint(1, 30), rng.randint(0, 2), rng.randint(0, 2))
+        out = rng.randrange(c.size())
+        lines = serialize_circuit(c).splitlines()[:-1] + [f"out g{out + 1}"]
+        for circuit in (c, parse_circuit("\n".join(lines) + "\n")):
+            want = _reachable_by_search(circuit)
+            assert circuit.reachable() == want
+            dead += circuit.size() - len(want)
+    assert dead > 1000
+
+
 def test_evaluate_examples():
     c = parse_circuit(SQUARE_TEXT)
     assert evaluate(c, IntegerRing(), [3]) == 4

@@ -698,13 +698,18 @@ COMMAND_LAYERS = [
     (["embed", "--circuit", "square.circ", "--p", "101"], {"forge", "systems", "protocols"}),
     (["density", "--system", "xsq_plus_1.sys", "--limit", "20"], {"forge", "protocols"}),
     (["solve", "--system", "xsq_plus_1.sys", "--p", "5"], {"forge", "protocols"}),
+    (["gs-sim", "--size", "8", "--trials", "3"], {"forge", "systems", "universal", "families"}),
+    (["per-verify", "--chain", "chain.circs", "--p", "101"],
+     {"forge", "systems", "universal", "families"}),
+    (["ama-sim", "--x", "2,3,1,4,1,1,1,1", "--i", "1", "--b", "0"],
+     {"forge", "systems", "universal", "families"}),
 ]
 
 
 @pytest.mark.parametrize(
     "argv, unloaded", COMMAND_LAYERS, ids=[argv[0] for argv, _ in COMMAND_LAYERS]
 )
-def test_command_loads_only_its_layers(tmp_path, monkeypatch, argv, unloaded):
+def test_command_loads_only_its_layers(tmp_path, monkeypatch, chain_file, argv, unloaded):
     (tmp_path / "square.circ").write_text(SQUARE)
     (tmp_path / "ones3.mat").write_text("1 1 1\n1 1 1\n1 1 1\n")
     (tmp_path / "xsq_plus_1.sys").write_text(XSQ_PLUS_1)
@@ -728,6 +733,26 @@ def test_help_text_is_unchanged(argv, digest):
     done = _fresh(["-m", "circuitbench.cli", *argv])
     assert (done.returncode, done.stderr) == (0, "")
     assert hashlib.sha256(done.stdout.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["per-verify", "--chain", str(SRC.parent / "perfbench" / "cli_inputs" / "chain.circs"),
+          "--p", "101", "--trials", "100000000"],
+         "66000000000 node evaluations of 100000000 verification trials"),
+        # six checked primes' rounds, each C_2 (7 nodes) once and C_1 (1 node) twice
+        ([*AMA, "--trials", "100000000"],
+         "5400000000 node evaluations of 600000000 verification trials"),
+    ],
+    ids=["per-verify", "ama-sim"],
+)
+def test_verification_budget_refuses_before_drawing(argv, message):
+    start = time.perf_counter()
+    done = _fresh(["-m", "circuitbench.cli", *argv])
+    assert time.perf_counter() - start < 2
+    assert (done.returncode, done.stderr) == (2, "")
+    assert done.stdout == f"error=budget: {message} exceed the eval budget 100000000\n"
 
 
 def _squarings(leaf, count):

@@ -1,15 +1,16 @@
-"""Every defaulted parameter of the package is set by some caller, every
-record field is read by someone, and every public function and method, and
-every private helper, has a caller outside the tests.
+"""Every defaulted parameter of the package is set by some caller outside
+the tests or exempted with a reason, every record field is read by someone,
+and every public function and method, and every private helper, has a
+caller outside the tests.
 
-An option that no call in the package, its tests or its benchmark ever
-passes is surface without a use: it only widens what a reader has to
-consider.  This test walks `src/circuitbench` with `ast`, keys functions by
-name and class `__init__`s by class name (other methods are skipped), and
-looks for a call that passes each defaulted parameter by keyword or by
-position.  A record field that nothing reads is the same kind of
-surface: it is computed and carried, and it takes part in equality, but
-no answer depends on it.
+An option that no call in the package or its benchmark ever passes is
+surface without a use: it only widens what a reader has to consider, so
+one that only the tests set needs a reason in `TEST_ONLY_OPTIONS`.  This
+test walks `src/circuitbench` with `ast`, keys functions by name and class
+`__init__`s by class name (other methods are skipped), and looks for a call
+that passes each defaulted parameter by keyword or by position.  A record
+field that nothing reads is the same kind of surface: it is computed and
+carried, and it takes part in equality, but no answer depends on it.
 """
 
 import ast
@@ -24,7 +25,8 @@ from circuitbench._record import Record
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "circuitbench"
-CALLERS = (ROOT / "src", ROOT / "tests", ROOT / "perfbench")
+PROGRAM = (ROOT / "src", ROOT / "perfbench")
+CALLERS = (*PROGRAM, ROOT / "tests")
 
 
 def _trees(*dirs):
@@ -67,11 +69,11 @@ def defaulted_parameters():
     return found
 
 
-def passed_parameters():
-    """{(name, keyword)} and {(name, position)} for every call in the
-    callers; a `*args` or `**kwargs` call passes everything that way."""
+def passed_parameters(*dirs):
+    """{(name, keyword)} and {(name, position)} for every call in `dirs`;
+    a `*args` or `**kwargs` call passes everything that way."""
     passed = set()
-    for tree in _trees(*CALLERS):
+    for tree in _trees(*dirs):
         for call in ast.walk(tree):
             if not isinstance(call, ast.Call):
                 continue
@@ -84,14 +86,36 @@ def passed_parameters():
     return passed
 
 
-def test_every_default_is_set_by_a_caller():
-    passed = passed_parameters()
-    unset = sorted(
+# Options that only the tests set, each kept on purpose.
+TEST_ONLY_OPTIONS = {
+    "apply_projection(num_vars)": "target variables no substitution names (a paper construction)",
+    "expand_circuit(modulus)": "test tool: the exact mod-p expansion the F_p paths are checked by",
+    "hardness_certificate(enum_size)": "a vertex bound other than s: the tests check its refusal",
+    "permanent_naive(mod)": "independent oracle that Ryser's permanent mod m is checked against",
+    "pit_equal(trials)": "a fixed trial count; every command takes the degree's default",
+    "random_circuit(num_params)": "test tool: random circuits with parameter slots",
+    "sign_condition_search(budget)": "the tests reach the enumeration budget at a small size",
+}
+
+
+def _unset(passed):
+    return {
         f"{name}({param})"
         for name, param, pos in defaulted_parameters()
         if not {(name, param), (name, pos), (name, "**"), (name, "*")} & passed
-    )
-    assert unset == []
+    }
+
+
+def test_every_default_is_set_by_a_caller():
+    """An option that no call in the package or the benchmark passes is
+    surface no command reads; it goes, or `TEST_ONLY_OPTIONS` says why the
+    tests need it."""
+    unset = _unset(passed_parameters(*PROGRAM))
+    assert sorted(unset - set(TEST_ONLY_OPTIONS)) == []
+    # a stale exemption fails too: each one is still unset by the program
+    # and still set by a test
+    assert sorted(set(TEST_ONLY_OPTIONS) - unset) == []
+    assert sorted(_unset(passed_parameters(*CALLERS)) & set(TEST_ONLY_OPTIONS)) == []
 
 
 def record_fields():

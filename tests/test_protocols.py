@@ -277,8 +277,7 @@ def test_determinant_corruption_rejected():
 def test_permanent_agreement_prime_pools():
     # the honest constant-free chain agrees with the permanent at every
     # prime; the determinant chain only modulo 2
-    from circuitbench.protocols import permanent_agreement_system
-    from circuitbench.systems import density_probe
+    from circuitbench.systems import density_probe, permanent_agreement_system
 
     honest = permanent_agreement_system(build_permanent_chain(2))
     report = density_probe(honest, 60)
@@ -290,16 +289,17 @@ def test_permanent_agreement_prime_pools():
 
 
 def test_agreement_system_is_charged_before_it_is_built(monkeypatch):
-    from circuitbench.protocols import permanent_agreement_system
+    from circuitbench import systems
+    from circuitbench.systems import permanent_agreement_system
 
     with pytest.raises(BudgetError) as info:
         permanent_agreement_system(build_permanent_chain(4))
     assert str(info.value) == "the grid points of 4 chain circuits exceed the agreement budget 100000"
     assert info.value.reached == 3 + 3**4 + 3**9 + 3**16
     # the budget counts equations: 3 + 81 for a chain of length 2
-    monkeypatch.setattr(protocols, "AGREEMENT_BUDGET", 84)
+    monkeypatch.setattr(systems, "AGREEMENT_BUDGET", 84)
     assert len(permanent_agreement_system(build_permanent_chain(2)).equations) == 84
-    monkeypatch.setattr(protocols, "AGREEMENT_BUDGET", 83)
+    monkeypatch.setattr(systems, "AGREEMENT_BUDGET", 83)
     with pytest.raises(BudgetError, match="agreement budget 83$"):
         permanent_agreement_system(build_permanent_chain(2))
 

@@ -121,12 +121,15 @@ def test_coefficient_degree_bound_symbolically():
 
 def test_template_construction_is_pinned():
     # SHA-256 of every template's text and slot numbering for s = 1..12,
-    # recorded when `build_universal` had its own emit loop: the zero-aware
-    # construction with every slot nonzero emits the same nodes in order
+    # recorded when `build_universal` had its own emit loop and the slots
+    # were stored per level: the zero-aware construction with every slot
+    # nonzero emits the same nodes in order, and `_slots` gives the same
+    # numbers
     h = hashlib.sha256()
     for s in range(1, 13):
         t = build_universal(s)
-        h.update(serialize_circuit(t.circuit).encode() + repr(t.level_params).encode() + b"\n")
+        slots = tuple(tuple(map(tuple, universal._slots(j))) for j in range(1, s + 1))
+        h.update(serialize_circuit(t.circuit).encode() + repr(slots).encode() + b"\n")
     assert h.hexdigest() == "c8c040d428ae386e15553797805a2fdd5eb6534dd7e2927150be303ba2b32c86"
 
 
@@ -147,15 +150,19 @@ def test_template_serialization_reparses():
     assert again == t.circuit
 
 
+def _index(level, i, side):
+    """The parameter index of coefficient i on `side` ("a" or "b") of a level."""
+    return universal._slots(level)["ab".index(side)][i] - 1
+
+
 def test_embed_square():
     c = parse_circuit("nvars 1\ng1 = in 1\ng2 = mul g1 g1\nout g2\n")
     emb = embed(c, 101)
     assert emb.levels == 2
-    t = emb.template
-    assert emb.params[t.param_slot(1, 0, "a") - 1] == 0
-    assert emb.params[t.param_slot(1, 0, "b") - 1] == 1
-    assert emb.params[t.param_slot(2, 1, "a") - 1] == 1
-    assert emb.params[t.param_slot(2, 1, "b") - 1] == 1
+    assert emb.params[_index(1, 0, "a")] == 0
+    assert emb.params[_index(1, 0, "b")] == 1
+    assert emb.params[_index(2, 1, "a")] == 1
+    assert emb.params[_index(2, 1, "b")] == 1
 
 
 def test_embed_lone_constant_needs_two_levels():
@@ -163,8 +170,8 @@ def test_embed_lone_constant_needs_two_levels():
     emb = embed(c, 101)
     assert emb.levels == 2
     t = emb.template
-    assert emb.params[t.param_slot(2, 0, "a") - 1] == 7
-    assert emb.params[t.param_slot(2, 0, "b") - 1] == 1
+    assert emb.params[_index(2, 0, "a")] == 7
+    assert emb.params[_index(2, 0, "b")] == 1
     for r in range(5):
         assert evaluate(bind_params(t.circuit, emb.params), PrimeField(101), [r]) == 7
 
@@ -209,9 +216,9 @@ def test_verification_rejects_a_changed_parameter():
     c = parse_circuit("nvars 1\ng1 = in 1\ng2 = mul g1 g1\nout g2\n")
     emb = embed(c, 101)
     params = list(emb.params)
-    params[emb.template.param_slot(1, 0, "a") - 1] = 1
+    params[_index(1, 0, "a")] = 1
     with pytest.raises(EmbeddingError, match=r"failed at witness \(\d+,\)"):
-        universal._verify_mod_p(emb.template, tuple(params), c, 101, 0)
+        universal._verify_mod_p(emb.levels, bytes(map(bool, params)), tuple(params), c, 101, 0)
 
 
 def test_verification_over_z_rejects_a_changed_parameter():
@@ -219,9 +226,9 @@ def test_verification_over_z_rejects_a_changed_parameter():
     c = parse_circuit("nvars 1\ng1 = in 1\ng2 = mul g1 g1\nout g2\n")
     emb = embed(c)
     params = list(emb.params)
-    params[emb.template.param_slot(1, 0, "a") - 1] = 1
+    params[_index(1, 0, "a")] = 1
     with pytest.raises(EmbeddingError, match="integer embedding verification failed"):
-        universal._verify_over_z(emb.template, tuple(params), c)
+        universal._verify_over_z(emb.levels, bytes(map(bool, params)), tuple(params), c)
 
 
 def test_neither_path_folds(monkeypatch):
@@ -245,25 +252,25 @@ def test_verification_rejects_a_nonzero_parameter_changed_to_another():
     c = parse_circuit("nvars 1\ng1 = in 1\ng2 = mul g1 g1\nout g2\n")
     emb = embed(c, 101)
     params = list(emb.params)
-    params[emb.template.param_slot(1, 0, "b") - 1] = 2
+    params[_index(1, 0, "b")] = 2
     before = universal._template_evaluator.cache_info()
     with pytest.raises(EmbeddingError, match=r"failed at witness \(\d+,\)"):
-        universal._verify_mod_p(emb.template, tuple(params), c, 101, 0)
+        universal._verify_mod_p(emb.levels, bytes(map(bool, params)), tuple(params), c, 101, 0)
     assert universal._template_evaluator.cache_info().hits == before.hits + 1
 
 
 def test_a_multiple_of_p_reads_as_zero_in_the_pattern():
-    # a1.0 = 202 makes the template (x + 202)^2, which is x^2 over F_101:
-    # the check passes on the evaluator embedding x^2 already cached; the
-    # cache starts empty, so no earlier pattern with a1.0 nonzero is a hit
+    # over F_101, x*x + 101 gets the parameters of x*x + 0: the constant is
+    # reduced before the zero pattern is read, so its check runs on the
+    # evaluator x*x + 0 lowered; the cache starts empty, so no earlier
+    # pattern is a hit
     universal._template_evaluator.cache_clear()
-    c = parse_circuit("nvars 1\ng1 = in 1\ng2 = mul g1 g1\nout g2\n")
-    emb = embed(c, 101)
-    params = list(emb.params)
-    params[emb.template.param_slot(1, 0, "a") - 1] = 202
+    text = "nvars 1\ng1 = in 1\ng2 = mul g1 g1\ng3 = const {}\ng4 = add g2 g3\nout g4\n"
+    zero = embed(parse_circuit(text.format(0)), 101)
     before = universal._template_evaluator.cache_info()
-    universal._verify_mod_p(emb.template, tuple(params), c, 101, 0)
+    emb = embed(parse_circuit(text.format(101)), 101)
     after = universal._template_evaluator.cache_info()
+    assert emb.params == zero.params
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
@@ -287,8 +294,7 @@ def test_formal_degree_bounds_the_specialized_degree(p):
     count = 0
     for c in enumerate_circuits(5, 1, (-1, 0, 1, 2), max_gates=2):
         emb = embed(c, p)
-        nonzero = bytes(bool(v if p is None else v % p) for v in emb.params)
-        pruned = universal._template_circuit(emb.levels, nonzero).circuit
+        pruned = universal._template_circuit(emb.levels, bytes(map(bool, emb.params)))
         true = expand_circuit(bind_params(pruned, emb.params), modulus=p).total_degree()
         assert true <= formal_degree(c)
         count += 1
@@ -371,7 +377,10 @@ def test_specialized_poly_matches_bind_then_expand(cases):
     # two expansions agree
     count = 0
     for template, params in cases():
-        universal._verify_over_z(template, params, bind_params(template.circuit, params))
+        nonzero = bytes(map(bool, params))
+        universal._verify_over_z(
+            template.levels, nonzero, params, bind_params(template.circuit, params)
+        )
         count += 1
     assert count >= 400
 
