@@ -580,6 +580,8 @@ def enumerate_circuits(
     circuit.  A DenseSeriesRing has no such budget: its elements have a
     fixed length.
     """
+    if max_gates is None:
+        max_gates = max_size  # a circuit has fewer gates than vertices
     pool = sorted({int(v) for v in constant_pool})
     # values[i] is node i without a ring, its ring value with one
     var, const = (InputVar, Const) if ring is None else (ring.gen, ring.from_int)
@@ -602,7 +604,7 @@ def enumerate_circuits(
     unused = 0  # nodes no gate reads yet; the last node is always one
     yielded = 0
 
-    def rec(gates, leaf_count):
+    def rec(gates):
         nonlocal unused, yielded
         if unused == 1:
             yielded += 1
@@ -612,13 +614,9 @@ def enumerate_circuits(
         n = len(values)
         if n == max_size:
             return
-        gate_room = max_size - n
-        if max_gates is not None:
-            gate_room = min(gate_room, max_gates - gates)
+        gate_room = min(max_size - n, max_gates - gates)
         # a leaf adds an unused node; each later gate retires at most one net
-        room = max_size - n - 1
-        if max_gates is not None:
-            room = min(room, max_gates)
+        room = min(max_size - n - 1, max_gates)
         if gates == 0 and unused <= room:
             for key, value in leaves:
                 if keys and key <= keys[-1]:
@@ -627,13 +625,14 @@ def enumerate_circuits(
                 keys.append(key)
                 refcount.append(0)
                 unused += 1
-                yield from rec(0, leaf_count + 1)
+                yield from rec(0)
                 unused -= 1
                 refcount.pop()
                 keys.pop()
                 values.pop()
         if gate_room < 1:
             return
+        leaf_count = n - gates  # leaves are pushed only while gates == 0
         for tag, make in ops:
             for a in range(n):
                 for b in range(a, n):
@@ -652,7 +651,7 @@ def enumerate_circuits(
                     refcount[a] += 1
                     refcount[b] += 1
                     unused += 1 - delta
-                    yield from rec(gates + 1, leaf_count)
+                    yield from rec(gates + 1)
                     unused -= 1 - delta
                     refcount[b] -= 1
                     refcount[a] -= 1
@@ -661,4 +660,4 @@ def enumerate_circuits(
                     values.pop()
 
     if max_size >= 1:
-        yield from rec(0, 0)
+        yield from rec(0)

@@ -91,12 +91,7 @@ def _span_with(basis, vec, p):
 
 
 class RealizableSet(Record):
-    __slots__ = (
-        "s",
-        "d",
-        "p",
-        "vectors",  # frozenset of 0/1 vectors of length d+1
-    )
+    __slots__ = ("vectors",)  # frozenset of 0/1 vectors of length d+1
 
 
 def _sweep_image(s, d, p, budget):
@@ -171,22 +166,19 @@ def realizable_vectors(
     if oracle == "parameter-sweep":
         image = _sweep_image(s, d, p, DEFAULT_SWEEP_BUDGET if budget is None else budget)
         zero_one = frozenset(v for v in image if all(x in (0, 1) for x in v))
-        return RealizableSet(s, d, p, zero_one)
+        return RealizableSet(zero_one)
     if oracle == "circuit-enumeration":
         size = _vertex_bound(s, enum_size)
         ring = DenseSeriesRing(PrimeField(p), d)
         budget = DEFAULT_ENUM_ORACLE_BUDGET if budget is None else budget
         vectors = set(enumerate_circuits(size, 1, range(p), budget=budget, ring=ring))
         # residues are >= 0, so a vector is 0/1 when its largest entry is at most 1
-        return RealizableSet(s, d, p, frozenset(v for v in vectors if max(v) <= 1))
+        return RealizableSet(frozenset(v for v in vectors if max(v) <= 1))
     raise ValueError(f"unknown oracle {oracle!r}")
 
 
 class HardVectorSearch(Record):
     __slots__ = (
-        "s",
-        "d",
-        "p",
         "gamma",  # lex-first hard vector, None when saturated
         "saturated",
         "systems_checked",
@@ -222,8 +214,8 @@ def find_hard_vector(s, d, p, solve_budget=DEFAULT_SOLVE_BUDGET):
             message = f"solver finds {gamma} {verdict}, sweep's first hard vector is {expected}"
             raise RuntimeError(message)
         if hard:
-            return HardVectorSearch(s, d, p, gamma, False, checked, zero_one)
-    return HardVectorSearch(s, d, p, None, True, checked, zero_one)
+            return HardVectorSearch(gamma, False, checked, zero_one)
+    return HardVectorSearch(None, True, checked, zero_one)
 
 
 def hardness_certificate(s, d, p, gamma, enum_size=None):
@@ -264,8 +256,6 @@ def poscoef(circuit, i, budget=DEFAULT_MONOMIAL_BUDGET):
 
 class SignConditionSearch(Record):
     __slots__ = (
-        "s",
-        "cap",  # highest inspected coefficient index
         "bits",  # lex-first unrealized sign condition, None when saturated
         "saturated",
         "realized",
@@ -300,11 +290,4 @@ def sign_condition_search(s, cap, budget=DEFAULT_ENUM_ORACLE_BUDGET):
         vectors.add(vec)
     realized = {tuple(int(c > 0) for c in vec) for vec in vectors}
     bits = lex_first_missing(realized, cap)
-    return SignConditionSearch(
-        s=s,
-        cap=cap,
-        bits=bits,
-        saturated=bits is None,
-        realized=frozenset(realized),
-        circuits_enumerated=count,
-    )
+    return SignConditionSearch(bits, bits is None, frozenset(realized), count)

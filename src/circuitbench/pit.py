@@ -34,7 +34,6 @@ class PitVerdict(Record):
         "equal",
         "witness",  # a point where values differ, when not equal
         "trials",
-        "p",
     )
 
 
@@ -93,8 +92,8 @@ def _random_trials(run1, run2, num_vars, degree, p, trials, seed):
         trials = default_trials(degree, p)
     for point in _trial_points(seed, p, num_vars, trials):
         if run1(point) != run2(point):
-            return PitVerdict(False, point, trials, p)
-    return PitVerdict(True, None, trials, p)
+            return PitVerdict(False, point, trials)
+    return PitVerdict(True, None, trials)
 
 
 def _trial_points(seed, p, num_vars, count):

@@ -11,10 +11,9 @@ from itertools import compress
 
 from .errors import charge
 
+# the Miller-Rabin bases, which also serve as the trial divisors
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
-
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 SIEVE_BUDGET = 10**7  # one flag byte per integer: sieve(10**7) peaks near 50 MB
 
@@ -25,7 +24,7 @@ def is_prime(n):
     cached; a refusal past the deterministic range is raised every time."""
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
+    for p in _MR_BASES:
         if n == p:
             return True
         if n % p == 0:

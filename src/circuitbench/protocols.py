@@ -180,10 +180,7 @@ def charge_verification(chain, trials, budget):
 class GsReport(Record):
     __slots__ = (
         "set_size",
-        "m",
-        "cols",
         "trials",
-        "seed",
         "phi_count",
         "rate",
         "verdict",  # "small" | "large" | "inconclusive"
@@ -216,7 +213,7 @@ def gs_estimate(elements, m, trials, seed, cols=12):
         verdict = "small"
     else:
         verdict = "inconclusive"
-    return GsReport(len(elements), m, cols, trials, seed, hits, rate, verdict)
+    return GsReport(len(elements), trials, hits, rate, verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +261,7 @@ def build_determinant_chain(t):
 
 
 class PermanentVerifyReport(Record):
-    __slots__ = ("accepted", "reason", "p", "trials", "seed")
+    __slots__ = ("accepted", "reason")
 
 
 def permanent_verify(chain, p, trials, seed):
@@ -290,7 +287,7 @@ def permanent_verify(chain, p, trials, seed):
     base = Circuit((InputVar(1),), 0, 1, 0)
     verdict = pit_equal(chain[0], base, p, seed=rng.getrandbits(32))
     if not verdict.equal:
-        return PermanentVerifyReport(False, "base circuit is not the 1x1 entry", p, trials, seed)
+        return PermanentVerifyReport(False, "base circuit is not the 1x1 entry")
     runs = [compile_mod_evaluator(c, p) for c in chain]
     for k in range(2, len(chain) + 1):
         for trial in range(trials):
@@ -303,14 +300,9 @@ def permanent_verify(chain, p, trials, seed):
                 minor_flat = tuple(v for row in minor for v in row)
                 rhs = (rhs + rows[0][i] * runs[k - 2](minor_flat, ())) % p
             if lhs != rhs:
-                return PermanentVerifyReport(
-                    False,
-                    f"self-reduction failed at size {k}, trial {trial}",
-                    p,
-                    trials,
-                    seed,
-                )
-    return PermanentVerifyReport(True, "all identities held", p, trials, seed)
+                reason = f"self-reduction failed at size {k}, trial {trial}"
+                return PermanentVerifyReport(False, reason)
+    return PermanentVerifyReport(True, "all identities held")
 
 
 # ---------------------------------------------------------------------------

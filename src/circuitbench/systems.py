@@ -31,7 +31,6 @@ from .errors import (
     content_lines,
     parse_count,
 )
-from .families import permanent
 from .primes import _prime_flags, require_prime
 from .universal import build_universal, template_series
 
@@ -144,6 +143,8 @@ def permanent_agreement_system(chain):
     for the determinant chain it is exactly {2}.  The sum of 3^(k*k) over the
     chain is charged to the agreement budget before any equation is built.
     """
+    from .families import permanent  # here, not at the top: no command builds this system
+
     num_params = {c.num_params for c in chain}
     if len(num_params) != 1:
         raise ValueError("chain circuits must share one parameter-slot count")

@@ -99,7 +99,7 @@ def _template_circuit(s, nonzero):
 class CoefficientVector(Record):
     """The first d+1 coefficients of a template specialization, over F_p."""
 
-    __slots__ = ("entries", "levels", "cap", "p")
+    __slots__ = ("entries",)
 
 
 def template_series(template, d, ring, param):
@@ -143,7 +143,7 @@ def truncated_coefficient_map(template, d, p, params):
         raise ValueError(f"expected {template.param_count()} parameter values")
     series = template_series(template, d, field, lambda k: params[k - 1] % p)
     entries = tuple(series.get(i, 0) for i in range(d + 1))
-    return CoefficientVector(entries, template.levels, d, p)
+    return CoefficientVector(entries)
 
 
 def truncated_coefficient_map_reference(template, d, p, params):
@@ -152,7 +152,7 @@ def truncated_coefficient_map_reference(template, d, p, params):
     ring = TruncatedPolyRing(PrimeField(p), 1, d)
     poly = evaluate(template.circuit, ring, [ring.gen(1)], [ring.from_int(v) for v in params])
     entries = tuple(poly.coefficient((i,)) for i in range(d + 1))
-    return CoefficientVector(entries, template.levels, d, p)
+    return CoefficientVector(entries)
 
 
 class Embedding(Record):

@@ -696,8 +696,10 @@ COMMAND_LAYERS = [
     (["hc", "--matrix", "ones3.mat"], LAYERS - {"families"}),
     (["vnp-sum", "--circuit", "square.circ", "--summed", "1"], LAYERS - {"families"}),
     (["embed", "--circuit", "square.circ", "--p", "101"], {"forge", "systems", "protocols"}),
-    (["density", "--system", "xsq_plus_1.sys", "--limit", "20"], {"forge", "protocols"}),
-    (["solve", "--system", "xsq_plus_1.sys", "--p", "5"], {"forge", "protocols"}),
+    (["forge", "--s", "1", "--d", "2", "--p", "5"], {"protocols", "families"}),
+    (["density", "--system", "xsq_plus_1.sys", "--limit", "20"],
+     {"forge", "protocols", "families"}),
+    (["solve", "--system", "xsq_plus_1.sys", "--p", "5"], {"forge", "protocols", "families"}),
     (["gs-sim", "--size", "8", "--trials", "3"], {"forge", "systems", "universal", "families"}),
     (["per-verify", "--chain", "chain.circs", "--p", "101"],
      {"forge", "systems", "universal", "families"}),

@@ -1,7 +1,7 @@
 """Every defaulted parameter of the package is set by some caller outside
-the tests or exempted with a reason, every record field is read by someone,
-and every public function and method, and every private helper, has a
-caller outside the tests.
+the tests or exempted with a reason, every record field is read by the
+package or its benchmark, and every public function and method, and every
+private helper, has a caller outside the tests.
 
 An option that no call in the package or its benchmark ever passes is
 surface without a use: it only widens what a reader has to consider, so
@@ -134,12 +134,25 @@ def record_fields():
     }
 
 
+def _read_on(node):
+    """The name `x` when `node` reads `x.attr`, "" for a read on any other
+    expression, None when `node` is no attribute read."""
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        return getattr(node.value, "id", "")
+    return None
+
+
 def read_names():
-    """Every name read as `.name` or as `getattr(..., "name")` in the callers."""
-    read = set()
-    for tree in _trees(*CALLERS):
+    """The program's reads, as `.name` or `getattr(..., "name")`: the bare
+    names read on any object but `self` and argparse's `args`, and the
+    (class, name) pairs read as `self.name` inside that class."""
+    read, own = set(), set()
+    for tree in _trees(*PROGRAM):
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                own.update((cls.name, n.attr) for n in ast.walk(cls) if _read_on(n) == "self")
         for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            if _read_on(node) not in (None, "self", "args"):
                 read.add(node.attr)
             elif (
                 isinstance(node, ast.Call)
@@ -148,18 +161,31 @@ def read_names():
                 and isinstance(node.args[1], ast.Constant)
             ):
                 read.add(node.args[1].value)
-    return read
+    return read, own
 
 
 def test_every_record_field_is_read():
-    read = read_names()
-    unread = sorted(f"{cls}.{field}" for cls, field in record_fields() if field not in read)
+    """A record field that no code in the package or the benchmark reads is
+    an argument echoed back to its caller; it goes.
+
+    Known limit: outside `self`, fields are matched by bare name, so a field
+    counts as read when any object's `.name` of that spelling is read.
+    `CoefficientVector.levels`, `GsReport.cols` and
+    `PermanentVerifyReport.trials` were echoes that passed this way, on
+    `template.levels`, `HashMatrix.cols` and the tracer's `r.trials`; such a
+    field has to be found by hand."""
+    read, own = read_names()
+    unread = sorted(
+        f"{cls}.{field}"
+        for cls, field in record_fields()
+        if field not in read and (cls, field) not in own
+    )
     assert unread == []
 
 
 def test_record_fields_cover_every_record_class():
     # the scan above must see every record the package defines, or it checks nothing
-    for name in ("circuits", "forge", "pit", "protocols", "systems", "universal"):
+    for name in ("circuits", "families", "forge", "pit", "protocols", "systems", "universal"):
         importlib.import_module(f"circuitbench.{name}")
     defined, stack = set(), [Record]
     while stack:
