@@ -6,10 +6,16 @@ every equation evaluates to zero.  Three constructions are provided: the
 coefficient-hardness systems tied to the universal template, the language
 systems that force a circuit skeleton to decide a finite language, and the
 agreement systems that force a circuit chain to compute permanents.
+
+`solve_bruteforce` runs a compiled loop nest over the p^u assignments,
+except for a system in one unknown at a prime p above D^2, D the largest
+formal degree of its equations: there the least root of the gcd of the
+equations and y^p - y is found by equal-degree splitting, with the same
+answer.
 """
 
 import functools
-from itertools import compress, product
+from itertools import compress, count, product, zip_longest
 
 from ._record import Record
 from .circuits import (
@@ -20,6 +26,8 @@ from .circuits import (
     _parse_rows,
     _sections,
     compile_mod_evaluator,
+    evaluate,
+    formal_degree,
 )
 from .errors import (
     DEFAULT_SOLVE_BUDGET,
@@ -32,6 +40,7 @@ from .errors import (
     parse_count,
 )
 from .primes import _prime_flags, require_prime
+from .rings import DenseSeriesRing, PrimeField
 from .universal import build_universal, template_series
 
 
@@ -176,6 +185,25 @@ def _solver_kernel(system):
     """Compile the system once into `kernel(p)`, which returns the
     lexicographically first zero of every equation over F_p, or None.
 
+    A system with one unknown whose largest formal degree D has D^2 < p is
+    decided by `_least_root`; every other (system, p) runs `_loop_nest`.
+    """
+    loop = _loop_nest(system)
+    if system.unknown_count != 1:
+        return loop
+    degrees = tuple(formal_degree(eq) for eq in system.equations)
+    bound = max(degrees, default=0) ** 2
+
+    def kernel(p):
+        return _least_root(system.equations, degrees, p) if bound < p else loop(p)
+
+    return kernel
+
+
+def _loop_nest(system):
+    """Compile the system into a loop nest `kernel(p)` over all p^u
+    assignments, the last unknown fastest.
+
     The equations are merged into one builder, so shared subterms are
     computed once.  Each node sits at the loop of the last unknown it
     depends on and is computed there, and each equation is tested as soon
@@ -234,6 +262,94 @@ def _solver_kernel(system):
     namespace = {"C": tuple(consts), "product": product}
     exec(compile("\n".join(lines) + "\n", "<solver kernel>", "exec"), namespace)
     return namespace["kernel"]
+
+
+# Polynomials in the one unknown y over F_p: lists of residues, constant
+# term first, no trailing zeros.
+
+
+def _least_root(equations, degrees, p):
+    """(least common root over F_p,) of one-unknown equations, (0,) if all
+    vanish mod p, or None.  Each equation is expanded densely up to its
+    formal degree, which bounds its true degree; the common roots are those
+    of g = gcd(equations, y^p - y), a product of distinct linear factors.
+    """
+    field = PrimeField(p)
+    g = []
+    for eq, degree in zip(equations, degrees):
+        ring = DenseSeriesRing(field, degree)
+        g = _gcd(g, list(evaluate(eq, ring, (), (ring.gen(1),)[: eq.num_params])), p)
+    if not g:
+        return (0,)
+    if len(g) > 2:  # a linear g divides y^p - y already
+        g = _gcd(g, _sub(_powmod([0, 1], p, g, p), [0, 1], p), p)
+    return (min(_roots(g, p)),) if len(g) > 1 else None
+
+
+def _roots(g, p):
+    """Roots of monic g, a product of distinct linear factors over F_p.
+
+    gcd(g, (y + a)^((p-1)/2) - 1) keeps the roots r with r + a a nonzero
+    square; shifts a = 0, 1, 2, ... are tried until one splits g.  The roots
+    do not depend on the shift that splits.  p is odd when deg g > 1, as
+    D^2 < p.
+    """
+    if len(g) == 2:
+        return [-g[0] % p]
+    for a in count():
+        h = _gcd(g, _sub(_powmod([a, 1], (p - 1) // 2, g, p), [1], p), p)
+        if 1 < len(h) < len(g):
+            return _roots(h, p) + _roots(_divmod(g, h, p)[0], p)
+
+
+def _trim(f):
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _sub(f, h, p):
+    return _trim([(a - b) % p for a, b in zip_longest(f, h, fillvalue=0)])
+
+
+def _divmod(f, g, p):
+    """Quotient and remainder of f, with any int entries, by monic g."""
+    n = len(g) - 1
+    f = list(f)
+    for top in range(len(f) - 1, n - 1, -1):
+        c = f[top] = f[top] % p
+        if c:
+            for k, d in enumerate(g[:n], top - n):
+                f[k] -= c * d
+    return f[n:], _trim([c % p for c in f[:n]])
+
+
+def _gcd(f, g, p):
+    """Monic gcd of f, monic or zero, and g."""
+    g = _trim(g)
+    while g:
+        inv = pow(g[-1], -1, p)
+        f, g = [c * inv % p for c in g], f
+        g = _divmod(g, f, p)[1]
+    return f
+
+
+def _powmod(f, e, g, p):
+    """f^e mod monic g, square-and-multiply from the top bit of e."""
+    out = [1]
+    for bit in bin(e)[2:]:
+        out = _divmod(_mul(out, out), g, p)[1]
+        if bit == "1":
+            out = _divmod(_mul(out, f), g, p)[1]
+    return out
+
+
+def _mul(f, h):
+    out = [0] * (len(f) + len(h))
+    for i, c in enumerate(f):
+        for j, d in enumerate(h, i):
+            out[j] += c * d
+    return out
 
 
 def solve_bruteforce(system, p, budget=DEFAULT_SOLVE_BUDGET):

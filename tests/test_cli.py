@@ -99,6 +99,22 @@ def test_solve(capsys, system_file):
     assert "witness=none" in out
 
 
+def test_huge_formal_degree_system_answers(capsys, tmp_path):
+    # param squared 40 times, plus 1: formal degree 2^40, so D^2 >= p and
+    # the solver takes its loop nest, never a dense polynomial
+    squarings = "".join(f"g{k} = mul g{k - 1} g{k - 1}\n" for k in range(2, 42))
+    path = tmp_path / "huge.sys"
+    path.write_text(
+        "unknowns 1\nnvars 0\nnparams 1\ng1 = param 1\n"
+        + squarings
+        + "g42 = const 1\ng43 = add g41 g42\nout g43\n"
+    )
+    code, out = run(capsys, ["solve", "--system", str(path), "--p", "101"])
+    assert code == 0 and "witness=none" in out
+    code, out = run(capsys, ["density", "--system", str(path), "--limit", "200"])
+    assert code == 0 and "pi_S=1 pi=46 " in out
+
+
 def test_per(capsys, ones3_file):
     code, out = run(capsys, ["per", "--matrix", ones3_file])
     assert code == 0

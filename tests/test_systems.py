@@ -6,6 +6,7 @@ import pytest
 from circuitbench.circuits import (
     CircuitBuilder,
     compile_mod_evaluator,
+    formal_degree,
     parse_circuit,
     random_circuit,
     serialize_circuit,
@@ -129,6 +130,121 @@ def test_solve_rechecks_witness_independently(monkeypatch):
     )
     with pytest.raises(RuntimeError, match="re-check"):
         solve_bruteforce(system, 5)
+
+
+def one_unknown(rng):
+    """A random system in one unknown: products of shared and own linear
+    factors, some with a constant factor that vanishes mod 2 or 3, and
+    random circuits, some of them constants with no parameter slot."""
+    shared = [rng.randint(-20, 20) for _ in range(rng.randint(0, 2))]
+    eqs = []
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.3:
+            size = rng.randint(1, 6)
+            eqs.append(random_circuit(rng, size, num_vars=0, num_params=rng.randint(0, 1)))
+            continue
+        b = CircuitBuilder(num_params=1)
+        out = b.const(rng.choice([1, 2, -3, 6]))
+        for r in shared + [rng.randint(-20, 20) for _ in range(rng.randint(0, 2))]:
+            out = b.mul(out, b.add(b.param(1), b.const(-r)))
+        eqs.append(b.finish(out))
+    return PolySystem(1, tuple(eqs))
+
+
+def least_root(system, p):
+    degrees = tuple(formal_degree(eq) for eq in system.equations)
+    return systems._least_root(system.equations, degrees, p)
+
+
+def one_equation(build):
+    b = CircuitBuilder(num_params=1)
+    return PolySystem(1, (b.finish(build(b, b.param(1))),))
+
+
+PRIMES_BELOW_300 = [p for p in range(2, 300) if all(p % q for q in range(2, p))]
+
+
+def test_root_path_matches_oracle_on_one_unknown_systems():
+    # solve_bruteforce dispatches on D^2 < p; the root path is also called
+    # directly at every odd prime, where it holds for any degree
+    rng = random.Random(2801)
+    for _ in range(40):
+        system = one_unknown(rng)
+        for p in PRIMES_BELOW_300:
+            want = oracle_solve(system, p)
+            assert solve_bruteforce(system, p) == want, (system, p)
+            if p > 2:
+                assert least_root(system, p) == want, (system, p)
+
+
+def test_root_path_fixed_cases():
+    vanish = one_equation(lambda b, y: b.mul(b.const(0), y))
+    constant = PolySystem(1, (parse_circuit("nvars 0\ng1 = const 4\nout g1\n"),))
+    double = one_equation(lambda b, y: b.mul(*[b.add(y, b.const(-3))] * 2))  # (y - 3)^2
+
+    def y5_minus_y(b, y):
+        y4 = b.mul(b.mul(y, y), b.mul(y, y))
+        return b.add(b.mul(y4, y), b.mul(b.const(-1), y))
+
+    fermat = one_equation(y5_minus_y)
+    for p in (101, 103):
+        assert least_root(vanish, p) == solve_bruteforce(vanish, p) == (0,)
+        assert least_root(constant, p) is solve_bruteforce(constant, p) is None
+        assert least_root(double, p) == solve_bruteforce(double, p) == (3,)
+    # every residue is a root mod 5; D^2 = 25 sends solve to the loop nest
+    assert least_root(fermat, 5) == solve_bruteforce(fermat, 5) == (0,)
+    assert least_root(fermat, 7) == solve_bruteforce(fermat, 7) == (0,)
+
+
+def refuse_root_path(*args):
+    raise AssertionError("root path ran")
+
+
+def test_small_primes_take_the_loop_nest(monkeypatch):
+    # y^2 + 1 has D = 2, so D^2 >= p at p = 2 and 3, and D^2 < p from 5 on
+    monkeypatch.setattr(systems, "_least_root", refuse_root_path)
+    assert solve_bruteforce(y_squared_plus_one(), 2) == (1,)
+    assert solve_bruteforce(y_squared_plus_one(), 3) is None
+    with pytest.raises(AssertionError, match="root path"):
+        solve_bruteforce(y_squared_plus_one(), 5)
+
+
+def test_large_prime_skips_the_loop_nest(monkeypatch):
+    def no_loop(system):
+        def kernel(p):
+            raise AssertionError("loop nest ran")
+
+        return kernel
+
+    monkeypatch.setattr(systems, "_loop_nest", no_loop)
+    systems._solver_kernel.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="loop nest"):
+            solve_bruteforce(y_squared_plus_one(), 2)
+        # 1,000,003 is 3 mod 4, so -1 is not a square
+        assert solve_bruteforce(y_squared_plus_one(), 1_000_003) is None
+        (w,) = solve_bruteforce(y_squared_plus_one(), 1_000_033)
+    finally:
+        systems._solver_kernel.cache_clear()
+    p = 1_000_033
+    assert (w * w + 1) % p == 0 and w < p - w
+
+
+def huge_degree_system():
+    """param squared 40 times, plus 1: formal degree 2^40."""
+    b = CircuitBuilder(num_params=1)
+    out = b.param(1)
+    for _ in range(40):
+        out = b.mul(out, out)
+    return PolySystem(1, (b.finish(b.add(out, b.const(1))),))
+
+
+def test_huge_formal_degree_takes_the_loop_nest(monkeypatch):
+    monkeypatch.setattr(systems, "_least_root", refuse_root_path)
+    system = huge_degree_system()
+    assert solve_bruteforce(system, 101) == oracle_solve(system, 101)
+    report = density_probe(system, 200)
+    assert (report.pi, report.good_primes, report.complete) == (46, (2,), True)
 
 
 def test_hardness_system_linear_example():
