@@ -45,8 +45,6 @@ def default_trials(degree, p):
     ratio = degree / p
     if ratio >= 1:
         raise ValueError("p must exceed the formal degree")
-    if ratio == 0:
-        return 1
     return max(1, math.ceil(math.log(0.01) / math.log(ratio)))
 
 

@@ -40,20 +40,19 @@ class PrimeField:
 
     def __init__(self, p):
         require_prime(p)
-        self.p = p
         self.modulus = p
 
     def from_int(self, v):
-        return v % self.p
+        return v % self.modulus
 
     def add(self, a, b):
-        return (a + b) % self.p
+        return (a + b) % self.modulus
 
     def mul(self, a, b):
-        return a * b % self.p
+        return a * b % self.modulus
 
     def __repr__(self):
-        return f"PrimeField({self.p})"
+        return f"PrimeField({self.modulus})"
 
 
 class LaneRing:

@@ -3,9 +3,9 @@
 A system is a list of circuits over a shared set of parameter slots (the
 unknowns) with no free input variables; an assignment satisfies it when
 every equation evaluates to zero.  Three constructions are provided: the
-coefficient-hardness systems tied to the universal template, the language
-systems that force a circuit skeleton to decide a finite language, and the
-agreement systems that force a circuit chain to compute permanents.
+hardness systems, the universal template's circuit evaluated over node
+series; the language systems that make a skeleton decide a finite language;
+and the agreement systems that make a circuit chain compute permanents.
 
 `solve_bruteforce` runs a compiled loop nest over the p^u assignments,
 except for a system in one unknown at a prime p above D^2, D the largest
@@ -41,7 +41,7 @@ from .errors import (
 )
 from .primes import _prime_flags, require_prime
 from .rings import DenseSeriesRing, PrimeField
-from .universal import build_universal, template_series
+from .universal import build_universal
 
 
 class PolySystem(Record):
@@ -57,14 +57,44 @@ class PolySystem(Record):
                 raise ValueError("equation references an unknown beyond the declared count")
 
 
+class _NodeSeries:
+    """Series in x truncated above degree d whose coefficients are nodes of
+    `builder`, as {degree: node}; the coefficient None is 1, so a product
+    with x shifts degrees and emits no node."""
+
+    def __init__(self, builder, d):
+        self.builder, self.d = builder, d
+
+    def node(self, c):
+        return self.builder.const(1) if c is None else c
+
+    def from_int(self, v):
+        return {0: self.builder.const(v)} if v else {}
+
+    def add(self, a, b):
+        out = dict(a)
+        for deg, c in b.items():
+            out[deg] = self.builder.add(self.node(out[deg]), self.node(c)) if deg in out else c
+        return out
+
+    def mul(self, a, b):
+        out = {}
+        for i, u in a.items():
+            for k, v in b.items():
+                if i + k <= self.d:
+                    term = v if u is None else u if v is None else self.builder.mul(u, v)
+                    out = self.add(out, {i + k: term})
+        return out
+
+
 def build_hardness_system(s, d, gamma):
     """One equation per point m in {0..d}: the degree-d truncation of the
     s-level universal template, evaluated at x=m, must equal
     sum_i gamma_i m^i.  Unknowns are the s(s+1) template parameters.
 
-    The truncation is compiled into genuine circuits by running the template
-    recursion (template_series) over CircuitBuilder nodes, so the system can
-    be evaluated over any prime field.
+    The truncation is written as a genuine circuit by evaluating the
+    template circuit over series of CircuitBuilder nodes (`_NodeSeries`),
+    so the system can be evaluated over any prime field.
     """
     gamma = tuple(int(g) for g in gamma)
     if len(gamma) != d + 1:
@@ -76,14 +106,16 @@ def build_hardness_system(s, d, gamma):
     equations = []
     for m in range(d + 1):
         builder = CircuitBuilder(num_vars=0, num_params=unknowns)
-        series = template_series(template, d, builder, builder.param)
+        ring = _NodeSeries(builder, d)
+        params = [{0: builder.param(k)} for k in range(1, unknowns + 1)]
+        series = evaluate(template.circuit, ring, [{1: None} if d else {}], params)
         # Horner evaluation of the truncated series at x=m
         value = None
         for deg in range(d, -1, -1):
             if value is not None:
                 value = builder.mul(value, builder.const(m))
-            coeff = series.get(deg)
-            if coeff is not None:
+            if deg in series:
+                coeff = ring.node(series[deg])
                 value = builder.add(value, coeff) if value is not None else coeff
         target = sum(g * m**i for i, g in enumerate(gamma))
         if target:

@@ -8,6 +8,9 @@ over the earlier levels L_i, with fresh parameter slots a_i, b_i per level.
 A template with s levels therefore carries exactly s*(s+1) parameters, and a
 suitable assignment specializes it to any polynomial a small circuit can
 compute: one level per gate plus the base level for x.
+
+`_template_circuit` is the one construction: the coefficient map, its
+reference, the hardness systems and `embed` each evaluate its circuit.
 """
 
 import functools
@@ -28,11 +31,11 @@ from .circuits import (
 from .errors import EmbeddingError, at_least, charge
 from .pit import _random_trials
 from .primes import require_prime
-from .rings import IntegerRing, PrimeField, TruncatedPolyRing
+from .rings import DenseSeriesRing, IntegerRing, PrimeField, TruncatedPolyRing
 
 
 class UniversalTemplate(Record):
-    __slots__ = ("levels", "circuit")
+    __slots__ = ("circuit",)
 
     def param_count(self):
         return self.circuit.num_params
@@ -49,7 +52,7 @@ def build_universal(s):
     shared."""
     at_least("level count", s, 1)
     charge("template", TEMPLATE_BUDGET, s * (s + 1), f"{s * (s + 1)} template parameters")
-    return UniversalTemplate(s, _template_circuit(s, b"\1" * (s * (s + 1))))
+    return UniversalTemplate(_template_circuit(s, b"\1" * (s * (s + 1))))
 
 
 def _slots(j):
@@ -102,48 +105,14 @@ class CoefficientVector(Record):
     __slots__ = ("entries",)
 
 
-def template_series(template, d, ring, param):
-    """Degree-d truncation of the template as a {degree: element} dict.
-
-    The one recursion over template levels: level j is built from the
-    series of levels 1..j-1 with `ring.add` and `ring.mul`, and `param(slot)`
-    supplies the element for each parameter slot, in slot-use order.  Over
-    PrimeField it gives the truncated coefficient map; over a CircuitBuilder
-    it gives circuit nodes for the hardness systems.
-    """
-    add, mul = ring.add, ring.mul
-    series = [{0: param(1)}]  # level 1 is a_0 + b_0 x
-    if d >= 1:
-        series[0][1] = param(2)
-    for j in range(2, template.levels + 1):
-        sides = []
-        for slots in _slots(j):
-            acc = {0: param(slots[0])}
-            for i in range(1, j):
-                sel = param(slots[i])
-                for deg, node in series[i - 1].items():
-                    term = mul(sel, node)
-                    acc[deg] = add(acc[deg], term) if deg in acc else term
-            sides.append(acc)
-        prod = {}
-        for i, a in sides[0].items():
-            for k, b in sides[1].items():
-                if i + k <= d:
-                    term = mul(a, b)
-                    prod[i + k] = add(prod[i + k], term) if i + k in prod else term
-        series.append(prod)
-    return series[-1]
-
-
 def truncated_coefficient_map(template, d, p, params):
-    """Coefficients 0..d of the specialized template over F_p."""
-    at_least("degree cap", d, 0)
-    field = PrimeField(p)
-    if len(params) != template.param_count():
-        raise ValueError(f"expected {template.param_count()} parameter values")
-    series = template_series(template, d, field, lambda k: params[k - 1] % p)
-    entries = tuple(series.get(i, 0) for i in range(d + 1))
-    return CoefficientVector(entries)
+    """Coefficients 0..d of the specialized template over F_p: its circuit
+    evaluated over dense series in x, cut at degree d or at the circuit's
+    formal degree, which bounds its degree in x, whichever is lower; the
+    ring refuses a negative d."""
+    ring = DenseSeriesRing(PrimeField(p), min(d, formal_degree(template.circuit)))
+    series = evaluate(template.circuit, ring, [ring.gen(1)], [ring.from_int(v) for v in params])
+    return CoefficientVector(series + (0,) * (d + 1 - len(series)))
 
 
 def truncated_coefficient_map_reference(template, d, p, params):

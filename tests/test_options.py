@@ -169,11 +169,10 @@ def test_every_record_field_is_read():
     an argument echoed back to its caller; it goes.
 
     Known limit: outside `self`, fields are matched by bare name, so a field
-    counts as read when any object's `.name` of that spelling is read.
-    `CoefficientVector.levels`, `GsReport.cols` and
-    `PermanentVerifyReport.trials` were echoes that passed this way, on
-    `template.levels`, `HashMatrix.cols` and the tracer's `r.trials`; such a
-    field has to be found by hand."""
+    counts as read when any object's `.name` of that spelling is read: a
+    `levels` field on any record passes on `emb.levels`, a `cols` field on
+    `HashMatrix.cols` and a `trials` field on the tracer's `r.trials`.  An
+    echo so spelled has to be found by hand."""
     read, own = read_names()
     unread = sorted(
         f"{cls}.{field}"

@@ -2,12 +2,15 @@
 renamed or deleted function would silently turn a traced layer "absent" or
 break an answer check.  These tests resolve every such name."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER_PATH = PERFBENCH / "tracer.py"
+WORKLOADS_PATH = PERFBENCH / "workloads.py"
 
 
 def load_tracer():
@@ -45,7 +48,34 @@ def test_retired_layer_is_absent(layer):
     assert resolve(short, attr) is None, f"{layer}: circuitbench.{short}.{attr} is back"
 
 
-@pytest.mark.parametrize("attr", ["compile_mod_evaluator", "bind_params", "evaluate"])
-def test_workload_check_function_resolves(attr):
-    # perfbench/workloads.py calls these directly in its answer checks
-    assert callable(resolve("circuits", attr))
+def workload_reads():
+    """Every `circuits.` / `forge.` / `systems.` / `universal.` attribute
+    perfbench/workloads.py reads, as (module, attribute) pairs."""
+    tree = ast.parse(WORKLOADS_PATH.read_text())
+    return sorted(
+        {
+            (node.value.id, node.attr)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("circuits", "forge", "systems", "universal")
+        }
+    )
+
+
+def test_workload_reads_are_found():
+    # the scan sees the workloads' module-qualified reads at all
+    assert len(workload_reads()) >= 17
+
+
+WORKLOAD_NAMES = workload_reads() + [
+    ("primes", "sieve"),
+    ("universal", "UniversalTemplate.param_count"),
+]
+
+
+@pytest.mark.parametrize("short, attr", WORKLOAD_NAMES, ids=[attr for _, attr in WORKLOAD_NAMES])
+def test_workload_check_function_resolves(short, attr):
+    # perfbench/workloads.py runs its jobs and answer checks through these
+    # names; a rename would otherwise show only as `outputs_incorrect`
+    assert callable(resolve(short, attr)), f"circuitbench.{short}.{attr} is missing"

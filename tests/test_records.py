@@ -19,7 +19,7 @@ for _name in MODULES:
 # x + (-1), times parameter slot 1
 CIRCUIT = Circuit((InputVar(1), Const(-1), Add(0, 1), Param(1), Mul(2, 3)), 4, 1, 1)
 EQUATION = Circuit((Param(1), Mul(0, 0)), 1, 0, 1)
-TEMPLATE_FIELDS = (1, CIRCUIT)
+TEMPLATE_FIELDS = (CIRCUIT,)
 
 # class name -> field values in constructor order
 SAMPLES = {

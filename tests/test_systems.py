@@ -441,18 +441,35 @@ def test_negative_unknown_count_rejected():
         PolySystem(-1, (parse_circuit("nvars 0\ng1 = const 0\nout g1\n"),))
 
 
-def test_hardness_equations_match_coefficient_map():
-    # the builder-ring equations and the fast truncated map share one
-    # recursion (template_series), so check the equations against the
-    # reference map, which evaluates the template circuit in a truncated
-    # polynomial ring instead
-    rng = random.Random(211)
-    from circuitbench.universal import build_universal, truncated_coefficient_map_reference
+# (a + b x)(c + x^2) + x + x + 5 + d^2 + x^4: a one-variable circuit with
+# four slots, a constant, x added to itself and a bare x^4
+OTHER_TEMPLATE = (
+    "nvars 1\nnparams 4\ng1 = in 1\ng2 = param 1\ng3 = param 2\ng4 = param 3\n"
+    "g5 = mul g3 g1\ng6 = add g2 g5\ng7 = mul g1 g1\ng8 = add g4 g7\ng9 = mul g6 g8\n"
+    "g10 = add g1 g1\ng11 = add g9 g10\ng12 = const 5\ng13 = add g11 g12\n"
+    "g14 = param 4\ng15 = mul g14 g14\ng16 = add g13 g15\ng17 = mul g7 g7\n"
+    "g18 = add g16 g17\nout g18\n"
+)
 
-    for s, d, p in ((1, 3, 7), (2, 2, 5), (2, 4, 11), (3, 2, 5)):
-        template = build_universal(s)
-        gamma = tuple(rng.randint(0, 1) for _ in range(d + 1))
-        system = build_hardness_system(s, d, gamma)
+
+def test_hardness_equations_match_coefficient_map(monkeypatch):
+    # the equations evaluate `template.circuit` over series of builder
+    # nodes; check them against the reference map, which evaluates it in a
+    # truncated polynomial ring, also for a template of another shape put in
+    # place of `build_universal`'s
+    rng = random.Random(211)
+    from circuitbench.universal import UniversalTemplate, truncated_coefficient_map_reference
+
+    shaped = UniversalTemplate(parse_circuit(OTHER_TEMPLATE))
+    cases = [(1, 0, 7), (1, 3, 7), (2, 2, 5), (2, 4, 11), (3, 2, 5), (3, 3, 5)]
+    cases += [(None, d, p) for d, p in ((0, 5), (3, 7), (5, 11))]  # None: the other shape
+    for s, d, p in cases:
+        with monkeypatch.context() as patch:
+            if s is None:
+                patch.setattr(systems, "build_universal", lambda s: shaped)
+            template = systems.build_universal(s)
+            gamma = tuple(rng.randint(0, 1) for _ in range(d + 1))
+            system = build_hardness_system(s, d, gamma)
         runs = [compile_mod_evaluator(eq, p) for eq in system.equations]
         for _ in range(20):
             params = [rng.randrange(p) for _ in range(template.param_count())]
@@ -461,6 +478,18 @@ def test_hardness_equations_match_coefficient_map():
                 truncated_at_m = sum(v * m**i for i, v in enumerate(vec)) % p
                 target = sum(g * m**i for i, g in enumerate(gamma)) % p
                 assert run((), params) == (truncated_at_m - target) % p
+
+
+def test_hardness_equations_emit_only_the_truncation():
+    # node counts of the equations for gamma = (1, ..., 1), s = 1..3 and
+    # d = 0..4: terms above degree d and products with x emit no node; at
+    # d = 0 the unused slot b_0 of level 1 is still a node
+    sizes = [
+        sum(len(eq.nodes) for eq in build_hardness_system(s, d, (1,) * (d + 1)).equations)
+        for s in (1, 2, 3)
+        for d in range(5)
+    ]
+    assert sizes == [4, 14, 21, 28, 35, 13, 42, 72, 96, 120, 28, 90, 165, 240, 315]
 
 
 def test_hardness_system_builds_at_three_levels():

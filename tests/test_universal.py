@@ -22,6 +22,7 @@ from circuitbench.circuits import (
 from circuitbench.errors import BudgetError, EmbeddingError
 from circuitbench.rings import IntegerRing, PrimeField
 from circuitbench.universal import (
+    UniversalTemplate,
     build_universal,
     embed,
     truncated_coefficient_map,
@@ -88,6 +89,48 @@ def test_coefficient_map_matches_ring_reference():
             fast = truncated_coefficient_map(t, d, p, params)
             ref = truncated_coefficient_map_reference(t, d, p, params)
             assert fast.entries == ref.entries
+
+
+# (a + b x^2) * c (x + x + 3) + d e x + f + x^5: a one-variable circuit
+# with the 2-level template's six slots but another shape, with a constant,
+# x added to itself and a bare x^5
+OTHER_TEMPLATE = UniversalTemplate(
+    parse_circuit(
+        "nvars 1\nnparams 6\ng1 = in 1\n"
+        + "".join(f"g{k + 1} = param {k}\n" for k in range(1, 7))
+        + "g8 = mul g1 g1\ng9 = mul g3 g8\ng10 = add g2 g9\ng11 = add g1 g1\n"
+        "g12 = const 3\ng13 = add g11 g12\ng14 = mul g4 g13\ng15 = mul g10 g14\n"
+        "g16 = mul g5 g6\ng17 = mul g16 g1\ng18 = add g15 g17\ng19 = add g18 g7\n"
+        "g20 = mul g8 g8\ng21 = mul g20 g1\ng22 = add g19 g21\nout g22\n"
+    )
+)
+
+
+def test_coefficient_map_follows_the_template_circuit():
+    # the map evaluates `template.circuit`, whatever its shape
+    rng = random.Random(79)
+    t = OTHER_TEMPLATE
+    assert t.param_count() == build_universal(2).param_count()
+    for d in range(8):
+        for p in (2, 5, 7, 101):
+            for _ in range(10):
+                params = [rng.randint(-2 * p, 2 * p) for _ in range(6)]
+                fast = truncated_coefficient_map(t, d, p, params)
+                ref = truncated_coefficient_map_reference(t, d, p, params)
+                assert fast.entries == ref.entries
+
+
+def test_coefficient_map_pads_a_large_degree_cap_quickly():
+    # the series is cut at the circuit's formal degree, not at d, so a huge
+    # d costs only the zero padding
+    t = build_universal(2)
+    params = [3, -1, 7, 2, 4, 12]
+    start = time.perf_counter()
+    vec = truncated_coefficient_map(t, 10**6, 5, params).entries
+    elapsed = time.perf_counter() - start
+    low = truncated_coefficient_map(t, 2, 5, params).entries
+    assert vec == low + (0,) * (10**6 - 2)
+    assert elapsed < 0.5
 
 
 def test_coefficient_map_matches_full_expansion():
@@ -347,13 +390,14 @@ def test_embedding_parameters_are_pinned(p, digest):
 def _random_template_cases():
     rng = random.Random(83)
     for _ in range(400):
-        template = build_universal(rng.randint(1, 5))
+        levels = rng.randint(1, 5)
+        template = build_universal(levels)
         zeros = rng.random()
         params = tuple(
             0 if rng.random() < zeros else rng.randint(-2, 3)
             for _ in range(template.param_count())
         )
-        yield template, params
+        yield levels, template, params
 
 
 def _corpus():
@@ -363,7 +407,7 @@ def _corpus():
 def _embedding_cases(p):
     for c in _corpus():
         emb = embed(c, p)
-        yield emb.template, emb.params
+        yield emb.levels, emb.template, emb.params
 
 
 @pytest.mark.parametrize(
@@ -376,10 +420,10 @@ def test_specialized_poly_matches_bind_then_expand(cases):
     # full template with the parameters bound, so it passes only when the
     # two expansions agree
     count = 0
-    for template, params in cases():
+    for levels, template, params in cases():
         nonzero = bytes(map(bool, params))
         universal._verify_over_z(
-            template.levels, nonzero, params, bind_params(template.circuit, params)
+            levels, nonzero, params, bind_params(template.circuit, params)
         )
         count += 1
     assert count >= 400
