@@ -6,10 +6,12 @@ of something a small device can compute?  Two oracles answer that question:
   * parameter sweep: the image of the universal template's truncated
     coefficient map over all parameter assignments in F_p;
   * circuit enumeration: the truncated coefficient vectors of every
-    canonical circuit of bounded size with constants in F_p, computed in a
-    dense series ring carried down the enumeration, which yields the values
-    alone and builds no circuit (an independent path: its product is not
-    the sweep's).
+    circuit of bounded size with constants in F_p, computed as a closure
+    over value sets: a circuit's node values grow one leaf, sum or product
+    at a time, so growing every value set of k elements to k + 1 reaches
+    every value without building or enumerating a circuit.  Its values live
+    in a dense series ring (an independent path: its product is not the
+    sweep's).
 
 The sweep never walks parameter assignments or tuples of level values.  Level
 j of the template multiplies two elements of V_j = span{1, L_1, ..., L_{j-1}},
@@ -138,6 +140,43 @@ def _sweep_image(s, d, p, budget):
     return image
 
 
+def _closure_values(size, p, ring, budget):
+    """Every value a circuit of at most `size` vertices computes in `ring`
+    from x and the constants 0..p-1.
+
+    A state is the frozenset of a circuit's node values.  Level k grows each
+    k-element state by one leaf, a + b or a*b with a, b in it; a circuit
+    with a repeated or dead node computes its output with fewer vertices, so
+    the values of states of at most `size` elements are exactly the answer.
+    Before each level its closure steps, k(k+1)/2 pairs and p + 1 leaves per
+    state, are charged to `budget`.
+    """
+    leaves = [ring.gen(1)] + [ring.from_int(c) for c in range(p)]
+    add, mul = ring.add, ring.mul
+    memo = {}  # (a, b) -> (a + b, a * b)
+    values = set()
+    states = {frozenset()}
+    steps = 0
+    for k in range(size):
+        steps += len(states) * (k * (k + 1) // 2 + p + 1)
+        charge("enumeration", budget, steps, f"{steps} closure steps")
+        grown = set()
+        for state in states:
+            new = set(leaves)
+            elems = list(state)
+            for i, a in enumerate(elems):
+                for b in elems[i:]:
+                    pair = memo.get((a, b))
+                    if pair is None:
+                        pair = memo[a, b] = memo[b, a] = add(a, b), mul(a, b)
+                    new.update(pair)
+            values |= new
+            if k + 1 < size:  # the last level only adds values
+                grown.update(state | {v} for v in new - state)
+        states = grown
+    return values
+
+
 def _vertex_bound(s, enum_size):
     """The enumeration oracles' vertex-count bound: `enum_size`, default s."""
     size = s if enum_size is None else enum_size
@@ -171,7 +210,7 @@ def realizable_vectors(
         size = _vertex_bound(s, enum_size)
         ring = DenseSeriesRing(PrimeField(p), d)
         budget = DEFAULT_ENUM_ORACLE_BUDGET if budget is None else budget
-        vectors = set(enumerate_circuits(size, 1, range(p), budget=budget, ring=ring))
+        vectors = _closure_values(size, p, ring, budget)
         # residues are >= 0, so a vector is 0/1 when its largest entry is at most 1
         return RealizableSet(frozenset(v for v in vectors if max(v) <= 1))
     raise ValueError(f"unknown oracle {oracle!r}")

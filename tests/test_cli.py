@@ -773,6 +773,17 @@ def test_verification_budget_refuses_before_drawing(argv, message):
     assert done.stdout == f"error=budget: {message} exceed the eval budget 100000000\n"
 
 
+def test_enumeration_oracle_refuses_a_large_vertex_bound_at_once():
+    # the oracle charges each level's closure steps before it grows the level
+    argv = ["forge", "--s", "1", "--d", "2", "--p", "5", "--enum-size", "100"]
+    start = time.perf_counter()
+    done = _fresh(["-m", "circuitbench.cli", *argv])
+    assert time.perf_counter() - start < 20
+    assert (done.returncode, done.stderr) == (2, "")
+    message = "3901972 closure steps exceed the enumeration budget 2000000"
+    assert done.stdout == f"error=budget: {message}\n"
+
+
 def _squarings(leaf, count):
     """A one-variable circuit: `leaf`, then `count` gates each squaring the last."""
     gates = [f"g{i} = mul g{i - 1} g{i - 1}" for i in range(2, count + 2)]

@@ -8,6 +8,7 @@ from circuitbench.circuits import enumerate_circuits, expand_circuit, parse_circ
 from circuitbench.errors import BudgetError
 from circuitbench.forge import (
     DEFAULT_SWEEP_BUDGET,
+    _closure_values,
     _sweep_image,
     find_hard_vector,
     hardness_certificate,
@@ -16,6 +17,7 @@ from circuitbench.forge import (
     realizable_vectors,
     sign_condition_search,
 )
+from circuitbench.rings import DenseSeriesRing, PrimeField
 from circuitbench.universal import build_universal, embed, truncated_coefficient_map
 
 
@@ -173,6 +175,39 @@ def test_enumeration_oracle_matches_per_circuit_expansion():
                 want.add(vec)
         got = realizable_vectors(2, d, 5, oracle="circuit-enumeration", enum_size=5)
         assert got.vectors == want
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_closure_values_equal_the_canonical_enumeration(p):
+    # every value, not only the 0/1 vectors the oracle keeps
+    for d in range(4):
+        ring = DenseSeriesRing(PrimeField(p), d)
+        for n in range(6):
+            want = set(enumerate_circuits(n, 1, range(p), ring=ring))
+            assert _closure_values(n, p, ring, 10**9) == want, (p, d, n)
+
+
+def test_enumeration_oracle_refuses_a_level_before_growing_it(monkeypatch):
+    sums = []
+
+    class CountingRing(DenseSeriesRing):
+        def add(self, a, b):
+            sums.append((a, b))
+            return super().add(a, b)
+
+    monkeypatch.setattr(forge, "DenseSeriesRing", CountingRing)
+    message = "^{} closure steps exceed the enumeration budget {}$"
+    # level 0: 6 leaves; level 1: 6 one-value states, 1 pair and 6 leaves each
+    for _ in range(2):
+        with pytest.raises(BudgetError, match=message.format(48, 47)) as info:
+            realizable_vectors(1, 2, 5, oracle="circuit-enumeration", enum_size=3, budget=47)
+        assert info.value.reached == 48
+    assert sums == []
+    # level 2: 17 two-value states, 3 pairs and 6 leaves each; only level 1 ran
+    with pytest.raises(BudgetError, match=message.format(201, 48)) as info:
+        realizable_vectors(1, 2, 5, oracle="circuit-enumeration", enum_size=3, budget=48)
+    assert info.value.reached == 201
+    assert len(sums) == 6 and all(a == b for a, b in sums)
 
 
 def test_find_hard_vector_pinned():
