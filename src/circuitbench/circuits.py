@@ -5,6 +5,18 @@ topological order (every gate references strictly earlier nodes), one
 designated output node, and declared counts of input variables and parameter
 slots.  Leaves are variables x_j, integer constants, or parameter slots;
 gates are binary + and *.
+
+A node is the int tuple (op, a, b), the step every walk runs:
+
+  * (MUL, a, b) and (ADD, a, b): a gate (op < 2) on the 0-based node
+    positions a and b;
+  * (PARAM, k, None) and (INPUT, j, None): parameter slot k + 1 or
+    variable x_(j + 1), so a is the 0-based slot or variable index;
+  * (CONST, c, None): the integer constant c, not reduced.
+
+`InputVar(j)` and `Param(k)` take the 1-based index the text format shows,
+`Const(c)` the constant, and `Add(a, b)` and `Mul(a, b)` the 0-based operand
+positions; each returns the node.
 """
 
 from itertools import compress
@@ -15,67 +27,28 @@ from .errors import ParseError, at_least, charge, content_lines, parse_count, pa
 from .primes import require_prime
 from .rings import IntegerRing, PrimeField, TruncatedPolyRing
 
-# Nodes and circuits are built by the hundred thousand, so each writes its own
-# __init__, __eq__ and __hash__ rather than running Record's generic loops.
+MUL, ADD, PARAM, INPUT, CONST = range(5)
+_KINDS = ("mul", "add", "param", "in", "const")  # the text format's name of each op
 
 
-class InputVar(Record):
-    __slots__ = ("index",)  # 1-based
-
-    def __init__(self, index):
-        _set(self, "index", index)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.index == other.index
-
-    def __hash__(self):
-        return hash((self.index,))
+def InputVar(index):
+    return (INPUT, index - 1, None)
 
 
-class Const(Record):
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        _set(self, "value", value)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.value == other.value
-
-    def __hash__(self):
-        return hash((self.value,))
+def Const(value):
+    return (CONST, value, None)
 
 
-class Param(Record):
-    __slots__ = ("index",)  # 1-based
-    __init__, __eq__, __hash__ = InputVar.__init__, InputVar.__eq__, InputVar.__hash__
+def Param(index):
+    return (PARAM, index - 1, None)
 
 
-class Add(Record):
-    __slots__ = ("left", "right")  # node positions, 0-based
-
-    def __init__(self, left, right):
-        _set(self, "left", left)
-        _set(self, "right", right)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.left == other.left and self.right == other.right
-
-    def __hash__(self):
-        return hash((self.left, self.right))
+def Add(left, right):
+    return (ADD, left, right)
 
 
-class Mul(Record):
-    __slots__ = ("left", "right")
-    __init__, __eq__, __hash__ = Add.__init__, Add.__eq__, Add.__hash__
-
-
-_GATES = (Add, Mul)
+def Mul(left, right):
+    return (MUL, left, right)
 
 
 class Circuit(Record):
@@ -84,6 +57,8 @@ class Circuit(Record):
 
     __slots__ = ("nodes", "output", "num_vars", "num_params")
 
+    # circuits are built by the hundred thousand, so this class writes its
+    # own __init__, __eq__ and __hash__ rather than running Record's loops
     def __init__(self, nodes, output, num_vars, num_params=0):
         _set(self, "nodes", nodes)
         _set(self, "output", output)
@@ -111,16 +86,21 @@ class Circuit(Record):
         if not 0 <= self.output < len(self.nodes):
             raise ValueError("output index out of range")
         for pos, node in enumerate(self.nodes):
-            if isinstance(node, _GATES):
-                if not (0 <= node.left < pos and 0 <= node.right < pos):
+            if node.__class__ is not tuple or len(node) != 3 or node[0].__class__ is not int:
+                raise ValueError(f"unknown node type {node!r}")
+            op, a, b = node
+            if op == MUL or op == ADD:
+                if not (a.__class__ is b.__class__ is int and 0 <= a < pos and 0 <= b < pos):
                     raise ValueError(f"node {pos} references a non-earlier node")
-            elif isinstance(node, InputVar):
-                if not 1 <= node.index <= self.num_vars:
-                    raise ValueError(f"input index {node.index} outside 1..{self.num_vars}")
-            elif isinstance(node, Param):
-                if not 1 <= node.index <= self.num_params:
-                    raise ValueError(f"param index {node.index} outside 1..{self.num_params}")
-            elif not isinstance(node, Const):
+            elif b is not None or a.__class__ is not int:
+                raise ValueError(f"unknown node type {node!r}")
+            elif op == INPUT:
+                if not 0 <= a < self.num_vars:
+                    raise ValueError(f"input index {a + 1} outside 1..{self.num_vars}")
+            elif op == PARAM:
+                if not 0 <= a < self.num_params:
+                    raise ValueError(f"param index {a + 1} outside 1..{self.num_params}")
+            elif op != CONST:
                 raise ValueError(f"unknown node type {node!r}")
 
     def size(self):
@@ -128,7 +108,7 @@ class Circuit(Record):
         return len(self.nodes)
 
     def gate_count(self):
-        return sum(1 for n in self.nodes if isinstance(n, _GATES))
+        return sum(1 for node in self.nodes if node[0] < 2)
 
     def reachable(self):
         """Positions of nodes reachable from the output, ascending.  Nodes
@@ -137,8 +117,10 @@ class Circuit(Record):
         nodes, live = self.nodes, bytearray(self.output + 1)
         live[-1] = 1
         for i in range(self.output, 0, -1):  # node 0 has no earlier node, so it is a leaf
-            if live[i] and isinstance(nodes[i], _GATES):
-                live[nodes[i].left] = live[nodes[i].right] = 1
+            if live[i]:
+                op, a, b = nodes[i]
+                if op < 2:
+                    live[a] = live[b] = 1
         return list(compress(range(self.output + 1), live))
 
 
@@ -251,17 +233,13 @@ def serialize_circuit(circuit):
     lines = [f"nvars {circuit.num_vars}"]
     if circuit.num_params:
         lines.append(f"nparams {circuit.num_params}")
-    for pos, node in enumerate(circuit.nodes, start=1):
-        if isinstance(node, InputVar):
-            lines.append(f"g{pos} = in {node.index}")
-        elif isinstance(node, Param):
-            lines.append(f"g{pos} = param {node.index}")
-        elif isinstance(node, Const):
-            lines.append(f"g{pos} = const {node.value}")
-        elif isinstance(node, Add):
-            lines.append(f"g{pos} = add g{node.left + 1} g{node.right + 1}")
+    for pos, (op, a, b) in enumerate(circuit.nodes, start=1):
+        if op < 2:
+            lines.append(f"g{pos} = {_KINDS[op]} g{a + 1} g{b + 1}")
+        elif op == CONST:
+            lines.append(f"g{pos} = const {a}")
         else:
-            lines.append(f"g{pos} = mul g{node.left + 1} g{node.right + 1}")
+            lines.append(f"g{pos} = {_KINDS[op]} {a + 1}")
     lines.append(f"out g{circuit.output + 1}")
     return "\n".join(lines) + "\n"
 
@@ -281,47 +259,36 @@ def evaluate(circuit, ring, inputs=(), params=()):
     if len(params) != circuit.num_params:
         raise ValueError(f"expected {circuit.num_params} param values, got {len(params)}")
     coerce = isinstance(ring, (IntegerRing, PrimeField))
+    add, mul, from_int = ring.add, ring.mul, ring.from_int
     values = []
-    for node in circuit.nodes:
-        if isinstance(node, Add):
-            values.append(ring.add(values[node.left], values[node.right]))
-        elif isinstance(node, Mul):
-            values.append(ring.mul(values[node.left], values[node.right]))
-        elif isinstance(node, InputVar):
-            v = inputs[node.index - 1]
-            values.append(ring.from_int(v) if coerce else v)
-        elif isinstance(node, Param):
-            v = params[node.index - 1]
-            values.append(ring.from_int(v) if coerce else v)
+    push = values.append
+    for op, a, b in circuit.nodes:
+        if op == MUL:
+            push(mul(values[a], values[b]))
+        elif op == ADD:
+            push(add(values[a], values[b]))
+        elif op == CONST:
+            push(from_int(a))
         else:
-            values.append(ring.from_int(node.value))
+            v = params[a] if op == PARAM else inputs[a]
+            push(from_int(v) if coerce else v)
     return values[circuit.output]
 
 
 def compile_mod_evaluator(circuit, p):
-    """`evaluate` over F_p, lowered once for `circuit`: run(inputs, params) -> int.
+    """`evaluate` over F_p for `circuit`: run(inputs, params) -> int.
 
-    Lowering turns each node into one step (op, left, right): a gate keeps
-    its operand positions, a constant is reduced mod p, and an input or
-    parameter leaf becomes its 0-based index.  `run` executes the steps with
-    inline `% p`, so no node is type-tested and no ring method is called.
+    `run` executes the circuit's nodes as they are stored, each an
+    (op, a, b) step, with inline `% p`: a gate combines the values at
+    positions a and b, a leaf reads input or parameter a or reduces the
+    constant a, so no ring method is called and nothing is built per node.
     Only the first `circuit.num_params` params are read, because a system
     passes one unknown vector, which can be longer than an equation's slots.
     """
     require_prime(p)
-    steps = []
-    for node in circuit.nodes:
-        if isinstance(node, Mul):
-            steps.append((0, node.left, node.right))
-        elif isinstance(node, Add):
-            steps.append((1, node.left, node.right))
-        elif isinstance(node, Param):
-            steps.append((2, node.index - 1, None))
-        elif isinstance(node, InputVar):
-            steps.append((3, node.index - 1, None))
-        else:
-            steps.append((4, node.value % p, None))
-    num_vars, num_params, output = circuit.num_vars, circuit.num_params, circuit.output
+    nodes, num_vars, num_params, output = (
+        circuit.nodes, circuit.num_vars, circuit.num_params, circuit.output
+    )
 
     def run(inputs=(), params=()):
         if len(inputs) != num_vars:
@@ -330,17 +297,17 @@ def compile_mod_evaluator(circuit, p):
             raise ValueError(f"expected {num_params} param values, got {len(params)}")
         values = []
         push = values.append
-        for op, a, b in steps:
-            if op == 0:
+        for op, a, b in nodes:
+            if op == MUL:
                 push(values[a] * values[b] % p)
-            elif op == 1:
+            elif op == ADD:
                 push((values[a] + values[b]) % p)
-            elif op == 2:
+            elif op == PARAM:
                 push(params[a] % p)
-            elif op == 3:
+            elif op == INPUT:
                 push(inputs[a] % p)
             else:
-                push(a)
+                push(a % p)
         return values[output]
 
     return run
@@ -375,7 +342,7 @@ def bind_params(circuit, values):
     if len(values) != circuit.num_params:
         raise ValueError(f"expected {circuit.num_params} parameter values")
     nodes = tuple(
-        Const(int(values[n.index - 1])) if isinstance(n, Param) else n for n in circuit.nodes
+        Const(int(values[node[1]])) if node[0] == PARAM else node for node in circuit.nodes
     )
     return Circuit(nodes, circuit.output, circuit.num_vars, 0)
 
@@ -424,16 +391,21 @@ class CircuitBuilder:
         """
         placed = {}
         for pos in circuit.reachable():
-            node = circuit.nodes[pos]
-            if isinstance(node, Add):
-                placed[pos] = self.add(placed[node.left], placed[node.right])
-            elif isinstance(node, Mul):
-                placed[pos] = self.mul(placed[node.left], placed[node.right])
-            elif input_map is not None and isinstance(node, InputVar) and node.index in input_map:
-                placed[pos] = input_map[node.index]
+            op, a, b = node = circuit.nodes[pos]
+            if op < 2:
+                a, b = placed[a], placed[b]
+                placed[pos] = self._emit((op, a, b) if a <= b else (op, b, a))
+            elif op == INPUT and input_map is not None and a + 1 in input_map:
+                placed[pos] = input_map[a + 1]
             else:
                 placed[pos] = self._emit(node)
         return placed[circuit.output]
+
+    def copy(self):
+        """A builder that continues from this one's nodes independently."""
+        twin = CircuitBuilder(self.num_vars, self.num_params)
+        twin._nodes, twin._memo = list(self._nodes), dict(self._memo)
+        return twin
 
     def finish(self, output):
         return Circuit(tuple(self._nodes), output, self.num_vars, self.num_params)
@@ -446,11 +418,11 @@ class CircuitBuilder:
 def formal_degree(circuit):
     """Syntactic degree: 1 at every leaf, max at +, sum at *."""
     deg = []
-    for node in circuit.nodes:
-        if isinstance(node, Add):
-            deg.append(max(deg[node.left], deg[node.right]))
-        elif isinstance(node, Mul):
-            deg.append(deg[node.left] + deg[node.right])
+    for op, a, b in circuit.nodes:
+        if op == ADD:
+            deg.append(max(deg[a], deg[b]))
+        elif op == MUL:
+            deg.append(deg[a] + deg[b])
         else:
             deg.append(1)
     return deg[circuit.output]
@@ -458,12 +430,7 @@ def formal_degree(circuit):
 
 def is_constant_free(circuit):
     """True iff the only constant leaf value is -1 and no parameter appears."""
-    for node in circuit.nodes:
-        if isinstance(node, Param):
-            return False
-        if isinstance(node, Const) and node.value != -1:
-            return False
-    return True
+    return all(op != PARAM and (op != CONST or a == -1) for op, a, _ in circuit.nodes)
 
 
 class CircuitMetrics(Record):
@@ -476,7 +443,7 @@ class CircuitMetrics(Record):
 
 
 def metrics(circuit):
-    consts = [abs(n.value) for n in circuit.nodes if isinstance(n, Const)]
+    consts = [abs(a) for op, a, _ in circuit.nodes if op == CONST]
     return CircuitMetrics(
         size=circuit.size(),
         gate_count=circuit.gate_count(),

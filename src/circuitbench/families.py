@@ -10,7 +10,7 @@ from itertools import permutations
 
 from ._record import Record
 from .algebra import SparsePoly
-from .circuits import Circuit, Const, InputVar, evaluate
+from .circuits import INPUT, Circuit, Const, InputVar, evaluate
 from .errors import DEFAULT_SOLVE_BUDGET, at_least, capped_power, charge
 from .rings import LaneRing
 
@@ -182,7 +182,5 @@ def apply_projection(circuit, subst, num_vars=None):
             mapping[i] = InputVar(int(v[1:]))
         else:
             mapping[i] = Const(int(v))
-    nodes = tuple(
-        mapping[n.index] if isinstance(n, InputVar) else n for n in circuit.nodes
-    )
+    nodes = tuple(mapping[node[1] + 1] if node[0] == INPUT else node for node in circuit.nodes)
     return Circuit(nodes, circuit.output, num_vars, circuit.num_params)

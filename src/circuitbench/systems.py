@@ -19,10 +19,10 @@ from itertools import compress, count, product, zip_longest
 
 from ._record import Record
 from .circuits import (
-    Add,
+    ADD,
+    CONST,
+    PARAM,
     CircuitBuilder,
-    Const,
-    Param,
     _parse_rows,
     _sections,
     compile_mod_evaluator,
@@ -94,7 +94,9 @@ def build_hardness_system(s, d, gamma):
 
     The truncation is written as a genuine circuit by evaluating the
     template circuit over series of CircuitBuilder nodes (`_NodeSeries`),
-    so the system can be evaluated over any prime field.
+    so the system can be evaluated over any prime field.  The series does
+    not depend on m, so it is built once; each equation continues from a
+    copy of that builder with its Horner tail.
     """
     gamma = tuple(int(g) for g in gamma)
     if len(gamma) != d + 1:
@@ -103,19 +105,21 @@ def build_hardness_system(s, d, gamma):
         raise ValueError("gamma entries must be 0 or 1")
     template = build_universal(s)
     unknowns = template.param_count()
+    base = CircuitBuilder(num_vars=0, num_params=unknowns)
+    params = [{0: base.param(k)} for k in range(1, unknowns + 1)]
+    series = evaluate(template.circuit, _NodeSeries(base, d), [{1: None} if d else {}], params)
     equations = []
     for m in range(d + 1):
-        builder = CircuitBuilder(num_vars=0, num_params=unknowns)
-        ring = _NodeSeries(builder, d)
-        params = [{0: builder.param(k)} for k in range(1, unknowns + 1)]
-        series = evaluate(template.circuit, ring, [{1: None} if d else {}], params)
+        builder = base.copy()
         # Horner evaluation of the truncated series at x=m
         value = None
         for deg in range(d, -1, -1):
             if value is not None:
                 value = builder.mul(value, builder.const(m))
             if deg in series:
-                coeff = ring.node(series[deg])
+                coeff = series[deg]
+                if coeff is None:  # the coefficient 1 of a bare power of x
+                    coeff = builder.const(1)
                 value = builder.add(value, coeff) if value is not None else coeff
         target = sum(g * m**i for i, g in enumerate(gamma))
         if target:
@@ -257,21 +261,20 @@ def _loop_nest(system):
     levels = []
     body = [[] for _ in groups]  # straight-line statements per level
     untested = set(outputs)
-    for pos, node in enumerate(nodes):
-        if isinstance(node, Param):
-            slot = int(node.index)
-            names.append(f"a{slot}")
-            levels.append(level_of_slot[slot])
-        elif isinstance(node, Const):
+    for pos, (op, a, b) in enumerate(nodes):
+        if op == PARAM:
+            names.append(f"a{a + 1}")
+            levels.append(level_of_slot[a + 1])
+        elif op == CONST:
             names.append(f"v{pos}")
             levels.append(0)
             body[0].append(f"v{pos} = C[{len(consts)}] % p")
-            consts.append(int(node.value))
+            consts.append(a)
         else:
-            a, b = names[node.left], names[node.right]
+            x, y = names[a], names[b]
             names.append(f"v{pos}")
-            levels.append(max(levels[node.left], levels[node.right]))
-            expr = f"({a} + {b}) % p" if isinstance(node, Add) else f"{a} * {b} % p"
+            levels.append(max(levels[a], levels[b]))
+            expr = f"({x} + {y}) % p" if op == ADD else f"{x} * {y} % p"
             body[levels[pos]].append(f"v{pos} = {expr}")
         if pos in untested:
             untested.remove(pos)

@@ -17,6 +17,9 @@ import functools
 
 from ._record import Record
 from .circuits import (
+    ADD,
+    CONST,
+    INPUT,
     Add,
     Circuit,
     Const,
@@ -144,7 +147,7 @@ def embed(circuit, p=None, seed=0):
     level, (c) * (1).  The forms' coefficients are the level's parameters.
     Both checks run one circuit, the template built without the slots whose
     parameters are zero (over F_p they are already reduced mod p), with that
-    pattern read once: over F_p it is lowered and evaluated with the
+    pattern read once: over F_p it is compiled and evaluated with the
     parameters at random points (`_verify_mod_p`), over Z it is expanded
     exactly (`_verify_over_z`), and each is compared with the circuit.  The
     template's s(s+1) parameters are charged against `TEMPLATE_BUDGET`
@@ -163,22 +166,23 @@ def embed(circuit, p=None, seed=0):
 
     forms = {}
     sides = []  # per level j >= 2: the (a, b) forms it multiplies
+    nodes = circuit.nodes
     for pos in circuit.reachable():
-        node = circuit.nodes[pos]
-        if isinstance(node, InputVar):
+        op, a, b = nodes[pos]
+        if op == INPUT:
             forms[pos] = {1: 1}
-        elif isinstance(node, Const):
-            forms[pos] = {0: red(node.value)}
+        elif op == CONST:
+            forms[pos] = {0: red(a)}
         else:
-            a, b = forms[node.left], forms[node.right]
-            if isinstance(node, Add):
+            a, b = forms[a], forms[b]
+            if op == ADD:
                 a = dict(a)
                 for i, c in b.items():
                     a[i] = red(a.get(i, 0) + c)
                 b = {0: 1}
             sides.append((a, b))
             forms[pos] = {len(sides) + 1: 1}
-    if isinstance(circuit.nodes[circuit.output], Const):
+    if nodes[circuit.output][0] == CONST:
         sides.append((forms[circuit.output], {0: 1}))
 
     levels = len(sides) + 1
@@ -204,7 +208,7 @@ def embed(circuit, p=None, seed=0):
 
 @functools.lru_cache(maxsize=1024)
 def _template_evaluator(levels, p, nonzero):
-    """The pruned template of the zero pattern `nonzero`, lowered over F_p."""
+    """The pruned template of the zero pattern `nonzero`, compiled over F_p."""
     return compile_mod_evaluator(_template_circuit(levels, nonzero), p)
 
 

@@ -4,6 +4,11 @@ import pytest
 
 from circuitbench import cli
 from circuitbench.circuits import (
+    ADD,
+    CONST,
+    INPUT,
+    MUL,
+    PARAM,
     Add,
     Circuit,
     CircuitBuilder,
@@ -185,9 +190,9 @@ def _reachable_by_search(circuit):
         pos = stack.pop()
         if pos not in seen:
             seen.add(pos)
-            node = circuit.nodes[pos]
-            if isinstance(node, Add | Mul):
-                stack += [node.left, node.right]
+            op, a, b = circuit.nodes[pos]
+            if op in (ADD, MUL):
+                stack += [a, b]
     return sorted(seen)
 
 
@@ -234,22 +239,26 @@ def test_evaluate_missing_assignment():
 def test_lowered_evaluator_matches_evaluate():
     # constants from random_circuit lie in -5..5, so p in 2..5 sees negative
     # constants and constants >= p; the shared params vector runs longer than
-    # the circuit's slots, and only its first num_params entries are read
+    # the circuit's slots, and only its first num_params entries are read.
+    # The three paths that read the stored nodes agree: `evaluate` over F_p,
+    # the compiled closure, and the exact expansion over F_p at the point.
     rng = random.Random(97)
     negative = at_least_p = 0
     for _ in range(400):
         p = rng.choice((2, 3, 5, 101))
         num_vars, num_params = rng.randint(0, 2), rng.randint(1, 3)
         c = random_circuit(rng, rng.randint(1, 16), num_vars, num_params)
-        consts = [n.value for n in c.nodes if isinstance(n, Const)]
+        consts = [a for op, a, _ in c.nodes if op == CONST]
         negative += any(v < 0 for v in consts)
         at_least_p += any(v >= p for v in consts)
         run = compile_mod_evaluator(c, p)
+        poly = expand_circuit(c, modulus=p, params_as_vars=True)
         for _ in range(4):
             inputs = tuple(rng.randint(-200, 200) for _ in range(num_vars))
             shared = tuple(rng.randint(-200, 200) for _ in range(num_params + rng.randint(0, 3)))
             want = evaluate(c, PrimeField(p), inputs, shared[:num_params])
             assert run(inputs, shared) == want
+            assert poly.evaluate(inputs + shared[:num_params]) == want
     assert negative >= 50 and at_least_p >= 50
 
 
@@ -358,10 +367,10 @@ def test_enumerate_distinct_and_live():
         seen.add(key)
         assert c.nodes[-1] is c.nodes[c.output]
         used = set()
-        for node in c.nodes:
-            if isinstance(node, (Add, Mul)):
-                used.add(node.left)
-                used.add(node.right)
+        for op, a, b in c.nodes:
+            if op in (ADD, MUL):
+                used.add(a)
+                used.add(b)
         assert used >= set(range(len(c.nodes) - 1))
         assert len(set(c.nodes)) == len(c.nodes)
 
@@ -384,11 +393,12 @@ def _yield_time_enumeration(max_size, num_vars, constant_pool, max_gates=None):
     nodes, keys, refcount, present = [], [], [], set()
 
     def node_key(node):
-        if isinstance(node, InputVar):
-            return (0, node.index)
-        if isinstance(node, Const):
-            return (1, node.value)
-        return (2 if isinstance(node, Add) else 3, keys[node.left], keys[node.right])
+        op, a, b = node
+        if op == INPUT:
+            return (0, a)
+        if op == CONST:
+            return (1, a)
+        return (2 if op == ADD else 3, keys[a], keys[b])
 
     def keymin_order_ok(leaf_count):
         n = len(nodes)
@@ -396,8 +406,8 @@ def _yield_time_enumeration(max_size, num_vars, constant_pool, max_gates=None):
         for pos in range(leaf_count, n):
             best = None
             for q in range(leaf_count, n):
-                g = nodes[q]
-                if not placed[q] and placed[g.left] and placed[g.right]:
+                _, a, b = nodes[q]
+                if not placed[q] and placed[a] and placed[b]:
                     if best is None or keys[q] < keys[best]:
                         best = q
             if best != pos:
@@ -617,5 +627,27 @@ def test_circuit_validation():
         Circuit((InputVar(1), Add(0, 1)), 1, 1)  # self reference
     with pytest.raises(ValueError):
         Circuit((InputVar(2),), 0, 1)  # var index beyond declared
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="param index 1 outside 1..0"):
         Circuit((Param(1),), 0, 0, 0)  # param beyond declared
+    with pytest.raises(ValueError, match="input index 2 outside 1..1"):
+        Circuit((InputVar(1), InputVar(2)), 0, 1)
+    # a node that is not a 3-tuple with a known op is refused with ValueError,
+    # never a TypeError or IndexError from reading it
+    x = InputVar(1)
+    malformed = (
+        (7, 0, None), (-1, 0, None), (1, 0), (ADD, 0, 0, 0), (), object(), None,
+        [INPUT, 0, None], "abc", ("add", 0, 0), (1.0, 0, 0), (CONST, 1, 0),
+        (INPUT, None, None),
+    )
+    for node in malformed:
+        with pytest.raises(ValueError, match="unknown node type"):
+            Circuit((x, node), 1, 1)
+    # a gate operand that is not an earlier node position
+    for gate in ((ADD, 0, 1), (MUL, 2, 0), (ADD, -1, 0), (MUL, 0, None), (ADD, "0", 0)):
+        with pytest.raises(ValueError, match="node 1 references a non-earlier node"):
+            Circuit((x, gate), 1, 1)
+    # the constructors build the int-tuple nodes the checks accept
+    built = Circuit((x, Const(-7), Param(1), Add(0, 1), Mul(3, 2)), 4, 1, 1)
+    assert built.nodes == (
+        (INPUT, 0, None), (CONST, -7, None), (PARAM, 0, None), (ADD, 0, 1), (MUL, 3, 2)
+    )

@@ -1,16 +1,21 @@
 """The package's records are immutable values: built from their fields
 positionally or by keyword, equal when of one class with equal fields,
 hashed by their field tuple, printed as `Name(field=value, ...)`, and closed
-to assignment."""
+to assignment.  Circuit nodes are not records but int tuples (op, a, b);
+their constructors are checked the same ways."""
 
 import copy
 import importlib
+import inspect
 import pickle
 
 import pytest
 
+from circuitbench import circuits
 from circuitbench._record import Record
-from circuitbench.circuits import Add, Circuit, Const, InputVar, Mul, Param
+from circuitbench.circuits import (
+    ADD, CONST, INPUT, MUL, PARAM, Add, Circuit, Const, InputVar, Mul, Param,
+)
 
 MODULES = ("circuits", "families", "forge", "pit", "protocols", "systems", "universal")
 for _name in MODULES:
@@ -23,11 +28,6 @@ TEMPLATE_FIELDS = (CIRCUIT,)
 
 # class name -> field values in constructor order
 SAMPLES = {
-    "InputVar": (1,),
-    "Const": (-3,),
-    "Param": (2,),
-    "Add": (0, 1),
-    "Mul": (0, 1),
     "Circuit": (CIRCUIT.nodes, 4, 1, 1),
     "CircuitMetrics": (5, 2, 2, 2),
     "WeightReport": (2, 1024, True, 5, 2, 2),
@@ -49,6 +49,16 @@ SAMPLES = {
 }
 
 
+# node constructor -> its arguments in order, and the node they build
+NODES = {
+    "InputVar": ((1,), (INPUT, 0, None)),
+    "Const": ((-3,), (CONST, -3, None)),
+    "Param": ((2,), (PARAM, 1, None)),
+    "Add": ((0, 1), (ADD, 0, 1)),
+    "Mul": ((0, 1), (MUL, 0, 1)),
+}
+
+
 def record_classes():
     found, stack = {}, [Record]
     while stack:
@@ -61,23 +71,38 @@ def record_classes():
 CLASSES = record_classes()
 
 
+def constructor(name):
+    """(constructor, its argument names, the sample's arguments) of a
+    record class or a node constructor."""
+    if name in NODES:
+        make = getattr(circuits, name)
+        return make, tuple(inspect.signature(make).parameters), NODES[name][0]
+    return CLASSES[name], CLASSES[name].__slots__, SAMPLES[name]
+
+
 def test_every_record_class_has_a_sample():
     assert sorted(CLASSES) == sorted(SAMPLES)
-    assert len(CLASSES) == 23
+    assert len(CLASSES) == 18
+    assert not set(NODES) & set(CLASSES)
 
 
-@pytest.mark.parametrize("name", sorted(SAMPLES))
+@pytest.mark.parametrize("name", sorted(SAMPLES | NODES))
 def test_positional_and_keyword_construction_agree(name):
-    cls, values = CLASSES[name], SAMPLES[name]
-    positional = cls(*values)
-    keyword = cls(**dict(zip(cls.__slots__, values)))
+    make, names, values = constructor(name)
+    positional = make(*values)
+    keyword = make(**dict(zip(names, values)))
     half = len(values) // 2
-    mixed = cls(*values[:half], **dict(zip(cls.__slots__[half:], values[half:])))
-    assert tuple(getattr(positional, field) for field in cls.__slots__) == values
+    mixed = make(*values[:half], **dict(zip(names[half:], values[half:])))
+    if name in NODES:  # a node is its int tuple
+        fields, want = positional, NODES[name][1]
+        assert positional.__class__ is tuple
+    else:
+        fields, want = tuple(getattr(positional, field) for field in names), values
+    assert fields == want
     assert positional == keyword == mixed
     assert not positional != keyword
     try:
-        expected = hash(values)
+        expected = hash(want)
     except TypeError:  # a field holds a dict
         with pytest.raises(TypeError):
             hash(positional)
@@ -85,21 +110,22 @@ def test_positional_and_keyword_construction_agree(name):
         assert hash(positional) == hash(keyword) == expected
 
 
-@pytest.mark.parametrize("name", sorted(SAMPLES))
+@pytest.mark.parametrize("name", sorted(SAMPLES | NODES))
 def test_assigning_a_field_is_refused(name):
-    cls, values = CLASSES[name], SAMPLES[name]
-    record = cls(*values)
-    for field in cls.__slots__:
+    make, names, values = constructor(name)
+    record = make(*values)
+    for field in names:
         with pytest.raises(AttributeError):
             setattr(record, field, None)
         with pytest.raises(AttributeError):
             delattr(record, field)
-    assert record == cls(*values)
+    assert record == make(*values)
 
 
-@pytest.mark.parametrize("name", sorted(SAMPLES))
+@pytest.mark.parametrize("name", sorted(SAMPLES | NODES))
 def test_copy_and_pickle_rebuild_an_equal_record(name):
-    record = CLASSES[name](*SAMPLES[name])
+    make, _, values = constructor(name)
+    record = make(*values)
     assert copy.copy(record) == record
     assert copy.deepcopy(record) == record
     assert pickle.loads(pickle.dumps(record)) == record
@@ -126,11 +152,12 @@ def test_a_bad_field_list_is_refused():
 
 
 def test_repr_matches_the_dataclass_text():
-    # as printed when the records were frozen dataclasses
-    assert repr(Add(0, 1)) == "Add(left=0, right=1)"
+    # records print as they did when they were frozen dataclasses; their
+    # nodes print as the int tuples they are
+    assert repr(Add(0, 1)) == "(1, 0, 1)"
     assert repr(CIRCUIT) == (
-        "Circuit(nodes=(InputVar(index=1), Const(value=-1), Add(left=0, right=1), "
-        "Param(index=1), Mul(left=2, right=3)), output=4, num_vars=1, num_params=1)"
+        "Circuit(nodes=((3, 0, None), (4, -1, None), (1, 0, 1), (2, 0, None), (0, 2, 3)), "
+        "output=4, num_vars=1, num_params=1)"
     )
     assert repr(CLASSES["PitVerdict"](True, None, 2)) == (
         "PitVerdict(equal=True, witness=None, trials=2)"

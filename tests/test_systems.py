@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import product
 
@@ -490,6 +491,21 @@ def test_hardness_equations_emit_only_the_truncation():
         for d in range(5)
     ]
     assert sizes == [4, 14, 21, 28, 35, 13, 42, 72, 96, 120, 28, 90, 165, 240, 315]
+
+
+def test_hardness_equations_are_pinned():
+    # every equation of every hardness system for s <= 2, d <= 3 and all
+    # gamma, node for node: the digest of their text, recorded when each
+    # equation still evaluated the template series from a fresh builder
+    digest = hashlib.sha256()
+    for s in (1, 2):
+        for d in range(4):
+            for gamma in product((0, 1), repeat=d + 1):
+                for eq in build_hardness_system(s, d, gamma).equations:
+                    digest.update(serialize_circuit(eq).encode())
+    assert digest.hexdigest() == (
+        "d575009298d9951afcf91c50392f5c3050fff0605ab9e54049d3da03490861ca"
+    )
 
 
 def test_hardness_system_builds_at_three_levels():
