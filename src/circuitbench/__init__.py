@@ -28,7 +28,6 @@ _HOMES = {
     "expand_circuit": "circuits",
     "formal_degree": "circuits",
     "is_constant_free": "circuits",
-    "metrics": "circuits",
     "parse_circuit": "circuits",
     "random_circuit": "circuits",
     "serialize_circuit": "circuits",

@@ -1,4 +1,4 @@
-"""Arithmetic-circuit IR: parsing, evaluation, metrics, and enumeration.
+"""Arithmetic-circuit IR: parsing, evaluation, degree and weight, and enumeration.
 
 A circuit is an immutable straight-line program: a tuple of nodes in
 topological order (every gate references strictly earlier nodes), one
@@ -433,25 +433,6 @@ def is_constant_free(circuit):
     return all(op != PARAM and (op != CONST or a == -1) for op, a, _ in circuit.nodes)
 
 
-class CircuitMetrics(Record):
-    __slots__ = (
-        "size",  # all vertices, leaves included
-        "gate_count",  # gates only; both counts exposed since conventions differ
-        "formal_degree",
-        "max_const_abs",  # max(2, largest |constant|)
-    )
-
-
-def metrics(circuit):
-    consts = [abs(a) for op, a, _ in circuit.nodes if op == CONST]
-    return CircuitMetrics(
-        size=circuit.size(),
-        gate_count=circuit.gate_count(),
-        formal_degree=formal_degree(circuit),
-        max_const_abs=max(2, max(consts, default=0)),
-    )
-
-
 class WeightReport(Record):
     __slots__ = (
         "exact_weight",
@@ -459,7 +440,7 @@ class WeightReport(Record):
         "bound_holds",
         "size",
         "formal_degree",
-        "max_const_abs",
+        "max_const_abs",  # M = max(2, largest |constant|)
     )
 
 
@@ -467,17 +448,17 @@ def weight_report(circuit, budget=DEFAULT_MONOMIAL_BUDGET):
     """Exact coefficient weight of the expanded polynomial, with the
     M^(s*d) bound it must satisfy.  Parameter slots are treated as extra
     variables for the expansion."""
-    m = metrics(circuit)
-    poly = expand_circuit(circuit, budget=budget, params_as_vars=True)
-    exact = poly.weight()
-    bound = m.max_const_abs ** (m.size * m.formal_degree)
+    size, degree = circuit.size(), formal_degree(circuit)
+    m = max(2, max((abs(a) for op, a, _ in circuit.nodes if op == CONST), default=0))
+    exact = expand_circuit(circuit, budget=budget, params_as_vars=True).weight()
+    bound = m ** (size * degree)
     return WeightReport(
         exact_weight=exact,
         bound=bound,
         bound_holds=exact <= bound,
-        size=m.size,
-        formal_degree=m.formal_degree,
-        max_const_abs=m.max_const_abs,
+        size=size,
+        formal_degree=degree,
+        max_const_abs=m,
     )
 
 

@@ -16,8 +16,8 @@ import sys
 from .algebra import DEFAULT_MONOMIAL_BUDGET
 from .circuits import (
     evaluate,
+    formal_degree,
     is_constant_free,
-    metrics,
     parse_circuit,
     parse_circuits,
     weight_report,
@@ -208,11 +208,10 @@ def _cmd_eval(args):
 
 def _cmd_degree(args):
     c = parse_circuit(_read(args.circuit))
-    m = metrics(c)
     return _report(
-        formal_degree=m.formal_degree,
-        size=m.size,
-        gates=m.gate_count,
+        formal_degree=formal_degree(c),
+        size=c.size(),
+        gates=c.gate_count(),
         constant_free=is_constant_free(c),
     )
 
@@ -288,8 +287,8 @@ def _cmd_density(args):
         complete=report.complete,
         high_water=report.high_water,
     )
-    # text: the three counts share one summary line
-    return obj, [report.summary()] + lines[3:]
+    # text: the three counts share one line
+    return obj, [f"pi_S={report.pi_s} pi={report.pi} ratio={report.ratio!r}"] + lines[3:]
 
 
 def _cmd_solve(args):
@@ -353,8 +352,15 @@ def _cmd_ama_sim(args):
         verify_trials=args.trials,
         budget=args.eval_budget,
     )
-    lines = transcript.to_text().rstrip("\n").split("\n")
-    return transcript.to_json_obj(), lines
+    obj = {
+        "seed": args.seed,
+        "rounds": [{"round": r, "sender": s, "payload": p} for r, s, p in transcript.rounds],
+        "verdict": transcript.verdict,
+        "answer": transcript.answer,
+    }
+    lines = [f"round={r} sender={s} payload={p}" for r, s, p in transcript.rounds]
+    lines.append(f"verdict={transcript.verdict} answer={_text(transcript.answer)}")
+    return obj, lines
 
 
 def _cmd_per(args):

@@ -149,7 +149,8 @@ def _closure_values(size, p, ring, budget):
     with a repeated or dead node computes its output with fewer vertices, so
     the values of states of at most `size` elements are exactly the answer.
     Before each level its closure steps, k(k+1)/2 pairs and p + 1 leaves per
-    state, are charged to `budget`.
+    state, are charged to `budget`, each at the cap + 1 coefficients of the
+    series it forms.
     """
     leaves = [ring.gen(1)] + [ring.from_int(c) for c in range(p)]
     add, mul = ring.add, ring.mul
@@ -158,7 +159,7 @@ def _closure_values(size, p, ring, budget):
     states = {frozenset()}
     steps = 0
     for k in range(size):
-        steps += len(states) * (k * (k + 1) // 2 + p + 1)
+        steps += len(states) * (k * (k + 1) // 2 + p + 1) * (ring.cap + 1)
         charge("enumeration", budget, steps, f"{steps} closure steps")
         grown = set()
         for state in states:

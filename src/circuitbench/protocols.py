@@ -367,27 +367,10 @@ def find_collision_primes(matrices, primes):
 
 class ProtocolTranscript(Record):
     __slots__ = (
-        "seed",
         "rounds",  # (round, sender, payload)
         "verdict",  # "accept" | "reject"
         "answer",  # int, or None
     )
-
-    def to_text(self):
-        lines = [f"round={r} sender={s} payload={p}" for r, s, p in self.rounds]
-        answer = "none" if self.answer is None else str(self.answer)
-        lines.append(f"verdict={self.verdict} answer={answer}")
-        return "\n".join(lines) + "\n"
-
-    def to_json_obj(self):
-        return {
-            "seed": self.seed,
-            "rounds": [
-                {"round": r, "sender": s, "payload": p} for r, s, p in self.rounds
-            ],
-            "verdict": self.verdict,
-            "answer": self.answer,
-        }
 
 
 def split_input(n):
@@ -423,10 +406,10 @@ def ama_simulate(
     checks the collision, primality, the size bound, and that the chain
     computes permanents modulo every supplied prime, then compares bit i of
     the evaluation.  Any failed check sends him to the same
-    "accept iff b = 0" branch.  Identical seeds reproduce the transcript
-    byte for byte.  The primes below 2^cols are sieved once and handed to
-    the prover; its collision search over them, m^2 hash rows, is charged
-    against `budget` before any matrix is drawn.
+    "accept iff b = 0" branch.  Identical seeds give equal transcripts,
+    which the CLI prints byte for byte.  The primes below 2^cols are sieved
+    once and handed to the prover; its collision search over them, m^2 hash
+    rows, is charged against `budget` before any matrix is drawn.
     """
     x = [int(v) for v in x]
     n = len(x)
@@ -450,7 +433,7 @@ def ama_simulate(
     if not square:
         rounds.append((1, "A", head + " branch=non-square"))
         verdict = "accept" if b == 0 else "reject"
-        return ProtocolTranscript(seed, tuple(rounds), verdict, None)
+        return ProtocolTranscript(tuple(rounds), verdict, None)
 
     candidates = sieve((1 << cols) - 1)  # the primes the prover's collision search hashes
     charge_hashing(m * m, len(candidates), budget)
@@ -467,7 +450,7 @@ def ama_simulate(
     def fail(reason):
         rounds.append((3, "A", f"checks=failed reason={reason} branch=b-zero"))
         verdict = "accept" if b == 0 else "reject"
-        return ProtocolTranscript(seed, tuple(rounds), verdict, None)
+        return ProtocolTranscript(tuple(rounds), verdict, None)
 
     if msg is None:
         rounds.append((2, "M", "message=none"))
@@ -526,4 +509,4 @@ def ama_simulate(
         (3, "A", f"checks={','.join(checks)} value={value} bit{i}={bit}")
     )
     verdict = "accept" if bit == b else "reject"
-    return ProtocolTranscript(seed, tuple(rounds), verdict, bit)
+    return ProtocolTranscript(tuple(rounds), verdict, bit)

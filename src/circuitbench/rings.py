@@ -31,9 +31,6 @@ class IntegerRing:
     def mul(self, a, b):
         return a * b
 
-    def __repr__(self):
-        return "IntegerRing()"
-
 
 class PrimeField:
     """F_p with elements stored as int residues in [0, p)."""
@@ -50,9 +47,6 @@ class PrimeField:
 
     def mul(self, a, b):
         return a * b % self.modulus
-
-    def __repr__(self):
-        return f"PrimeField({self.modulus})"
 
 
 class LaneRing:
@@ -88,9 +82,6 @@ class LaneRing:
             return out if p is None else out % p
         return out if p is None else [v % p for v in out]
 
-    def __repr__(self):
-        return f"LaneRing({self.base!r})"
-
 
 class TruncatedPolyRing:
     """Polynomials over a base ring with monomials above `cap` discarded.
@@ -104,7 +95,6 @@ class TruncatedPolyRing:
     def __init__(self, base, var_count, cap, budget=DEFAULT_MONOMIAL_BUDGET):
         if cap is not None:
             at_least("degree cap", cap, 0)
-        self.base = base
         self.var_count = var_count
         self.cap = cap
         self.budget = budget
@@ -122,9 +112,6 @@ class TruncatedPolyRing:
 
     def mul(self, a, b):
         return a.mul_truncated(b, self.cap, budget=self.budget)
-
-    def __repr__(self):
-        return f"TruncatedPolyRing({self.base!r}, vars={self.var_count}, cap={self.cap})"
 
 
 class DenseSeriesRing:
@@ -169,6 +156,3 @@ class DenseSeriesRing:
                     out[i + j] += c * b[j]
         p = self.modulus
         return tuple(out) if p is None else tuple([x % p for x in out])
-
-    def __repr__(self):
-        return f"DenseSeriesRing({self.base!r}, cap={self.cap})"

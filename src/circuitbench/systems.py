@@ -418,9 +418,6 @@ class DensityReport(Record):
         "high_water",  # last prime actually decided
     )
 
-    def summary(self):
-        return f"pi_S={self.pi_s} pi={self.pi} ratio={self.ratio!r}"
-
 
 DENSITY_BUDGET = 10**8  # solver assignments one probe may spend over all its primes
 

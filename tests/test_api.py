@@ -13,7 +13,7 @@ PUBLIC = {
     "circuits": [
         "Add", "Circuit", "CircuitBuilder", "Const", "InputVar", "Mul", "Param", "bind_params",
         "enumerate_circuits", "evaluate", "expand_circuit", "formal_degree",
-        "is_constant_free", "metrics", "parse_circuit", "random_circuit", "serialize_circuit",
+        "is_constant_free", "parse_circuit", "random_circuit", "serialize_circuit",
         "weight_report",
     ],
     "errors": ["BudgetError", "EmbeddingError", "ParseError"],
@@ -42,7 +42,7 @@ NAMES = sorted(name for names in PUBLIC.values() for name in names)
 
 
 def test_all_lists_the_public_names():
-    assert len(NAMES) == 59
+    assert len(NAMES) == 58
     assert circuitbench.__all__ == NAMES
     assert circuitbench.__version__ == "0.1.0"
 

@@ -23,7 +23,6 @@ from circuitbench.circuits import (
     expand_circuit,
     formal_degree,
     is_constant_free,
-    metrics,
     parse_circuit,
     parse_circuits,
     random_circuit,
@@ -320,11 +319,24 @@ def test_is_constant_free():
     )
 
 
-def test_metrics_counts_both_conventions():
-    c = parse_circuit(SQUARE_TEXT)
-    m = metrics(c)
-    assert m.size == 4
-    assert m.gate_count == 2
+def test_metrics_counts_both_conventions(tmp_path, capsys):
+    # 2 * (x * p1 + (-3))^2: a parameter slot, and a negative constant
+    # whose absolute value is the largest
+    text = (
+        "nvars 1\nnparams 1\ng1 = in 1\ng2 = param 1\ng3 = const -3\ng4 = const 2\n"
+        "g5 = mul g1 g2\ng6 = add g5 g3\ng7 = mul g6 g6\ng8 = mul g7 g4\nout g8\n"
+    )
+    path = tmp_path / "c.circ"
+    path.write_text(text)
+    assert cli.main(["degree", "--circuit", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-4:] == ["formal_degree=5", "size=8", "gates=4", "constant_free=false"]
+    rep = weight_report(parse_circuit(text))
+    assert (rep.size, rep.formal_degree, rep.max_const_abs) == (8, 5, 3)
+    # 2x^2p^2 - 12xp + 18 against 3^(8*5)
+    assert (rep.exact_weight, rep.bound, rep.bound_holds) == (32, 3**40, True)
+    # M is at least 2 when every constant is -1
+    assert weight_report(parse_circuit(SQUARE_TEXT)).max_const_abs == 2
 
 
 # --- enumeration ----------------------------------------------------------

@@ -642,6 +642,11 @@ def test_text_report_exceptions(capsys, square_file, system_file, ones3_file, tm
     ]
     verdict = f"verdict={result['verdict']} answer={cli._text(result['answer'])}"
     assert lines == rounds + [verdict]
+    assert lines[0].startswith("round=1 sender=A payload=")
+    assert re.fullmatch(r"verdict=(accept|reject) answer=(0|1|none)", lines[-1])
+    assert sorted(result) == ["answer", "rounds", "seed", "verdict"]
+    assert result["seed"] == 4
+    assert all(sorted(r) == ["payload", "round", "sender"] for r in result["rounds"])
 
 
 def test_cli_session_matches_recorded_hashes(capsys, monkeypatch):
@@ -780,7 +785,7 @@ def test_enumeration_oracle_refuses_a_large_vertex_bound_at_once():
     done = _fresh(["-m", "circuitbench.cli", *argv])
     assert time.perf_counter() - start < 20
     assert (done.returncode, done.stderr) == (2, "")
-    message = "3901972 closure steps exceed the enumeration budget 2000000"
+    message = "11705916 closure steps exceed the enumeration budget 2000000"
     assert done.stdout == f"error=budget: {message}\n"
 
 

@@ -205,7 +205,9 @@ def _scalar_boolean_sum(circuit, ring, xs, summed):
 
 
 @pytest.mark.parametrize(
-    "ring", [IntegerRing(), PrimeField(2), PrimeField(3), PrimeField(1000003)], ids=repr
+    "ring",
+    [IntegerRing(), PrimeField(2), PrimeField(3), PrimeField(1000003)],
+    ids=["IntegerRing()", "PrimeField(2)", "PrimeField(3)", "PrimeField(1000003)"],
 )
 def test_boolean_sum_matches_scalar_loop(ring):
     rng = random.Random(1415)

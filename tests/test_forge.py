@@ -197,16 +197,17 @@ def test_enumeration_oracle_refuses_a_level_before_growing_it(monkeypatch):
 
     monkeypatch.setattr(forge, "DenseSeriesRing", CountingRing)
     message = "^{} closure steps exceed the enumeration budget {}$"
+    # each step is charged at the 3 coefficients of a d = 2 series
     # level 0: 6 leaves; level 1: 6 one-value states, 1 pair and 6 leaves each
     for _ in range(2):
-        with pytest.raises(BudgetError, match=message.format(48, 47)) as info:
-            realizable_vectors(1, 2, 5, oracle="circuit-enumeration", enum_size=3, budget=47)
-        assert info.value.reached == 48
+        with pytest.raises(BudgetError, match=message.format(144, 143)) as info:
+            realizable_vectors(1, 2, 5, oracle="circuit-enumeration", enum_size=3, budget=143)
+        assert info.value.reached == 144
     assert sums == []
     # level 2: 17 two-value states, 3 pairs and 6 leaves each; only level 1 ran
-    with pytest.raises(BudgetError, match=message.format(201, 48)) as info:
-        realizable_vectors(1, 2, 5, oracle="circuit-enumeration", enum_size=3, budget=48)
-    assert info.value.reached == 201
+    with pytest.raises(BudgetError, match=message.format(603, 144)) as info:
+        realizable_vectors(1, 2, 5, oracle="circuit-enumeration", enum_size=3, budget=144)
+    assert info.value.reached == 603
     assert len(sums) == 6 and all(a == b for a, b in sums)
 
 

@@ -265,7 +265,7 @@ def test_every_public_name_has_a_caller():
 
     Known limit: methods are matched by bare name, so a method is counted
     as called when any `.name` of that spelling is read anywhere, on any
-    object.  A second method of a common name (another `to_text`, say)
+    object.  A second method of a common name (another `payload`, say)
     therefore passes unseen; such a method has to be found by hand."""
     read = called_names()
     public = set().union(*public_definitions().values())
@@ -325,3 +325,64 @@ def test_every_private_helper_has_a_caller():
     # the scan must see top-level helpers and methods, or it checks nothing
     assert {"_template_circuit", "CircuitBuilder._emit", "Record._values"} <= private
     assert sorted(name for name in private if name.rsplit(".", 1)[-1] not in read) == []
+
+
+# Every functools cache of the package -> the workload or command whose
+# repeated keys it serves, with its hits out of its lookups in one job of
+# that workload (seed 51001, caches cleared after set-up).
+CACHES = {
+    "pit.default_trials": "universality: each embed's check mod 101 asks the trial count of"
+    " its (degree, p) again; 11,759 hits of 11,766",
+    "pit._cached_points": "universality: each embed's check draws the points of one"
+    " (seed, p, n, trials) again; 11,764 hits of 11,766",
+    "primes.is_prime": "universality: each compile mod 101 checks the same prime; 24,194 hits"
+    " of 24,195 (density: 1,623 of 2,634)",
+    "systems._solver_kernel": "density: one system solved over every prime up to the limit;"
+    " 1,030 hits of 1,039 (the `density` command: 302 of 303)",
+    "universal.build_universal": "universality: each embed asks the template of its level"
+    " count; 12,939 hits of 12,943",
+    "universal._template_circuit": "universality's checks over Z: the pruned template of a zero"
+    " pattern seen before; 1,177 hits of 1,844, none on the F_p path, which"
+    " `_template_evaluator` serves",
+    "universal._template_evaluator": "universality: the compiled pruned template of a repeated"
+    " (levels, p, zero pattern); 11,103 hits of 11,766",
+}
+CACHE_DECORATORS = {"cache", "lru_cache", "cached_property"}
+
+
+def _named(node):
+    return getattr(node, "attr", None) or getattr(node, "id", None)
+
+
+def cached_functions():
+    """{module.function} for every function of the package under a functools
+    cache decorator, and the places that name a cache any other way."""
+    found, stray = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        decorators = set()
+        for node in ast.walk(tree):
+            for decorator in getattr(node, "decorator_list", ()):
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                if _named(target) in CACHE_DECORATORS:
+                    found.add(f"{path.stem}.{node.name}")
+                    decorators.add(id(target))
+        stray.update(
+            f"{path.stem}:{node.lineno}"
+            for node in ast.walk(tree)
+            if _named(node) in CACHE_DECORATORS and id(node) not in decorators
+        )
+    return found, stray
+
+
+def test_every_cache_names_the_keys_it_serves():
+    """A cache is surface and memory: it stays only while a workload or a
+    command repeats its keys, and `CACHES` says which one, with its hits.
+    A new cache without an entry fails, and so does an entry whose cache
+    is gone; a cache made other than as a decorator is not seen, so it fails."""
+    found, stray = cached_functions()
+    assert sorted(stray) == []
+    assert sorted(found - set(CACHES)) == []
+    assert sorted(set(CACHES) - found) == []
+    # the scan must see the decorator forms the package uses, or it checks nothing
+    assert {"universal.build_universal", "primes.is_prime", "pit.default_trials"} <= found

@@ -382,19 +382,18 @@ def test_ama_transcript_deterministic():
     x = [2, 3, 1, 4, 1, 1, 1, 1]
     a = ama_simulate(x, 1, 1, HonestProver(), seed=99)
     b = ama_simulate(x, 1, 1, HonestProver(), seed=99)
-    assert a.to_text() == b.to_text()
+    assert a == b
     c = ama_simulate(x, 1, 1, HonestProver(), seed=100)
-    assert c.to_text() != a.to_text()
+    assert c != a
 
 
 def test_ama_transcript_format():
+    # the record's shape; the CLI's text and JSON are checked in test_cli
     t = ama_simulate([2, 3, 1, 4, 1, 1, 1, 1], 0, 1, HonestProver(), seed=7)
-    lines = t.to_text().splitlines()
-    assert lines[0].startswith("round=1 sender=A payload=")
-    assert lines[-1].startswith("verdict=")
-    assert "answer=" in lines[-1]
-    obj = t.to_json_obj()
-    assert obj["verdict"] in ("accept", "reject")
+    assert [r[:2] for r in t.rounds] == [(1, "A"), (2, "M"), (3, "A")]
+    assert all(isinstance(payload, str) for _, _, payload in t.rounds)
+    assert t.verdict in ("accept", "reject")
+    assert t.answer in (0, 1)
 
 
 def test_ama_degenerate_chain_goes_to_failure_branch():
