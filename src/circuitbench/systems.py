@@ -7,11 +7,12 @@ hardness systems, the universal template's circuit evaluated over node
 series; the language systems that make a skeleton decide a finite language;
 and the agreement systems that make a circuit chain compute permanents.
 
-`solve_bruteforce` runs a compiled loop nest over the p^u assignments,
-except for a system in one unknown at a prime p above D^2, D the largest
-formal degree of its equations: there the least root of the gcd of the
-equations and y^p - y is found by equal-degree splitting, with the same
-answer.
+`solve_bruteforce` runs a compiled loop nest over the p^u assignments; when
+an equation tested in the innermost loop is affine in the last unknown, that
+unknown is solved for instead of looped over.  A system in one unknown at a
+prime p above D^2, D the largest formal degree of its equations, skips the
+nest: the least root of the gcd of the equations and y^p - y is found by
+equal-degree splitting, with the same answer.
 """
 
 import functools
@@ -222,7 +223,9 @@ def _solver_kernel(system):
     lexicographically first zero of every equation over F_p, or None.
 
     A system with one unknown whose largest formal degree D has D^2 < p is
-    decided by `_least_root`; every other (system, p) runs `_loop_nest`.
+    decided by `_least_root`, in about D^2 log p field products; every other
+    (system, p) runs `_loop_nest`, which tries one candidate for the last
+    unknown per prefix when an equation gives it in closed form.
     """
     loop = _loop_nest(system)
     if system.unknown_count != 1:
@@ -245,6 +248,11 @@ def _loop_nest(system):
     depends on and is computed there, and each equation is tested as soon
     as its loop is reached: a prefix that fails it is skipped with all of
     its completions, which all fail it too, so the first zero is unchanged.
+
+    The innermost loop runs over candidates for a_u.  The first equation
+    tested there with formal degree at most 1 in a_u is c0 + c1 a_u; its cone
+    at a_u = 0 and 1 leaves -c0/c1 if c1 != 0, none if only c0 != 0, and
+    0..p-1 if both vanish or no equation is affine.  All are still tested.
     """
     u = system.unknown_count
     builder = CircuitBuilder(0, u)
@@ -256,30 +264,48 @@ def _loop_nest(system):
     groups += [(k,) for k in range(prefix + 1, u + 1)]
     level_of_slot = {k: level for level, slots in enumerate(groups) for k in slots}
 
-    consts = []
-    names = []
-    levels = []
+    last = len(groups) - 1  # the level of a_u when u > 0
+    # degrees: formal degree in a_u, capped at 2 (1 at a_u, 0 at other leaves)
+    consts, names, levels, degrees = [], [], [], []
+    exprs = {}
     body = [[] for _ in groups]  # straight-line statements per level
     untested = set(outputs)
+    first = None  # the first equation tested at the last level that is affine in a_u
     for pos, (op, a, b) in enumerate(nodes):
         if op == PARAM:
             names.append(f"a{a + 1}")
             levels.append(level_of_slot[a + 1])
+            degrees.append(int(a + 1 == u))
         elif op == CONST:
             names.append(f"v{pos}")
             levels.append(0)
+            degrees.append(0)
             body[0].append(f"v{pos} = C[{len(consts)}] % p")
             consts.append(a)
         else:
             x, y = names[a], names[b]
             names.append(f"v{pos}")
             levels.append(max(levels[a], levels[b]))
-            expr = f"({x} + {y}) % p" if op == ADD else f"{x} * {y} % p"
-            body[levels[pos]].append(f"v{pos} = {expr}")
+            da, db = degrees[a], degrees[b]
+            degrees.append(max(da, db) if op == ADD else min(da + db, 2))
+            exprs[pos] = f"({x} + {y}) % p" if op == ADD else f"{x} * {y} % p"
+            body[levels[pos]].append(f"v{pos} = {exprs[pos]}")
         if pos in untested:
             untested.remove(pos)
             fail = "continue" if levels[pos] else "return None"
             body[levels[pos]].append(f"if {names[pos]}: {fail}")
+            if first is None and u and levels[pos] == last and degrees[pos] <= 1:
+                first = pos
+    if first is not None:
+        cone = {first}
+        for pos in range(first, -1, -1):
+            if pos in cone and pos in exprs:
+                cone.update(k for k in nodes[pos][1:] if levels[k] == last)
+        step = [f"v{pos} = {exprs[pos]}" for pos in sorted(cone) if pos in exprs]
+        f, fail = names[first], ("continue" if last > 1 else "return None")
+        head = [f"a{u} = 0", *step, f"c0 = {f}", f"a{u} = 1", *step, f"c1 = ({f} - c0) % p"]
+        head += ["if c1: roots = (-c0 * pow(c1, -1, p) % p,)", f"elif c0: {fail}"]
+        head += ["else: roots = range(p)", f"for a{u} in roots:"]
 
     lines = ["def kernel(p):"]
     for level, slots in enumerate(groups):
@@ -287,6 +313,8 @@ def _loop_nest(system):
         if len(slots) > 1:
             targets = "".join(f"a{k}, " for k in slots)
             lines.append(f"{indent}for {targets}in product(range(p), repeat={len(slots)}):")
+        elif level == last and first is not None:
+            lines += [f"{indent}{stmt}" for stmt in head]
         elif slots:
             lines.append(f"{indent}for a{slots[0]} in range(p):")
         lines += [f"{indent}    {stmt}" for stmt in body[level]]
@@ -308,6 +336,8 @@ def _least_root(equations, degrees, p):
     vanish mod p, or None.  Each equation is expanded densely up to its
     formal degree, which bounds its true degree; the common roots are those
     of g = gcd(equations, y^p - y), a product of distinct linear factors.
+    y^p = y h^2 with h = y^((p-1)/2), whose residue mod g is also the first
+    split's.
     """
     field = PrimeField(p)
     g = []
@@ -316,25 +346,32 @@ def _least_root(equations, degrees, p):
         g = _gcd(g, list(evaluate(eq, ring, (), (ring.gen(1),)[: eq.num_params])), p)
     if not g:
         return (0,)
+    h = None
     if len(g) > 2:  # a linear g divides y^p - y already
-        g = _gcd(g, _sub(_powmod([0, 1], p, g, p), [0, 1], p), p)
-    return (min(_roots(g, p)),) if len(g) > 1 else None
+        h = _power([1], 0, bin(p // 2)[2:], g, p)
+        g = _gcd(g, _sub(_power(h, 0, "1", g, p), [0, 1], p), p)
+        h = _divmod(h, g, p)[1]
+    return (min(_roots(g, p, 0, h)),) if len(g) > 1 else None
 
 
-def _roots(g, p):
-    """Roots of monic g, a product of distinct linear factors over F_p.
+def _roots(g, p, a, h=None):
+    """Roots of monic g, a product of distinct linear factors over F_p;
+    h, if given, is (y + a)^((p-1)/2) mod g.
 
     gcd(g, (y + a)^((p-1)/2) - 1) keeps the roots r with r + a a nonzero
-    square; shifts a = 0, 1, 2, ... are tried until one splits g.  The roots
-    do not depend on the shift that splits.  p is odd when deg g > 1, as
-    D^2 < p.
+    square; shifts a, a + 1, ... are tried until one splits g.  Each factor
+    goes on from the next shift, as no shift tried so far splits it.  The
+    roots do not depend on the shift that splits.  p is odd when deg g > 1,
+    as D^2 < p.
     """
     if len(g) == 2:
         return [-g[0] % p]
-    for a in count():
-        h = _gcd(g, _sub(_powmod([a, 1], (p - 1) // 2, g, p), [1], p), p)
-        if 1 < len(h) < len(g):
-            return _roots(h, p) + _roots(_divmod(g, h, p)[0], p)
+    for a in count(a):
+        h = _power([1], a, bin(p // 2)[2:], g, p) if h is None else h
+        f = _gcd(g, _sub(h, [1], p), p)
+        if 1 < len(f) < len(g):
+            return _roots(f, p, a + 1) + _roots(_divmod(g, f, p)[0], p, a + 1)
+        h = None
 
 
 def _trim(f):
@@ -369,22 +406,34 @@ def _gcd(f, g, p):
     return f
 
 
-def _powmod(f, e, g, p):
-    """f^e mod monic g, square-and-multiply from the top bit of e."""
-    out = [1]
-    for bit in bin(e)[2:]:
-        out = _divmod(_mul(out, out), g, p)[1]
+def _power(f, a, bits, g, p):
+    """f^(2^len(bits)) (y + a)^e mod monic g, e the binary number `bits`:
+    square-and-multiply from the top bit.  The remainder is kept as n
+    coefficients, n = deg g, and multiplying by y + a is a shift, a scaled
+    add and one reduction step by y^n = -g[0] - ... - g[n-1] y^(n-1).
+    """
+    n = len(g) - 1
+    tail = [-c for c in g[:n]]
+    f = f + [0] * (n - len(f))
+    for bit in bits:
+        sq = [0] * (2 * n - 1)  # f^2, each cross product formed once
+        for i, c in enumerate(f):
+            if c:
+                sq[2 * i] += c * c
+                c += c
+                for k, d in enumerate(f[i + 1 :], 2 * i + 1):
+                    sq[k] += c * d
+        for top in range(2 * n - 2, n - 1, -1):
+            c = sq.pop() % p
+            if c:
+                for k, d in enumerate(tail, top - n):
+                    sq[k] += c * d
         if bit == "1":
-            out = _divmod(_mul(out, f), g, p)[1]
-    return out
-
-
-def _mul(f, h):
-    out = [0] * (len(f) + len(h))
-    for i, c in enumerate(f):
-        for j, d in enumerate(h, i):
-            out[j] += c * d
-    return out
+            top = sq[-1]
+            f = [(b + a * c + top * t) % p for b, c, t in zip([0] + sq, sq, tail)]
+        else:
+            f = [c % p for c in sq]
+    return _trim(f)
 
 
 def solve_bruteforce(system, p, budget=DEFAULT_SOLVE_BUDGET):

@@ -133,6 +133,98 @@ def test_solve_rechecks_witness_independently(monkeypatch):
         solve_bruteforce(system, 5)
 
 
+def system_of(u, *builds):
+    """PolySystem(u, ...) with one equation per build(b, params)."""
+    eqs = []
+    for build in builds:
+        b = CircuitBuilder(num_params=u)
+        eqs.append(b.finish(build(b, [None] + [b.param(k) for k in range(1, u + 1)])))
+    return PolySystem(u, tuple(eqs))
+
+
+def closed_form(system):
+    """Whether the loop nest solves the last unknown in closed form: its
+    kernel then binds the candidate list `roots`."""
+    return "roots" in systems._loop_nest(system).__code__.co_varnames
+
+
+def test_closed_form_last_unknown_matches_oracle():
+    unique = system_of(2, lambda b, a: b.add(b.mul(a[1], a[2]), b.const(-3)))  # a1 a2 - 3
+    # (a1 - 3) a2 + 1: at a1 = 3 the coefficient of a2 vanishes and the prefix
+    # fails; a2 + a1 + 1 then holds first at (5, 5) mod 11
+    no_candidate = system_of(
+        2,
+        lambda b, a: b.add(b.mul(b.add(a[1], b.const(-3)), a[2]), b.const(1)),
+        lambda b, a: b.add(b.add(a[2], a[1]), b.const(1)),
+    )
+    # (a1 - 2) a2 vanishes for every a2 at a1 = 2, where a2 - 3 picks the witness
+    every = system_of(
+        2,
+        lambda b, a: b.mul(b.add(a[1], b.const(-2)), a[2]),
+        lambda b, a: b.add(a[2], b.const(-3)),
+    )
+    # a2^2 - 2 first: the affine a2 + a1 after it still gives the candidates
+    square_first = system_of(
+        2, lambda b, a: b.add(b.mul(a[2], a[2]), b.const(-2)), lambda b, a: b.add(a[2], a[1])
+    )
+    squares = system_of(3, lambda b, a: b.add(b.mul(a[3], a[3]), b.mul(a[1], a[2])))
+    cases = [unique, no_candidate, every, square_first, squares]
+    assert [closed_form(system) for system in cases] == [True] * 4 + [False]
+    for system in cases:
+        for p in (2, 3, 5, 7, 11, 13):
+            assert solve_bruteforce(system, p) == oracle_solve(system, p), (system, p)
+    assert solve_bruteforce(every, 7) == (2, 3)
+    assert solve_bruteforce(no_candidate, 11) == (5, 5)
+    assert solve_bruteforce(square_first, 7) == (3, 4)  # 4^2 = 2 mod 7
+
+
+def test_closed_form_in_one_unknown():
+    # u = 1: a prefix that fails returns None from the kernel itself
+    cases = [
+        system_of(1, lambda b, a: b.add(b.mul(b.const(3), a[1]), b.const(-1))),  # 3y - 1
+        system_of(1, lambda b, a: b.add(b.mul(b.const(0), a[1]), b.const(2))),  # 0y + 2
+        system_of(1, lambda b, a: b.add(a[1], b.mul(b.const(-1), a[1]))),  # y - y
+        system_of(1, lambda b, a: b.add(b.mul(a[1], a[1]), b.const(1))),  # y^2 + 1
+    ]
+    assert [closed_form(system) for system in cases] == [True] * 3 + [False]
+    for system in cases:
+        for p in PRIMES_BELOW_300[:20]:
+            assert systems._loop_nest(system)(p) == oracle_solve(system, p), (system, p)
+
+
+def test_closed_form_beyond_the_nested_loops():
+    u = 17
+    late = system_of(
+        u,
+        lambda b, a: b.add(b.mul(a[1], a[u]), b.const(-1)),
+        lambda b, a: b.add(b.add(a[u - 1], a[u]), b.const(1)),
+    )
+    never = system_of(
+        u, lambda b, a: b.add(b.mul(a[1], a[u]), b.const(-1)), lambda b, a: b.mul(a[1], a[u])
+    )
+    for system in (late, never):
+        assert closed_form(system)
+        assert solve_bruteforce(system, 2) == oracle_solve(system, 2)
+    assert solve_bruteforce(late, 2) == (1,) + (0,) * (u - 2) + (1,)
+
+
+def test_closed_form_takes_one_step_per_prefix():
+    # the plain nest would try all p^2 = 99,460,729 assignments; the closed
+    # form inverts a1 once for each of its p - 1 nonzero values
+    system = system_of(
+        2,
+        lambda b, a: b.add(b.mul(a[1], a[2]), b.const(-1)),
+        lambda b, a: b.add(b.mul(a[1], a[2]), b.const(-2)),
+    )
+    p = 9973
+    kernel = systems._loop_nest(system)
+    inverses = []
+    kernel.__globals__["pow"] = lambda *args: inverses.append(args) or pow(*args)
+    assert kernel(p) is None
+    assert len(inverses) == p - 1
+    assert solve_bruteforce(system, p) is None
+
+
 def one_unknown(rng):
     """A random system in one unknown: products of shared and own linear
     factors, some with a constant factor that vanishes mod 2 or 3, and
@@ -195,6 +287,34 @@ def test_root_path_fixed_cases():
     # every residue is a root mod 5; D^2 = 25 sends solve to the loop nest
     assert least_root(fermat, 5) == solve_bruteforce(fermat, 5) == (0,)
     assert least_root(fermat, 7) == solve_bruteforce(fermat, 7) == (0,)
+
+
+def test_root_path_matches_oracle_on_products_of_linear_factors():
+    # c (y - r1)...(y - rk), k <= 4, repeated roots and the root 0 included,
+    # in one or two equations, at primes above D^2 (D = k + 1, as the
+    # constant counts) where solve takes the root path
+    rng = random.Random(3301)
+    primes = [p for p in PRIMES_BELOW_300 if p > 25]
+    residues, zero_roots = set(), 0
+    for _ in range(150):
+        eqs = []
+        for _ in range(rng.randint(1, 2)):
+            roots = [rng.choice([0, rng.randint(-12, 12)]) for _ in range(rng.randint(1, 4))]
+            roots += rng.choices(roots, k=rng.randint(0, min(2, 4 - len(roots))))  # repeats
+            b = CircuitBuilder(num_params=1)
+            out = b.const(rng.choice([1, 2, -3]))
+            for r in roots:
+                out = b.mul(out, b.add(b.param(1), b.const(-r)))
+            eqs.append(b.finish(out))
+        system = PolySystem(1, tuple(eqs))
+        bound = max(formal_degree(eq) for eq in eqs) ** 2
+        for p in rng.sample(primes, 4):
+            assert bound < p
+            want = oracle_solve(system, p)
+            assert solve_bruteforce(system, p) == want, (system, p)
+            residues.add(p % 4)
+            zero_roots += want == (0,)
+    assert residues == {1, 3} and zero_roots > 10
 
 
 def refuse_root_path(*args):
