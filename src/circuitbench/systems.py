@@ -7,12 +7,11 @@ hardness systems, the universal template's circuit evaluated over node
 series; the language systems that make a skeleton decide a finite language;
 and the agreement systems that make a circuit chain compute permanents.
 
-`solve_bruteforce` runs a compiled loop nest over the p^u assignments; when
-an equation tested in the innermost loop is affine in the last unknown, that
-unknown is solved for instead of looped over.  A system in one unknown at a
-prime p above D^2, D the largest formal degree of its equations, skips the
-nest: the least root of the gcd of the equations and y^p - y is found by
-equal-degree splitting, with the same answer.
+`solve_bruteforce` runs a compiled loop nest over the p^u assignments.  Its
+innermost unknown takes its candidates from its least-degree equation: the
+one value solving it when it is affine; when it is the only unknown and
+D^2 < p, D its formal degree, its roots, found by equal-degree splitting of
+its gcd with y^p - y; and every residue otherwise.
 """
 
 import functools
@@ -28,7 +27,6 @@ from .circuits import (
     _sections,
     compile_mod_evaluator,
     evaluate,
-    formal_degree,
 )
 from .errors import (
     DEFAULT_SOLVE_BUDGET,
@@ -219,29 +217,9 @@ _NESTED_SLOTS = 15
 
 @functools.lru_cache(maxsize=64)
 def _solver_kernel(system):
-    """Compile the system once into `kernel(p)`, which returns the
+    """Compile the system once into a loop nest `kernel(p)` over all p^u
+    assignments, the last unknown fastest, which returns the
     lexicographically first zero of every equation over F_p, or None.
-
-    A system with one unknown whose largest formal degree D has D^2 < p is
-    decided by `_least_root`, in about D^2 log p field products; every other
-    (system, p) runs `_loop_nest`, which tries one candidate for the last
-    unknown per prefix when an equation gives it in closed form.
-    """
-    loop = _loop_nest(system)
-    if system.unknown_count != 1:
-        return loop
-    degrees = tuple(formal_degree(eq) for eq in system.equations)
-    bound = max(degrees, default=0) ** 2
-
-    def kernel(p):
-        return _least_root(system.equations, degrees, p) if bound < p else loop(p)
-
-    return kernel
-
-
-def _loop_nest(system):
-    """Compile the system into a loop nest `kernel(p)` over all p^u
-    assignments, the last unknown fastest.
 
     The equations are merged into one builder, so shared subterms are
     computed once.  Each node sits at the loop of the last unknown it
@@ -249,10 +227,12 @@ def _loop_nest(system):
     as its loop is reached: a prefix that fails it is skipped with all of
     its completions, which all fail it too, so the first zero is unchanged.
 
-    The innermost loop runs over candidates for a_u.  The first equation
-    tested there with formal degree at most 1 in a_u is c0 + c1 a_u; its cone
-    at a_u = 0 and 1 leaves -c0/c1 if c1 != 0, none if only c0 != 0, and
-    0..p-1 if both vanish or no equation is affine.  All are still tested.
+    The innermost loop draws its candidates for a_u from one equation E, the
+    first of least formal degree D in a_u tested there.  If D = 1, E is
+    c0 + c1 a_u; its cone at a_u = 0 and 1 leaves -c0/c1 if c1 != 0, none if
+    only c0 != 0, and 0..p-1 if both vanish.  If u = 1 and D^2 < p, the
+    candidates are E's roots, found once per prime by `_roots_of`.  Otherwise
+    they are 0..p-1.  Every equation is still tested on each candidate.
     """
     u = system.unknown_count
     builder = CircuitBuilder(0, u)
@@ -265,12 +245,12 @@ def _loop_nest(system):
     level_of_slot = {k: level for level, slots in enumerate(groups) for k in slots}
 
     last = len(groups) - 1  # the level of a_u when u > 0
-    # degrees: formal degree in a_u, capped at 2 (1 at a_u, 0 at other leaves)
+    # degrees: formal degree in a_u (1 at a_u, 0 at other leaves)
     consts, names, levels, degrees = [], [], [], []
     exprs = {}
     body = [[] for _ in groups]  # straight-line statements per level
     untested = set(outputs)
-    first = None  # the first equation tested at the last level that is affine in a_u
+    best = None  # the first equation of least degree tested at the last level
     for pos, (op, a, b) in enumerate(nodes):
         if op == PARAM:
             names.append(f"a{a + 1}")
@@ -287,25 +267,31 @@ def _loop_nest(system):
             names.append(f"v{pos}")
             levels.append(max(levels[a], levels[b]))
             da, db = degrees[a], degrees[b]
-            degrees.append(max(da, db) if op == ADD else min(da + db, 2))
+            degrees.append(max(da, db) if op == ADD else da + db)
             exprs[pos] = f"({x} + {y}) % p" if op == ADD else f"{x} * {y} % p"
             body[levels[pos]].append(f"v{pos} = {exprs[pos]}")
         if pos in untested:
             untested.remove(pos)
             fail = "continue" if levels[pos] else "return None"
             body[levels[pos]].append(f"if {names[pos]}: {fail}")
-            if first is None and u and levels[pos] == last and degrees[pos] <= 1:
-                first = pos
-    if first is not None:
-        cone = {first}
-        for pos in range(first, -1, -1):
+            if u and levels[pos] == last and (best is None or degrees[pos] < degrees[best]):
+                best = pos
+    namespace = {"C": tuple(consts), "product": product, "_roots_of": _roots_of}
+    head = [f"for a{u} in range(p):"]
+    if best is not None and degrees[best] == 1:
+        cone = {best}
+        for pos in range(best, -1, -1):
             if pos in cone and pos in exprs:
                 cone.update(k for k in nodes[pos][1:] if levels[k] == last)
         step = [f"v{pos} = {exprs[pos]}" for pos in sorted(cone) if pos in exprs]
-        f, fail = names[first], ("continue" if last > 1 else "return None")
+        f, fail = names[best], ("continue" if last > 1 else "return None")
         head = [f"a{u} = 0", *step, f"c0 = {f}", f"a{u} = 1", *step, f"c1 = ({f} - c0) % p"]
         head += ["if c1: roots = (-c0 * pow(c1, -1, p) % p,)", f"elif c0: {fail}"]
         head += ["else: roots = range(p)", f"for a{u} in roots:"]
+    elif best is not None and u == 1:
+        namespace.update(E=system.equations[outputs.index(best)], D=degrees[best])
+        head = ["roots = _roots_of(E, D, p) if D * D < p else range(p)"]
+        head += ["if not roots: return None", "for a1 in roots:"]
 
     lines = ["def kernel(p):"]
     for level, slots in enumerate(groups):
@@ -313,7 +299,7 @@ def _loop_nest(system):
         if len(slots) > 1:
             targets = "".join(f"a{k}, " for k in slots)
             lines.append(f"{indent}for {targets}in product(range(p), repeat={len(slots)}):")
-        elif level == last and first is not None:
+        elif level == last and u:
             lines += [f"{indent}{stmt}" for stmt in head]
         elif slots:
             lines.append(f"{indent}for a{slots[0]} in range(p):")
@@ -322,7 +308,6 @@ def _loop_nest(system):
     lines.append(f"{'    ' * len(groups)}return ({witness})")
     if u:
         lines.append("    return None")
-    namespace = {"C": tuple(consts), "product": product}
     exec(compile("\n".join(lines) + "\n", "<solver kernel>", "exec"), namespace)
     return namespace["kernel"]
 
@@ -331,27 +316,24 @@ def _loop_nest(system):
 # term first, no trailing zeros.
 
 
-def _least_root(equations, degrees, p):
-    """(least common root over F_p,) of one-unknown equations, (0,) if all
-    vanish mod p, or None.  Each equation is expanded densely up to its
-    formal degree, which bounds its true degree; the common roots are those
-    of g = gcd(equations, y^p - y), a product of distinct linear factors.
-    y^p = y h^2 with h = y^((p-1)/2), whose residue mod g is also the first
-    split's.
+def _roots_of(equation, degree, p):
+    """Every root over F_p of a one-unknown equation of formal degree at
+    most `degree`, ascending, or range(p) if it vanishes mod p.  The
+    equation is expanded densely up to that degree, which bounds its true
+    degree; its roots are those of g = gcd(equation, y^p - y), a product of
+    distinct linear factors.  y^p = y h^2 with h = y^((p-1)/2), whose
+    residue mod g is also the first split's.
     """
-    field = PrimeField(p)
-    g = []
-    for eq, degree in zip(equations, degrees):
-        ring = DenseSeriesRing(field, degree)
-        g = _gcd(g, list(evaluate(eq, ring, (), (ring.gen(1),)[: eq.num_params])), p)
+    ring = DenseSeriesRing(PrimeField(p), degree)
+    g = _gcd([], list(evaluate(equation, ring, (), (ring.gen(1),)[: equation.num_params])), p)
     if not g:
-        return (0,)
+        return range(p)
     h = None
     if len(g) > 2:  # a linear g divides y^p - y already
         h = _power([1], 0, bin(p // 2)[2:], g, p)
         g = _gcd(g, _sub(_power(h, 0, "1", g, p), [0, 1], p), p)
         h = _divmod(h, g, p)[1]
-    return (min(_roots(g, p, 0, h)),) if len(g) > 1 else None
+    return sorted(_roots(g, p, 0, h)) if len(g) > 1 else ()
 
 
 def _roots(g, p, a, h=None):

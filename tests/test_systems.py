@@ -143,9 +143,13 @@ def system_of(u, *builds):
 
 
 def closed_form(system):
-    """Whether the loop nest solves the last unknown in closed form: its
-    kernel then binds the candidate list `roots`."""
-    return "roots" in systems._loop_nest(system).__code__.co_varnames
+    """How the solver's kernel draws the last unknown's candidates: "affine"
+    when it solves c0 + c1 a_u for them, "roots" when it asks `_roots_of`,
+    and None when it loops over every residue."""
+    code = systems._solver_kernel(system).__code__
+    if "c1" in code.co_varnames:
+        return "affine"
+    return "roots" if "_roots_of" in code.co_names else None
 
 
 def test_closed_form_last_unknown_matches_oracle():
@@ -169,7 +173,7 @@ def test_closed_form_last_unknown_matches_oracle():
     )
     squares = system_of(3, lambda b, a: b.add(b.mul(a[3], a[3]), b.mul(a[1], a[2])))
     cases = [unique, no_candidate, every, square_first, squares]
-    assert [closed_form(system) for system in cases] == [True] * 4 + [False]
+    assert [closed_form(system) for system in cases] == ["affine"] * 4 + [None]
     for system in cases:
         for p in (2, 3, 5, 7, 11, 13):
             assert solve_bruteforce(system, p) == oracle_solve(system, p), (system, p)
@@ -186,10 +190,10 @@ def test_closed_form_in_one_unknown():
         system_of(1, lambda b, a: b.add(a[1], b.mul(b.const(-1), a[1]))),  # y - y
         system_of(1, lambda b, a: b.add(b.mul(a[1], a[1]), b.const(1))),  # y^2 + 1
     ]
-    assert [closed_form(system) for system in cases] == [True] * 3 + [False]
+    assert [closed_form(system) for system in cases] == ["affine"] * 3 + ["roots"]
     for system in cases:
         for p in PRIMES_BELOW_300[:20]:
-            assert systems._loop_nest(system)(p) == oracle_solve(system, p), (system, p)
+            assert systems._solver_kernel(system)(p) == oracle_solve(system, p), (system, p)
 
 
 def test_closed_form_beyond_the_nested_loops():
@@ -203,7 +207,7 @@ def test_closed_form_beyond_the_nested_loops():
         u, lambda b, a: b.add(b.mul(a[1], a[u]), b.const(-1)), lambda b, a: b.mul(a[1], a[u])
     )
     for system in (late, never):
-        assert closed_form(system)
+        assert closed_form(system) == "affine"
         assert solve_bruteforce(system, 2) == oracle_solve(system, 2)
     assert solve_bruteforce(late, 2) == (1,) + (0,) * (u - 2) + (1,)
 
@@ -217,7 +221,7 @@ def test_closed_form_takes_one_step_per_prefix():
         lambda b, a: b.add(b.mul(a[1], a[2]), b.const(-2)),
     )
     p = 9973
-    kernel = systems._loop_nest(system)
+    kernel = systems._solver_kernel.__wrapped__(system)  # uncached: its pow is patched
     inverses = []
     kernel.__globals__["pow"] = lambda *args: inverses.append(args) or pow(*args)
     assert kernel(p) is None
@@ -245,8 +249,12 @@ def one_unknown(rng):
 
 
 def least_root(system, p):
-    degrees = tuple(formal_degree(eq) for eq in system.equations)
-    return systems._least_root(system.equations, degrees, p)
+    """(least common root,) of a one-unknown system's equations over F_p, or
+    None, from `_roots_of` on each equation."""
+    common = set(range(p))
+    for eq in system.equations:
+        common.intersection_update(systems._roots_of(eq, formal_degree(eq), p))
+    return (min(common),) if common else None
 
 
 def one_equation(build):
@@ -258,7 +266,7 @@ PRIMES_BELOW_300 = [p for p in range(2, 300) if all(p % q for q in range(2, p))]
 
 
 def test_root_path_matches_oracle_on_one_unknown_systems():
-    # solve_bruteforce dispatches on D^2 < p; the root path is also called
+    # solve's kernel asks `_roots_of` when D^2 < p; it is also called
     # directly at every odd prime, where it holds for any degree
     rng = random.Random(2801)
     for _ in range(40):
@@ -284,15 +292,15 @@ def test_root_path_fixed_cases():
         assert least_root(vanish, p) == solve_bruteforce(vanish, p) == (0,)
         assert least_root(constant, p) is solve_bruteforce(constant, p) is None
         assert least_root(double, p) == solve_bruteforce(double, p) == (3,)
-    # every residue is a root mod 5; D^2 = 25 sends solve to the loop nest
+    # every residue is a root mod 5; as D^2 = 25 > p, solve tries every residue
     assert least_root(fermat, 5) == solve_bruteforce(fermat, 5) == (0,)
     assert least_root(fermat, 7) == solve_bruteforce(fermat, 7) == (0,)
 
 
 def test_root_path_matches_oracle_on_products_of_linear_factors():
     # c (y - r1)...(y - rk), k <= 4, repeated roots and the root 0 included,
-    # in one or two equations, at primes above D^2 (D = k + 1, as the
-    # constant counts) where solve takes the root path
+    # in one or two equations, at primes above (k + 1)^2, which bounds the
+    # kernel's D^2 (D counts a constant as degree 0), where solve finds roots
     rng = random.Random(3301)
     primes = [p for p in PRIMES_BELOW_300 if p > 25]
     residues, zero_roots = set(), 0
@@ -317,38 +325,98 @@ def test_root_path_matches_oracle_on_products_of_linear_factors():
     assert residues == {1, 3} and zero_roots > 10
 
 
+def pinned_corpus():
+    """(system, p, budget) triples: random systems in at most 3 unknowns at
+    the first primes, some past a small budget; one-unknown products of at
+    most 5 linear factors at primes below 400; and systems in 2 or 3
+    unknowns whose last unknown is only squared."""
+    rng = random.Random(3401)
+    cases = []
+    for _ in range(600):
+        u = rng.randint(0, 3)
+        eqs = tuple(
+            random_circuit(rng, rng.randint(1, 9), num_vars=0, num_params=rng.randint(0, u))
+            for _ in range(rng.randint(1, 3))
+        )
+        cases.append((PolySystem(u, eqs), rng.choice((2, 3, 5, 7, 11, 13)), 1000))
+    primes = [p for p in range(2, 400) if all(p % q for q in range(2, p))]
+    for _ in range(300):
+        eqs = []
+        for _ in range(rng.randint(1, 2)):
+            b = CircuitBuilder(num_params=1)
+            out = b.const(rng.choice([1, 2, -3, 6]))
+            for _ in range(rng.randint(0, 5)):
+                out = b.mul(out, b.add(b.param(1), b.const(-rng.randint(-30, 30))))
+            eqs.append(b.finish(out))
+        cases += [(PolySystem(1, tuple(eqs)), p, 10**8) for p in rng.sample(primes, 8)]
+    for _ in range(200):
+        u = rng.randint(2, 3)
+        b = CircuitBuilder(num_params=u)
+        rest = [b.param(rng.randint(1, u - 1)) for _ in range(rng.randint(1, 3))]
+        low = b.const(rng.randint(-9, 9))
+        for node in rest:
+            low = b.add(b.mul(low, node), b.const(rng.randint(-3, 3)))
+        quad = b.finish(b.add(b.mul(b.param(u), b.param(u)), low))
+        other = random_circuit(rng, rng.randint(1, 6), num_vars=0, num_params=u)
+        eqs = (quad, other) if rng.random() < 0.5 else (quad,)
+        cases.append((PolySystem(u, eqs), rng.choice((5, 7, 11, 13, 17, 19, 23)), 10**8))
+    return cases
+
+
+def test_solver_answers_are_pinned():
+    # the answer (witness, None, or the refusal's class) of every solve in
+    # the corpus: the digest of their list, recorded before the one-unknown
+    # root finding became the loop nest's innermost head
+    answers = []
+    for system, p, budget in pinned_corpus():
+        try:
+            answers.append(solve_bruteforce(system, p, budget=budget))
+        except BudgetError as refusal:
+            answers.append(type(refusal).__name__)
+    assert sum(a is None for a in answers) > 100 and answers.count("BudgetError") > 10
+    assert sum(isinstance(a, tuple) for a in answers) > 500
+    assert hashlib.sha256(repr(answers).encode()).hexdigest() == (
+        "03f222c788130b1190441994421489e49eba4713893dcf5957f5818045570234"
+    )
+
+
 def refuse_root_path(*args):
     raise AssertionError("root path ran")
 
 
-def test_small_primes_take_the_loop_nest(monkeypatch):
+@pytest.fixture
+def patched_roots(monkeypatch):
+    """Patch `_roots_of` with the given stand-in; a kernel binds it when it
+    is compiled, so the kernel cache is cleared before and after."""
+
+    def patch(stand_in):
+        systems._solver_kernel.cache_clear()
+        monkeypatch.setattr(systems, "_roots_of", stand_in)
+
+    yield patch
+    systems._solver_kernel.cache_clear()
+
+
+def test_small_primes_take_the_loop_nest(patched_roots):
     # y^2 + 1 has D = 2, so D^2 >= p at p = 2 and 3, and D^2 < p from 5 on
-    monkeypatch.setattr(systems, "_least_root", refuse_root_path)
+    patched_roots(refuse_root_path)
     assert solve_bruteforce(y_squared_plus_one(), 2) == (1,)
     assert solve_bruteforce(y_squared_plus_one(), 3) is None
     with pytest.raises(AssertionError, match="root path"):
         solve_bruteforce(y_squared_plus_one(), 5)
 
 
-def test_large_prime_skips_the_loop_nest(monkeypatch):
-    def no_loop(system):
-        def kernel(p):
-            raise AssertionError("loop nest ran")
-
-        return kernel
-
-    monkeypatch.setattr(systems, "_loop_nest", no_loop)
-    systems._solver_kernel.cache_clear()
-    try:
-        with pytest.raises(AssertionError, match="loop nest"):
-            solve_bruteforce(y_squared_plus_one(), 2)
-        # 1,000,003 is 3 mod 4, so -1 is not a square
-        assert solve_bruteforce(y_squared_plus_one(), 1_000_003) is None
-        (w,) = solve_bruteforce(y_squared_plus_one(), 1_000_033)
-    finally:
-        systems._solver_kernel.cache_clear()
+def test_large_prime_skips_the_loop_nest(patched_roots):
+    # the kernel loops over the roots alone: none at 1,000,003, which is
+    # 3 mod 4, so -1 is not a square, and two at 1,000,033
+    roots_of, found = systems._roots_of, []
+    patched_roots(lambda *args: found.append(roots_of(*args)) or found[-1])
+    assert solve_bruteforce(y_squared_plus_one(), 2) == (1,) and found == []
+    assert solve_bruteforce(y_squared_plus_one(), 1_000_003) is None
+    (w,) = solve_bruteforce(y_squared_plus_one(), 1_000_033)
     p = 1_000_033
     assert (w * w + 1) % p == 0 and w < p - w
+    assert found == [(), [w, p - w]]
 
 
 def huge_degree_system():
@@ -360,13 +428,56 @@ def huge_degree_system():
     return PolySystem(1, (b.finish(b.add(out, b.const(1))),))
 
 
-def test_huge_formal_degree_takes_the_loop_nest(monkeypatch):
-    monkeypatch.setattr(systems, "_least_root", refuse_root_path)
+def test_huge_formal_degree_takes_the_loop_nest(patched_roots):
+    patched_roots(refuse_root_path)
     system = huge_degree_system()
     assert solve_bruteforce(system, 101) == oracle_solve(system, 101)
     report = density_probe(system, 200)
     assert (report.pi, report.good_primes, report.complete) == (46, (2,), True)
 
+
+
+def test_one_unknown_candidates_come_from_the_least_degree_equation():
+    # y^3 + 27 = (y + 3)(y^2 - 3y + 9) first, then (y + 3)(y - 2): the roots
+    # are the quadratic's, 2 and p - 3, and the cubic keeps only p - 3
+    # except at p = 5 and 7, where 2^3 + 27 = 35 vanishes too
+    system = system_of(
+        1,
+        lambda b, a: b.add(b.mul(b.mul(a[1], a[1]), a[1]), b.const(27)),
+        lambda b, a: b.mul(b.add(a[1], b.const(3)), b.add(a[1], b.const(-2))),
+    )
+    kernel = systems._solver_kernel(system)
+    assert closed_form(system) == "roots"
+    assert kernel.__globals__["E"] is system.equations[1] and kernel.__globals__["D"] == 2
+    for p in PRIMES_BELOW_300:
+        assert solve_bruteforce(system, p) == oracle_solve(system, p), p
+    assert solve_bruteforce(system, 7) == (2,) and solve_bruteforce(system, 101) == (98,)
+
+
+def test_formal_degree_past_the_int_string_limit():
+    # y squared 7,200 times, plus 1: D = 2^7200 has 2,168 digits and D^2 more
+    # than the 4,300 CPython turns into a string, so D reaches the kernel as
+    # a value, and at p = 101 every residue is tried
+    b = CircuitBuilder(num_params=1)
+    out = b.param(1)
+    for _ in range(7200):
+        out = b.mul(out, out)
+    system = PolySystem(1, (b.finish(b.add(out, b.const(1))),))
+    assert closed_form(system) == "roots"
+    assert systems._solver_kernel(system).__globals__["D"] == 2**7200
+    assert solve_bruteforce(system, 101) == oracle_solve(system, 101)
+
+
+def test_no_roots_are_found_per_prefix():
+    # a3^2 + a1 a2 - 3: the quadratic last unknown sits inside two loops,
+    # where finding roots would run once per prefix, so the loop stays plain
+    system = system_of(
+        3, lambda b, a: b.add(b.add(b.mul(a[3], a[3]), b.mul(a[1], a[2])), b.const(-3))
+    )
+    assert closed_form(system) is None
+    assert "_roots_of" not in systems._solver_kernel(system).__code__.co_names
+    for p in (2, 3, 5, 7, 11):
+        assert solve_bruteforce(system, p) == oracle_solve(system, p), p
 
 def test_hardness_system_linear_example():
     # one level, cap 1, target 1 + x: equations a0 = 1 and a0 + b0 = 2
