@@ -7,6 +7,7 @@ functions, exponential Boolean sums of circuits, and variable projections.
 
 import math
 from itertools import permutations
+from operator import add, mul, sub
 
 from ._record import Record
 from .algebra import SparsePoly
@@ -15,7 +16,7 @@ from .errors import DEFAULT_SOLVE_BUDGET, at_least, capped_power, charge
 from .rings import LaneRing
 
 PERMANENT_CAP = 12
-HC_BUDGET = 9  # (n-1)! enumeration above this is refused
+HC_BUDGET = 9  # cycle sums over more vertices are refused
 LANE_BITS = 8  # at most 2^8 assignments per boolean_sum pass: each node holds one value per lane
 LANE_VALUES = 1 << 16  # and at most this many node values per pass, unless one lane has more
 
@@ -33,17 +34,23 @@ def _check_square(matrix, mod):
 def permanent(matrix, mod=None):
     """Permanent by Ryser's inclusion-exclusion over column subsets.
 
-    For n <= 6 the result is cross-checked against the naive permutation sum
-    in the test suite, not here; this path is O(2^n * n^2).
+    The subsets are visited in Gray-code order, so each step adds or removes
+    one column from the n row sums: O(2^n * n).  The test suite checks it
+    against `permanent_naive` and against Ryser's formula in subset order.
     """
     n = _check_square(matrix, mod)
     charge("permanent", PERMANENT_CAP, n, f"{n} rows")
-    total = 0
-    for mask in range(1, 1 << n):
-        cols = [j for j in range(n) if mask >> j & 1]
-        prod = math.prod(sum(row[j] for j in cols) for row in matrix)
+    columns = list(zip(*matrix))
+    sums, total, size = [0] * n, 0, 0
+    for k in range(1, 1 << n):
+        j = (k & -k).bit_length() - 1  # the column whose bit flips at step k
+        if k >> j & 2:  # bit j of the Gray code k ^ (k >> 1) turns off
+            sums, size = list(map(sub, sums, columns[j])), size - 1
+        else:
+            sums, size = list(map(add, sums, columns[j])), size + 1
+        prod = math.prod(sums)
         # (-1)^n (-1)^{|S|} written as (-1)^{n-|S|}
-        total += -prod if (n - len(cols)) % 2 else prod
+        total += -prod if (n - size) % 2 else prod
     return total % mod if mod is not None else total
 
 
@@ -62,17 +69,27 @@ def permanent_naive(matrix, mod=None):
 
 def hamiltonian_cycle_sum(matrix, mod=None):
     """Sum over the (n-1)! Hamiltonian cycles of the products of the cycle's
-    entries.  Cycles are enumerated by fixing vertex 1 and walking the
-    lexicographic permutations of the remaining vertices, which makes the
-    summation order deterministic."""
+    entries, by Held and Karp's subset dynamic program with sums of
+    products in place of minima: paths[S][v] sums the paths that start at
+    vertex 0, visit exactly the vertices in S (a subset of 1..n-1) and end
+    at v in S.  That is O(2^n * n^2) for (n-1)! cycles; the test suite
+    checks it against the cycle walk."""
     n = _check_square(matrix, mod)
     if n < 2:
         raise ValueError("the cycle polynomial needs n >= 2")
     charge("cycle-sum", HC_BUDGET, n, f"{n} vertices")
-    total = 0
-    for rest in permutations(range(1, n)):
-        cycle = (0,) + rest
-        total += math.prod(matrix[cycle[k]][cycle[(k + 1) % n]] for k in range(n))
+    k = n - 1  # below, v stands for vertex v + 1, which is bit v of S
+    into = [[row[v + 1] for row in matrix[1:]] for v in range(k)]  # into[v][u] = M[u+1][v+1]
+    paths = [[0] * k for _ in range(1 << k)]
+    for v in range(k):
+        paths[1 << v][v] = matrix[0][v + 1]
+    for mask in range(1 << k):
+        if mask & (mask - 1):  # |S| >= 2; paths[prev][u] is 0 for u not in prev
+            ends = paths[mask]
+            for v in range(k):
+                if mask >> v & 1:
+                    ends[v] = sum(map(mul, paths[mask ^ 1 << v], into[v]))
+    total = sum(map(mul, paths[-1], [row[0] for row in matrix[1:]]))
     return total % mod if mod is not None else total
 
 

@@ -14,6 +14,9 @@ Three layers, each usable on its own:
 
 import math
 import random
+from collections import Counter
+from itertools import compress, repeat
+from operator import eq
 
 from ._record import Record
 from .circuits import (
@@ -96,6 +99,50 @@ def _lane_hashes(a, packed, ones, width, count):
 _LANE_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}  # lane bytes -> memoryview format
 
 
+def _collision_search(elements, cols):
+    """`first_collision` over a fixed set, for matrices of at most `cols`
+    columns: the distinct elements are packed into lanes once, and the
+    returned function `search(matrices)` hashes and buckets them under each
+    matrix it is given."""
+    elements = list(dict.fromkeys(elements))
+    count = len(elements)
+    lo, hi = min(elements, default=0), max(elements, default=0)
+    width = 8
+    while width < cols:
+        width *= 2
+    ones = ((1 << (width * count)) - 1) // ((1 << width) - 1)
+    packed = None
+    if lo >= 0 and not hi >> width:  # else every matrix refuses the set
+        packed = int.from_bytes(
+            b"".join(e.to_bytes(width // 8, "little") for e in elements), "little"
+        )
+
+    def search(matrices):
+        pivots, tables = set(elements), []
+        for a in matrices:
+            if lo < 0 or hi >> a.cols:
+                a.apply(next(e for e in elements if e < 0 or e >> a.cols))  # raises its ValueError
+            keys = _lane_hashes(a, packed, ones, width, count)
+            sizes = Counter(keys)
+            if 1 in sizes.values():  # an element alone in its bucket has no mate
+                owner = dict(zip(keys, elements))
+                pivots.difference_update(owner[key] for key, n in sizes.items() if n == 1)
+            tables.append(keys)
+            if not pivots:
+                break
+        if not pivots:
+            return None
+        i = next(compress(range(count), map(pivots.__contains__, elements)))
+        mates = []
+        for keys in tables:
+            same = compress(elements, map(eq, keys, repeat(keys[i])))
+            mate = next(same)
+            mates.append(mate if mate != elements[i] else next(same))
+        return (elements[i], *mates)
+
+    return search
+
+
 def first_collision(matrices, elements):
     """The first pivot in `elements` with a distinct element colliding with
     it under every matrix, as (pivot, mate_1, .., mate_m) with mate_j the
@@ -106,38 +153,11 @@ def first_collision(matrices, elements):
     The hashes come from `_lane_hashes`: the distinct elements are packed
     into width-bit lanes of one int, with width a power of two >= max(8,
     the widest matrix's cols), so each row costs a few big-int operations
-    over the whole set, and memory stays O(len(elements) * width)."""
-    elements = list(dict.fromkeys(elements))
-    pivots, tables = set(elements), []
-    lo, hi = min(elements, default=0), max(elements, default=0)
-    width = 8
-    while width < max((a.cols for a in matrices), default=0):
-        width *= 2
-    ones = ((1 << (width * len(elements))) - 1) // ((1 << width) - 1)
-    packed = None
-    for a in matrices:
-        if lo < 0 or hi >> a.cols:
-            a.apply(next(e for e in elements if e < 0 or e >> a.cols))  # raises its ValueError
-        if packed is None:  # every element fits a.cols <= width bits
-            packed = int.from_bytes(
-                b"".join(e.to_bytes(width // 8, "little") for e in elements), "little"
-            )
-        keys = _lane_hashes(a, packed, ones, width, len(elements))
-        buckets = {}
-        for e, key in zip(elements, keys):
-            buckets.setdefault(key, []).append(e)
-        pivots &= {e for members in buckets.values() if len(members) > 1 for e in members}
-        tables.append(keys)
-        if not pivots:
-            break
-    if not pivots:
-        return None
-    i = next(i for i, e in enumerate(elements) if e in pivots)
-    mates = [
-        next(e for e, key in zip(elements, keys) if key == keys[i] and e != elements[i])
-        for keys in tables
-    ]
-    return (elements[i], *mates)
+    over the whole set, and memory stays O(len(elements) * width).  A
+    matrix's keys are counted by `Counter`, and only the members of its
+    singleton buckets leave the pivot set."""
+    cols = max((a.cols for a in matrices), default=0)
+    return _collision_search(elements, cols)(matrices)
 
 
 def phi(matrices, elements):
@@ -201,10 +221,11 @@ def gs_estimate(elements, m, trials, seed, cols=12):
         if e < 0 or e >> cols:
             raise ValueError(f"element {e} does not fit in {cols} bits")
     rng = random.Random(seed)
+    search = _collision_search(elements, cols)  # packs the set once for every trial
     hits = 0
     for _ in range(trials):
         matrices = [random_hash_matrix(rng, m, cols) for _ in range(m)]
-        if phi(matrices, elements):
+        if search(matrices) is not None:
             hits += 1
     rate = hits / trials if trials else 0.0
     if trials and hits == trials:

@@ -232,7 +232,9 @@ def _solver_kernel(system):
     c0 + c1 a_u; its cone at a_u = 0 and 1 leaves -c0/c1 if c1 != 0, none if
     only c0 != 0, and 0..p-1 if both vanish.  If u = 1 and D^2 < p, the
     candidates are E's roots, found once per prime by `_roots_of`.  Otherwise
-    they are 0..p-1.  Every equation is still tested on each candidate.
+    they are 0..p-1.  Every equation is still tested on each candidate, but
+    for E at D = 1, which each candidate solves by construction: E's test and
+    the part of its cone no other equation reads are left out of the loop.
     """
     u = system.unknown_count
     builder = CircuitBuilder(0, u)
@@ -288,6 +290,15 @@ def _solver_kernel(system):
         head = [f"a{u} = 0", *step, f"c0 = {f}", f"a{u} = 1", *step, f"c1 = ({f} - c0) % p"]
         head += ["if c1: roots = (-c0 * pow(c1, -1, p) % p,)", f"elif c0: {fail}"]
         head += ["else: roots = range(p)", f"for a{u} in roots:"]
+        # every candidate solves E: its test goes, and so does its cone
+        # outside the cones of the equations still tested there
+        live = {pos for pos in outputs if levels[pos] == last and pos != best}
+        for pos in range(len(nodes) - 1, -1, -1):
+            if pos in live and pos in exprs:
+                live.update(k for k in nodes[pos][1:] if levels[k] == last)
+        dead = {f"v{pos} = {exprs[pos]}" for pos in cone - live if pos in exprs}
+        dead.add(f"if {f}: continue")
+        body[last] = [stmt for stmt in body[last] if stmt not in dead]
     elif best is not None and u == 1:
         namespace.update(E=system.equations[outputs.index(best)], D=degrees[best])
         head = ["roots = _roots_of(E, D, p) if D * D < p else range(p)"]

@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -49,6 +49,31 @@ def test_permanent_matches_naive():
         assert permanent(m, mod=p) == permanent_naive(m, mod=p)
 
 
+def _permanent_subset_order(matrix):
+    """Ryser's formula with the column subsets in increasing mask order, each
+    subset's row sums formed from scratch: the O(2^n n^2) path the Gray-code
+    order replaced, kept as its oracle beyond the naive sum's reach."""
+    n = len(matrix)
+    total = 0
+    for mask in range(1, 1 << n):
+        cols = [j for j in range(n) if mask >> j & 1]
+        prod = math.prod(sum(row[j] for j in cols) for row in matrix)
+        total += -prod if (n - len(cols)) % 2 else prod
+    return total
+
+
+def test_permanent_gray_code_matches_oracles():
+    rng = random.Random(3502)
+    for n in range(1, 13):
+        for _ in range(4 if n < 8 else 2):
+            m = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+            want = permanent_naive(m) if n <= 8 else _permanent_subset_order(m)
+            assert permanent(m) == want, m
+            assert permanent(m, mod=7) == want % 7
+    # a zero column empties every product: the row sums return to 0 exactly
+    assert permanent([[1, 0, 2], [3, 0, 4], [5, 0, 6]]) == 0
+
+
 def test_permanent_cap():
     with pytest.raises(BudgetError):
         permanent([[1] * 13 for _ in range(13)])
@@ -60,6 +85,27 @@ def test_hc_examples():
     weighted = [[1, 5, 1], [1, 1, 1], [1, 1, 1]]
     # cycle 1->2->3->1 contributes 5, cycle 1->3->2->1 contributes 1
     assert hamiltonian_cycle_sum(weighted) == 6
+
+
+def _hamiltonian_cycle_sum_naive(matrix):
+    """The (n-1)! walk the subset dynamic program replaced, kept as its
+    oracle: vertex 0 fixed, the rest in lexicographic permutation order."""
+    n = len(matrix)
+    total = 0
+    for rest in permutations(range(1, n)):
+        cycle = (0,) + rest
+        total += math.prod(matrix[cycle[k]][cycle[(k + 1) % n]] for k in range(n))
+    return total
+
+
+def test_hc_matches_the_cycle_walk():
+    rng = random.Random(3503)
+    for n in range(2, 9):
+        for _ in range(20):
+            m = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+            want = _hamiltonian_cycle_sum_naive(m)
+            for mod in (None, 7, 1000003):
+                assert hamiltonian_cycle_sum(m, mod) == (want if mod is None else want % mod), m
 
 
 def test_hc_all_ones_factorial():

@@ -123,6 +123,21 @@ def test_first_collision_matches_bucketing_oracle():
         assert _outcome(first_collision, matrices, elements) == want, (matrices, elements)
         outcomes.add("none" if want is None else type(want).__name__)
     assert outcomes == {"none", "tuple", "str"}
+    # gs_estimate's shapes: cols 4..16, matrices with no rows or more rows
+    # than a lane has bits, and every element repeated up to three times
+    shapes = set()
+    for _ in range(1000):
+        cols = rng.randint(4, 16)
+        rows = [rng.choice([0, rng.randint(1, 6), rng.randint(9, 40)]) for _ in range(3)]
+        distinct = rng.sample(range(1 << cols), rng.randint(0, min(80, 1 << cols)))
+        elements = [e for e in distinct for _ in range(rng.randint(1, 3))]
+        rng.shuffle(elements)
+        matrices = [random_hash_matrix(rng, r, cols) for r in rows[: rng.randint(0, 3)]]
+        want = _first_collision_buckets(matrices, elements)
+        assert first_collision(matrices, elements) == want, (matrices, elements)
+        shapes.update((r == 0, r > 8) for r in map(len, (a.rows for a in matrices)))
+        shapes.add("none" if want is None else "tuple")
+    assert shapes == {(True, False), (False, False), (False, True), "none", "tuple"}
 
 
 def test_first_collision_matrices_taller_than_a_lane():
@@ -214,6 +229,28 @@ def test_gs_large_set_exact_one():
     report = gs_estimate(elements, m=4, trials=1000, seed=5)
     assert report.rate == 1.0
     assert report.verdict == "large"
+
+
+def test_gs_estimate_counts_are_pinned():
+    # SHA-256 of (phi_count, verdict) for the CLI's gs-sim case and 20
+    # seeded (set size, m, cols, seed) cases, recorded before gs_estimate
+    # packed its set once per estimate
+    rng = random.Random(622)
+    cases = [(rng.sample(range(1 << 12), 64), 4, 12, 1000, 622)]
+    rng = random.Random(3501)
+    for _ in range(20):
+        cols, m = rng.randint(4, 16), rng.randint(0, 6)
+        size = rng.randint(0, min(1 << cols, (m + 1) << m))  # both sides of m 2^m
+        elements = rng.sample(range(1 << cols), size) * rng.randint(1, 2)  # repeats too
+        cases.append((elements, m, cols, 100, rng.getrandbits(32)))
+    answers = []
+    for elements, m, cols, trials, seed in cases:
+        report = gs_estimate(elements, m, trials, seed, cols=cols)
+        answers.append((report.phi_count, report.verdict))
+    assert answers[0] == (1000, "large")
+    assert {verdict for _, verdict in answers} == {"small", "large", "inconclusive"}
+    digest = hashlib.sha256(repr(answers).encode()).hexdigest()
+    assert digest == "f87dafa3e4312794e06d784ddb9671e56bf8c94dda0f7d7cb9d4b9779c43cd37"
 
 
 @pytest.mark.parametrize("m, trials", [(4, -5), (-2, 10)])

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from itertools import product
 
 import pytest
@@ -227,6 +228,29 @@ def test_closed_form_takes_one_step_per_prefix():
     assert kernel(p) is None
     assert len(inverses) == p - 1
     assert solve_bruteforce(system, p) is None
+
+
+def test_affine_head_leaves_out_its_equation(monkeypatch):
+    # each candidate of the affine head solves E by construction, so the
+    # candidate loop tests only the other equations and computes only what
+    # they read
+    sources = []
+    monkeypatch.setattr(
+        systems, "compile", lambda text, *args: sources.append(text) or compile(text, *args),
+        raising=False,
+    )
+    system = build_hardness_system(2, 2, (0, 1, 1))
+    kernel = systems._solver_kernel.__wrapped__(system)  # uncached: compiled here
+    loop = [line.strip() for line in sources[0].split(" in roots:\n")[1].splitlines()]
+    loop = loop[: loop.index("return None")]
+    assert sum(line.startswith("if ") for line in loop) == len(system.equations) - 1 == 2
+    for k, line in enumerate(loop):
+        if " = " in line:  # every value the loop computes is read later in it
+            name = line.split(" = ")[0]
+            read = (later.split(" = ")[-1] for later in loop[k + 1 :])
+            assert any(re.search(rf"\b{name}\b", text) for text in read), name
+    for p in (2, 3):
+        assert kernel(p) == oracle_solve(system, p)
 
 
 def one_unknown(rng):
